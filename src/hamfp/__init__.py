@@ -23,8 +23,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .exactnum import (
-    BigInt,
-    BigRational,
     TMonomial,
     elementary_symmetric,
     mono,
@@ -77,8 +75,6 @@ from .solver import (
 
 __all__ = [
     "BasisRestrictions",
-    "BigInt",
-    "BigRational",
     "CheckResult",
     "ClassificationVerdict",
     "DataError",

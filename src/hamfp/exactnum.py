@@ -16,11 +16,6 @@ from typing import Sequence
 
 from .errors import ZeroDenominatorError
 
-# Aliases documenting intent; the stdlib types already provide the canonical
-# forms (den > 0, gcd(num, den) = 1, zero = 0/1) and exact arithmetic.
-BigInt = int
-BigRational = Fraction
-
 
 def rational(num: int, den: int = 1) -> Fraction:
     """Return num/den in canonical reduced form.
@@ -67,10 +62,6 @@ class TMonomial:
 def mono(coeff: int | Fraction, degree: int = 0) -> TMonomial:
     """Convenience constructor accepting plain integers."""
     return TMonomial(Fraction(coeff), degree)
-
-
-MONO_ZERO = TMonomial(Fraction(0), 0)
-MONO_ONE = TMonomial(Fraction(1), 0)
 
 
 def elementary_symmetric(values: Sequence[int]) -> list[int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .basis import BasisRestrictions, express_in_basis
+from .basis import BasisRestrictions, Expansion, express_in_basis
 from .errors import IntegralityError
 from .fpdata import FixedPointData
 from .localize import chern_restriction
@@ -80,12 +80,6 @@ def ring_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def label_degrees(n: int) -> tuple[int, ...]:
-    """Half the cohomological degree of each basis label."""
-    half = n // 2
-    return tuple(list(range(half)) + [half, half] + list(range(half + 1, n + 1)))
-
-
 @dataclass(frozen=True)
 class RingTable:
     """Multiplication table over the graded basis, fixed per even n."""
@@ -93,9 +87,6 @@ class RingTable:
     n: int
     labels: tuple[str, ...]
     products: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def mul(self, a: RingElement, b: RingElement) -> RingElement:
-        return ring_mul(self, a, b)
 
     @property
     def one(self) -> RingElement:
@@ -253,17 +244,27 @@ def ordinary_chern(
 ) -> list[RingElement]:
     """Ordinary Chern classes c_1(M)..c_n(M) in the ring basis.
 
-    Each equivariant Chern class is expanded in the localization basis; the
-    expansion must be integral (IntegralityError otherwise). Setting t to 0
-    keeps only the terms of t-power zero, which are then mapped through the
-    ordinary images of the basis rows.
+    Each equivariant Chern class is expanded in the localization basis and
+    mapped by ``ordinary_from_expansions``.
     """
     if table.n != data.n:
         raise ValueError("ring and dataset have different n")
+    chern = [chern_restriction(data, i) for i in range(1, data.n + 1)]
+    return ordinary_from_expansions(table, [express_in_basis(basis, c) for c in chern])
+
+
+def ordinary_from_expansions(
+    table: RingTable, expansions: Sequence[Expansion]
+) -> list[RingElement]:
+    """Ordinary classes of c_1..c_n from their expansions in the basis.
+
+    Each expansion must be integral (IntegralityError otherwise). Setting t
+    to 0 keeps only the terms of t-power zero, which are then mapped through
+    the ordinary images of the basis rows.
+    """
     images = basis_images(table)
     out = []
-    for i in range(1, data.n + 1):
-        expansion = express_in_basis(basis, chern_restriction(data, i))
+    for i, expansion in enumerate(expansions, 1):
         if not expansion.integral:
             raise IntegralityError(
                 f"Chern class {i} has a non-integral expansion: "

@@ -9,6 +9,10 @@ d < n the sum must vanish exactly; a nonzero value is reported as
 ``NotAManifoldError`` since no compact Hamiltonian circle manifold can
 produce it.
 
+Monomials u^a * c_lambda in the symplectic class and the Chern classes are
+integrated by one engine, ``localization_sums``, without restriction tuples;
+``integrate`` remains the primitive for arbitrary classes.
+
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
 """
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
 from .exactnum import TMonomial, elementary_symmetric
@@ -51,10 +56,6 @@ class EquivClass:
         return EquivClass(
             self.degree_half * a, tuple(c**a for c in self.coeffs)
         )
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
 
 def unit_class(data: FixedPointData) -> EquivClass:
@@ -112,21 +113,56 @@ def integrate(data: FixedPointData, cls: EquivClass) -> TMonomial:
     return TMonomial(total, d - data.n)
 
 
+def localization_sums(
+    data: FixedPointData, degrees: Iterable[int], *, with_u: bool, with_chern: bool
+) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
+    """Stream (a, parts, integral of u^a * c_parts), u the symplectic class.
+
+    For each half-degree d (at most n) in the given order, a runs from d down
+    to 0 (only 0 without u, only d without Chern classes) and parts over the
+    partitions of d - a in the order of ``partitions``. Each point's
+    elementary symmetric polynomials and u(P) = phi_0 - phi(P) are computed
+    once; the walk is depth first, each part extending its parent's
+    per-point products, summed in integers over lcm |Lambda_P|.
+    """
+    esym = [elementary_symmetric(p.weights) for p in data.points]
+    common = lcm(*(e[data.n] for e in esym))
+    phi0 = data.points[0].phi
+    roots = [(common // e[data.n], phi0 - p.phi) for e, p in zip(esym, data.points)]
+
+    def walk(
+        products: list[int], remaining: int, largest: int
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
+        if remaining == 0:
+            yield (), sum(products)
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            extended = [x * e[part] for x, e in zip(products, esym)]
+            for rest, total in walk(extended, remaining - part, part):
+                yield (part,) + rest, total
+
+    for d in degrees:
+        for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
+            products = [scale * u**a for scale, u in roots]
+            for parts, total in walk(products, d - a, d - a):
+                yield a, parts, Fraction(total, common)
+
+
 def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
     """Integral of the product of Chern classes indexed by the partition.
 
     The partition must sum to n; the result is an integer (as a Fraction)
-    for data coming from an actual manifold.
+    for data coming from an actual manifold. The Chern numbers are walked in
+    the order of ``partitions`` up to this one.
     """
     parts = list(partition)
     if not parts or any(not 1 <= p <= data.n for p in parts):
         raise ValueError(f"partition entries must lie in 1..{data.n}: {parts}")
     if sum(parts) != data.n:
         raise ValueError(f"partition {parts} does not sum to n={data.n}")
-    cls = chern_restriction(data, parts[0])
-    for p in parts[1:]:
-        cls = cls * chern_restriction(data, p)
-    return integrate(data, cls).coeff
+    wanted = tuple(sorted(parts, reverse=True))
+    sums = localization_sums(data, [data.n], with_u=False, with_chern=True)
+    return next(total for _, walked, total in sums if walked == wanted)
 
 
 def euler_characteristic(data: FixedPointData) -> Fraction:

@@ -33,12 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DataError,
-    DegenerateProfileError,
-    InconsistentProfileError,
-    NotAManifoldError,
-)
+from .errors import DataError, DegenerateProfileError, InconsistentProfileError
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -46,7 +41,13 @@ from .fpdata import (
     standard_weights,
     validate,
 )
-from .localize import chern_restriction, integrate, partitions, symplectic_class
+# Only localization_sums is used; perfbench/tracing.py wraps the others here.
+from .localize import (  # noqa: F401
+    chern_restriction,
+    integrate,
+    localization_sums,
+    symplectic_class,
+)
 
 
 @dataclass(frozen=True)
@@ -273,22 +274,11 @@ def localization_consistent(data: FixedPointData) -> bool:
 
     Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
     where u is the equivariant symplectic class and c_i the equivariant Chern
-    classes. Any nonzero sum proves the data comes from no manifold.
+    classes, in order of degree, and stops at the first nonzero sum: it
+    proves the data comes from no manifold.
     """
-    n = data.n
-    u = symplectic_class(data)
-    chern = {i: chern_restriction(data, i) for i in range(1, n)}
-    try:
-        for degree in range(n):
-            for chern_degree in range(degree + 1):
-                for parts in partitions(chern_degree):
-                    cls = u.power(degree - chern_degree)
-                    for p in parts:
-                        cls = cls * chern[p]
-                    integrate(data, cls)
-    except NotAManifoldError:
-        return False
-    return True
+    sums = localization_sums(data, range(data.n), with_u=True, with_chern=True)
+    return not any(total for _, _, total in sums)
 
 
 def enumerate_candidates(

@@ -119,6 +119,16 @@ def test_classify_empty_profile(tmp_path):
     assert "symmetric about the middle pair: no" in result.stdout
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_classify_rejects_bound_below_one(tmp_path, bound):
+    path = tmp_path / "p.json"
+    dump_document(profile_to_document(MomentProfile(2, (-2, -1, 1, 2))), str(path))
+    result = run_cli("classify", str(path), f"--bound={bound}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"--bound must be at least 1, got {bound}" in result.stderr
+
+
 def test_classify_rejects_data_file(tmp_path):
     path = tmp_path / "d.json"
     dump_document(data_to_document(make_standard_g2([2, 1])), str(path))
