@@ -22,12 +22,7 @@ from .errors import (
     NotAManifoldError,
     ZeroDenominatorError,
 )
-from .exactnum import (
-    TMonomial,
-    elementary_symmetric,
-    mono,
-    rational,
-)
+from .exactnum import elementary_symmetric, rational
 from .fpdata import (
     CheckResult,
     FixedPoint,
@@ -93,7 +88,6 @@ __all__ = [
     "PointInvariants",
     "RingElement",
     "RingTable",
-    "TMonomial",
     "ValidationReport",
     "ZeroDenominatorError",
     "basis_images",
@@ -110,7 +104,6 @@ __all__ = [
     "integrate",
     "localization_consistent",
     "make_standard_g2",
-    "mono",
     "morse_pattern",
     "ordinary_chern",
     "pairing_matrix",

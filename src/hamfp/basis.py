@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateGammaError, ExpansionError
-from .exactnum import TMonomial
 from .fpdata import FixedPointData, morse_pattern, point_invariants
 from .localize import EquivClass
 
@@ -38,15 +37,11 @@ class BasisRestrictions:
     """Rows are the basis classes, columns the fixed points.
 
     Row i is stored as an EquivClass of half degree i (lower half) or i-1
-    (upper half); entry(i, k) exposes the matrix element as a monomial.
+    (upper half).
     """
 
     n: int
     rows: tuple[EquivClass, ...]
-
-    def entry(self, i: int, k: int) -> TMonomial:
-        row = self.rows[i]
-        return TMonomial(row.coeffs[k], row.degree_half)
 
     @property
     def half_degrees(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from . import dataio
@@ -29,8 +30,9 @@ from .fpdata import (
     point_invariants,
     validate,
 )
-# chern_number, integrate, ordinary_chern and symplectic_class are unused
-# here; perfbench/tracing.py wraps them at this module.
+# chern_number, chern_restriction, integrate, ordinary_chern and
+# symplectic_class are unused here; perfbench/tracing.py wraps them at this
+# module.
 from .grassring import (  # noqa: F401
     basis_images,
     betti,
@@ -41,6 +43,7 @@ from .grassring import (  # noqa: F401
     ring_mul,
 )
 from .localize import (  # noqa: F401
+    chern_classes,
     chern_number,
     chern_restriction,
     euler_characteristic,
@@ -55,17 +58,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-
-def _point_lines(data: FixedPointData) -> list[str]:
-    lines = []
-    for i, p in enumerate(data.points):
-        inv = point_invariants(data, i)
-        weights = ", ".join(str(w) for w in p.weights)
-        lines.append(
-            f"  P{i}  phi={p.phi}  weights=({weights})  Gamma={inv.gamma}  "
-            f"Lambda={inv.lambda_full}  L-={inv.lambda_minus}  L+={inv.lambda_plus}"
-        )
-    return lines
+# A report section: its JSON payload and its checks.
+Section = tuple[dict[str, Any], list[CheckResult]]
 
 
 def _point_json(data: FixedPointData) -> list[dict[str, Any]]:
@@ -85,9 +79,12 @@ def _point_json(data: FixedPointData) -> list[dict[str, Any]]:
     return out
 
 
-def _check_lines(checks: list[CheckResult]) -> list[str]:
+def _point_lines(points: list[dict[str, Any]]) -> list[str]:
     return [
-        f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in checks
+        f"  P{i}  phi={p['phi']}  weights=({', '.join(p['weights'])})  "
+        f"Gamma={p['gamma']}  Lambda={p['lambda']}  L-={p['lambda_minus']}  "
+        f"L+={p['lambda_plus']}"
+        for i, p in enumerate(points)
     ]
 
 
@@ -117,7 +114,7 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
     ]
 
 
-def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str, Any]:
+def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     matrix = [[str(c) for c in row.coeffs] for row in basis.rows]
     integral = all(c.denominator == 1 for row in basis.rows for c in row.coeffs)
     check = CheckResult(
@@ -127,28 +124,22 @@ def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str, 
         if integral
         else "fractional restriction entries found",
     )
-    return {
-        "matrix": matrix,
-        "half_degrees": list(basis.half_degrees),
-        "checks": [check],
-    }
+    return {"matrix": matrix, "half_degrees": list(basis.half_degrees)}, [check]
 
 
-def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str, Any]:
+def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     expansions = {}
     expanded = []
     try:
-        for i in range(1, data.n + 1):
-            expansion = express_in_basis(basis, chern_restriction(data, i))
+        for i, cls in enumerate(chern_classes(data), 1):
+            expansion = express_in_basis(basis, cls)
             expansions[f"c_{i}"] = [
                 {"coefficient": str(c), "t_power": p} for c, p in expansion.terms
             ]
             expanded.append(expansion)
     except ExpansionError as exc:
-        return {
-            "expansions": expansions,
-            "checks": [CheckResult("chern-expansion-integrality", False, str(exc))],
-        }
+        fail = CheckResult("chern-expansion-integrality", False, str(exc))
+        return {"expansions": expansions}, [fail]
     all_integral = all(e.integral for e in expanded)
     first_coeff = expanded[0].terms[1][0]
     numbers = {
@@ -179,30 +170,26 @@ def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str, 
             else "fractional Chern numbers found",
         ),
     ]
-    section: dict[str, Any] = {
+    payload: dict[str, Any] = {
         "expansions": expansions,
         "numbers": {k: str(v) for k, v in numbers.items()},
     }
     if all_integral:
         classes = ordinary_from_expansions(ring_make(data.n), expanded)
-        section["ordinary"] = {
+        payload["ordinary"] = {
             f"c_{i + 1}": str(elem) for i, elem in enumerate(classes)
         }
-        section["betti"] = betti(data.n)
-    section["checks"] = checks
-    return section
+        payload["betti"] = betti(data.n)
+    return payload, checks
 
 
-def _pairing_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str, Any]:
-    checks = []
+def _pairing_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     half = data.n // 2
     try:
         matrix = pairing_matrix(data, basis)
     except IntegralityError as exc:
-        return {"checks": [CheckResult("pairing-integrality", False, str(exc))]}
-    checks.append(
-        CheckResult("pairing-integrality", True, "all pairings are integers")
-    )
+        return {}, [CheckResult("pairing-integrality", False, str(exc))]
+    checks = [CheckResult("pairing-integrality", True, "all pairings are integers")]
     block = [
         [matrix[half][half], matrix[half][half + 1]],
         [matrix[half + 1][half], matrix[half + 1][half + 1]],
@@ -233,45 +220,7 @@ def _pairing_section(data: FixedPointData, basis: BasisRestrictions) -> dict[str
             else "localization pairing differs from the ring pairing",
         )
     )
-    return {"matrix": matrix, "middle_block": block, "determinant": det, "checks": checks}
-
-
-def _render_verify(report: dict[str, Any], as_json: bool) -> str:
-    if as_json:
-        return json.dumps(report, indent=2, sort_keys=True)
-    lines = [f"fixed-point data: n={report['n']}, {report['n'] + 2} fixed points"]
-    lines += report["_point_lines"]
-    lines.append("checks:")
-    for section_name in ("validation", "localization", "basis", "chern", "pairing"):
-        section = report.get(section_name)
-        if not section:
-            continue
-        lines += _check_lines(section["checks"])
-    if "pairing" in report and "middle_block" in report["pairing"]:
-        p = report["pairing"]
-        lines.append(
-            f"middle pairing block {p['middle_block']} determinant {p['determinant']}"
-        )
-    if "chern" in report and "ordinary" in report["chern"]:
-        ordinary = report["chern"]["ordinary"]
-        lines.append(
-            "ordinary Chern classes: "
-            + "; ".join(f"{k} = {v}" for k, v in ordinary.items())
-        )
-    lines.append("result: " + ("PASS" if report["passed"] else "FAIL"))
-    return "\n".join(lines)
-
-
-def _strip_private(report: Any) -> Any:
-    if isinstance(report, dict):
-        return {
-            k: _strip_private(v) for k, v in report.items() if not k.startswith("_")
-        }
-    if isinstance(report, list):
-        return [_strip_private(v) for v in report]
-    if isinstance(report, CheckResult):
-        return {"name": report.name, "passed": report.passed, "detail": report.detail}
-    return report
+    return {"matrix": matrix, "middle_block": block, "determinant": det}, checks
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -293,7 +242,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"standard fixed-point data: n={data.n}, {data.n + 2} fixed points")
-        for line in _point_lines(data):
+        for line in _point_lines(_point_json(data)):
             print(line)
         if args.out:
             print(f"written to {args.out}")
@@ -307,36 +256,54 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report: dict[str, Any] = {"command": "verify", "n": data.n}
-    report["points"] = _point_json(data)
-    report["_point_lines"] = _point_lines(data)
-
-    report["validation"] = {"checks": list(validate(data).checks)}
-    report["localization"] = {"checks": _localization_checks(data)}
-
-    basis = None
+    sections: dict[str, Section] = {
+        "validation": ({}, list(validate(data).checks)),
+        "localization": ({}, _localization_checks(data)),
+    }
     if args.basis or args.chern or args.pairing:
         try:
             basis = build_basis(data)
         except DegenerateGammaError as exc:
             fail = CheckResult("basis-construction", False, str(exc))
-            report["basis"] = {"checks": [fail]}
-    if basis is not None and args.basis:
-        report["basis"] = _basis_section(data, basis)
-    if basis is not None and args.chern:
-        report["chern"] = _chern_section(data, basis)
-    if basis is not None and args.pairing:
-        report["pairing"] = _pairing_section(data, basis)
+            sections["basis"] = {}, [fail]
+        else:
+            if args.basis:
+                sections["basis"] = _basis_section(data, basis)
+            if args.chern:
+                sections["chern"] = _chern_section(data, basis)
+            if args.pairing:
+                sections["pairing"] = _pairing_section(data, basis)
+    checks = [c for _, section_checks in sections.values() for c in section_checks]
+    passed = all(c.passed for c in checks)
+    points = _point_json(data)
 
-    report["passed"] = all(
-        c.passed
-        for name in ("validation", "localization", "basis", "chern", "pairing")
-        if name in report
-        for c in report[name]["checks"]
-    )
-
-    print(_render_verify(_strip_private(report) if args.json else report, args.json))
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
+    if args.json:
+        report = {"command": "verify", "n": data.n, "points": points, "passed": passed}
+        for name, (payload, section_checks) in sections.items():
+            report[name] = {**payload, "checks": [asdict(c) for c in section_checks]}
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        lines = [f"fixed-point data: n={data.n}, {data.n + 2} fixed points"]
+        lines += _point_lines(points)
+        lines.append("checks:")
+        lines += [
+            f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in checks
+        ]
+        pairing = sections["pairing"][0] if "pairing" in sections else {}
+        if "middle_block" in pairing:
+            lines.append(
+                f"middle pairing block {pairing['middle_block']} "
+                f"determinant {pairing['determinant']}"
+            )
+        chern = sections["chern"][0] if "chern" in sections else {}
+        if "ordinary" in chern:
+            lines.append(
+                "ordinary Chern classes: "
+                + "; ".join(f"{k} = {v}" for k, v in chern["ordinary"].items())
+            )
+        lines.append("result: " + ("PASS" if passed else "FAIL"))
+        print("\n".join(lines))
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -371,7 +338,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"{len(verdict.candidates)} candidate(s)")
         for k, cand in enumerate(verdict.candidates):
             print(f"candidate {k}:")
-            for line in _point_lines(cand):
+            for line in _point_lines(_point_json(cand)):
                 print(line)
         print(f"unique standard data: {'yes' if verdict.is_unique_standard else 'no'}")
     return EXIT_OK

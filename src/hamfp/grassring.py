@@ -25,7 +25,9 @@ from typing import Sequence
 from .basis import BasisRestrictions, Expansion, express_in_basis
 from .errors import IntegralityError
 from .fpdata import FixedPointData
-from .localize import chern_restriction
+# chern_restriction is unused here; perfbench/tracing.py wraps it at this
+# module.
+from .localize import chern_classes, chern_restriction  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -113,19 +115,27 @@ def _index_g(n: int, k: int) -> int:
     return n // 2 + 1 + k
 
 
+def _x_power_terms(n: int, k: int) -> list[tuple[int, int]]:
+    """x^k as (label index, coefficient) pairs, for k >= 0: x^k below n/2,
+    y + z at n/2, 2 g_(k-n/2) up to n, and nothing above."""
+    half = n // 2
+    if k < half:
+        return [(k, 1)]
+    if k == half:
+        return [(_index_y(n), 1), (_index_z(n), 1)]
+    if k <= n:
+        return [(_index_g(n, k - half), 2)]
+    return []
+
+
 def x_power(table: RingTable, k: int) -> RingElement:
     """The element x^k expanded over the basis labels (0 for k > n)."""
-    n = table.n
-    half = n // 2
     if k < 0:
         raise ValueError("negative power")
-    if k <= half - 1:
-        return table.element(k)
-    if k == half:
-        return table.element(_index_y(n)) + table.element(_index_z(n))
-    if k <= n:
-        return 2 * table.element(_index_g(n, k - half))
-    return table.zero()
+    out = table.zero()
+    for index, coeff in _x_power_terms(table.n, k):
+        out = out + coeff * table.element(index)
+    return out
 
 
 def _basis_product(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -158,14 +168,7 @@ def _basis_product(n: int, i: int, j: int) -> tuple[int, ...]:
     if rank[a[0]] > rank[b[0]]:
         a, b = b, a
     if a[0] == "x" and b[0] == "x":
-        s = a[1] + b[1]
-        if s <= half - 1:
-            return vec([(s, 1)])
-        if s == half:
-            return vec([(_index_y(n), 1), (_index_z(n), 1)])
-        if s <= n:
-            return vec([(_index_g(n, s - half), 2)])
-        return vec([])
+        return vec(_x_power_terms(n, a[1] + b[1]))
     if a[0] == "x" and b[0] in ("y", "z"):
         return vec([(_index_g(n, a[1]), 1)])
     if a[0] == "x" and b[0] == "g":
@@ -249,8 +252,8 @@ def ordinary_chern(
     """
     if table.n != data.n:
         raise ValueError("ring and dataset have different n")
-    chern = [chern_restriction(data, i) for i in range(1, data.n + 1)]
-    return ordinary_from_expansions(table, [express_in_basis(basis, c) for c in chern])
+    expansions = [express_in_basis(basis, c) for c in chern_classes(data)]
+    return ordinary_from_expansions(table, expansions)
 
 
 def ordinary_from_expansions(

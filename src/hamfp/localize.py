@@ -4,7 +4,7 @@ A homogeneous equivariant class of degree 2d restricts at each isolated fixed
 point to a rational multiple of t^d, so it is stored as one rational per
 point together with the common half-degree d. Integration over the manifold
 is the fixed-point localization sum: the restriction at each point divided by
-the product of its weights, with the result a monomial of degree d - n. For
+the product of its weights, with the result a rational multiple of t^(d-n). For
 d < n the sum must vanish exactly; a nonzero value is reported as
 ``NotAManifoldError`` since no compact Hamiltonian circle manifold can
 produce it.
@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
-from .exactnum import TMonomial, elementary_symmetric
+from .exactnum import elementary_symmetric
 from .fpdata import FixedPointData, point_invariants
 
 
@@ -74,28 +74,32 @@ def symplectic_class(data: FixedPointData) -> EquivClass:
     return EquivClass(1, tuple(Fraction(phi0 - p.phi) for p in data.points))
 
 
-def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
-    """The i-th equivariant Chern class: at each point, the i-th elementary
-    symmetric polynomial of its weights times t^i.
+def chern_classes(data: FixedPointData) -> list[EquivClass]:
+    """The equivariant Chern classes c_1..c_n: c_i restricts at each point to
+    the i-th elementary symmetric polynomial of its weights times t^i.
 
-    For i = n this is the equivariant Euler class of the normal bundle, the
-    full weight product at each point.
+    Each point's elementary symmetric polynomials are computed once. c_n is
+    the equivariant Euler class of the normal bundle, the full weight
+    product at each point.
     """
+    esym = [elementary_symmetric(p.weights) for p in data.points]
+    return [EquivClass(i, tuple(e[i] for e in esym)) for i in range(1, data.n + 1)]
+
+
+def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
+    """The i-th equivariant Chern class, 1 <= i <= n (see ``chern_classes``)."""
     if not 1 <= i <= data.n:
         raise ValueError(f"Chern index {i} out of range 1..{data.n}")
-    coeffs = tuple(
-        Fraction(elementary_symmetric(p.weights)[i]) for p in data.points
-    )
-    return EquivClass(i, coeffs)
+    return chern_classes(data)[i - 1]
 
 
-def integrate(data: FixedPointData, cls: EquivClass) -> TMonomial:
+def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
     """Localization sum over the fixed points.
 
-    Returns (sum_i coeffs[i] / Lambda_i) * t^(d-n). Below the top degree the
-    rational sum must be exactly zero (NotAManifoldError otherwise); at the
-    top degree the result is the ordinary integral over the manifold, and
-    above it the push-forward lands in positive degree of the base.
+    Returns sum_i coeffs[i] / Lambda_i, the coefficient of t^(d-n). Below the
+    top degree the sum must be exactly zero (NotAManifoldError otherwise); at
+    the top degree it is the ordinary integral over the manifold, and above
+    it the push-forward lands in positive degree of the base.
     """
     if len(cls.coeffs) != data.n + 2:
         raise ValueError("class does not match the fixed-point set")
@@ -103,14 +107,12 @@ def integrate(data: FixedPointData, cls: EquivClass) -> TMonomial:
     for i, c in enumerate(cls.coeffs):
         total += c / point_invariants(data, i).lambda_full
     d = cls.degree_half
-    if d < data.n:
-        if total != 0:
-            raise NotAManifoldError(
-                f"localization sum of a degree-{2 * d} class is {total}, "
-                f"expected 0 below degree {2 * data.n}"
-            )
-        return TMonomial(Fraction(0), 0)
-    return TMonomial(total, d - data.n)
+    if d < data.n and total != 0:
+        raise NotAManifoldError(
+            f"localization sum of a degree-{2 * d} class is {total}, "
+            f"expected 0 below degree {2 * data.n}"
+        )
+    return total
 
 
 def localization_sums(
@@ -196,7 +198,7 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
         for j in range(m):
             if rows[i].degree_half + rows[j].degree_half != data.n:
                 continue
-            value = integrate(data, rows[i] * rows[j]).coeff
+            value = integrate(data, rows[i] * rows[j])
             if value.denominator != 1:
                 raise IntegralityError(
                     f"pairing ({i},{j}) is {value}, expected an integer"

@@ -5,7 +5,7 @@ from math import gcd, prod
 
 import pytest
 
-from hamfp import ZeroDenominatorError, elementary_symmetric, mono, rational
+from hamfp import ZeroDenominatorError, elementary_symmetric, rational
 
 
 def test_rational_examples():
@@ -45,32 +45,6 @@ def test_field_axioms_randomized():
         assert a + (-a) == 0
         if a != 0:
             assert a * (1 / a) == 1
-
-
-def test_mono_examples():
-    assert mono(2, 1) * mono(3, 2) == mono(6, 3)
-    assert mono(7, 5) * mono(1, 0) == mono(7, 5)
-    assert mono(5, 1) * mono(0, 0) == mono(0, 0)
-
-
-def test_mono_zero_is_canonical():
-    # a vanishing coefficient collapses the degree
-    assert mono(0, 3) == mono(0, 0)
-    assert (mono(1, 2) * mono(0, 4)).degree == 0
-
-
-def test_mono_negative_degree_rejected():
-    with pytest.raises(ValueError):
-        mono(1, -1)
-
-
-def test_mono_commutative_associative():
-    rng = random.Random(3)
-    for _ in range(200):
-        xs = [mono(rng.randint(-9, 9), rng.randint(0, 5)) for _ in range(3)]
-        a, b, c = xs
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
 
 
 def test_elementary_symmetric_against_bruteforce():
