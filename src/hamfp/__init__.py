@@ -20,9 +20,8 @@ from .errors import (
     IntegralityError,
     InvalidGeneratorError,
     NotAManifoldError,
-    ZeroDenominatorError,
 )
-from .exactnum import elementary_symmetric, rational
+from .exactnum import elementary_symmetric
 from .fpdata import (
     CheckResult,
     FixedPoint,
@@ -89,7 +88,6 @@ __all__ = [
     "RingElement",
     "RingTable",
     "ValidationReport",
-    "ZeroDenominatorError",
     "basis_images",
     "betti",
     "build_basis",
@@ -110,7 +108,6 @@ __all__ = [
     "partitions",
     "point_invariants",
     "predicted_products",
-    "rational",
     "ring_integral",
     "ring_labels",
     "ring_make",

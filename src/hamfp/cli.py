@@ -34,6 +34,8 @@ from .fpdata import (
 # symplectic_class are unused here; perfbench/tracing.py wraps them at this
 # module.
 from .grassring import (  # noqa: F401
+    RingElement,
+    RingTable,
     basis_images,
     betti,
     ordinary_chern,
@@ -127,7 +129,12 @@ def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     return {"matrix": matrix, "half_degrees": list(basis.half_degrees)}, [check]
 
 
-def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
+def _chern_section(
+    data: FixedPointData,
+    basis: BasisRestrictions,
+    table: RingTable,
+    images: tuple[RingElement, ...],
+) -> Section:
     expansions = {}
     expanded = []
     try:
@@ -175,7 +182,7 @@ def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
         "numbers": {k: str(v) for k, v in numbers.items()},
     }
     if all_integral:
-        classes = ordinary_from_expansions(ring_make(data.n), expanded)
+        classes = ordinary_from_expansions(table, images, expanded)
         payload["ordinary"] = {
             f"c_{i + 1}": str(elem) for i, elem in enumerate(classes)
         }
@@ -183,7 +190,12 @@ def _chern_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     return payload, checks
 
 
-def _pairing_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
+def _pairing_section(
+    data: FixedPointData,
+    basis: BasisRestrictions,
+    table: RingTable,
+    images: tuple[RingElement, ...],
+) -> Section:
     half = data.n // 2
     try:
         matrix = pairing_matrix(data, basis)
@@ -202,8 +214,6 @@ def _pairing_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
             f"middle block {block} has determinant {det}",
         )
     )
-    table = ring_make(data.n)
-    images = basis_images(table)
     ring_matches = all(
         matrix[i][j]
         == ring_integral(table, ring_mul(table, images[i], images[j]))
@@ -269,10 +279,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             if args.basis:
                 sections["basis"] = _basis_section(data, basis)
+            if args.chern or args.pairing:
+                table = ring_make(data.n)
+                images = basis_images(table)
             if args.chern:
-                sections["chern"] = _chern_section(data, basis)
+                sections["chern"] = _chern_section(data, basis, table, images)
             if args.pairing:
-                sections["pairing"] = _pairing_section(data, basis)
+                sections["pairing"] = _pairing_section(data, basis, table, images)
     checks = [c for _, section_checks in sections.values() for c in section_checks]
     passed = all(c.passed for c in checks)
     points = _point_json(data)

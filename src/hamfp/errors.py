@@ -12,10 +12,6 @@ class DataError(ValueError):
     """Structurally malformed input: bad JSON document, bad counts, zero weight."""
 
 
-class ZeroDenominatorError(DataError):
-    """A rational number was requested with denominator zero."""
-
-
 class InvalidGeneratorError(DataError):
     """The exponent list for the standard action is not admissible."""
 

@@ -46,10 +46,6 @@ class FixedPoint:
         """Number of negative weights; half the Morse index."""
         return sum(1 for w in self.weights if w < 0)
 
-    @property
-    def morse_index(self) -> int:
-        return 2 * self.negative_count
-
 
 @dataclass(frozen=True)
 class FixedPointData:

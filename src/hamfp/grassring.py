@@ -11,6 +11,11 @@ degree 2), y and z in the middle degree n, and g_k = x^k y for 1 <= k <= n/2
 and every product of degree above 2n vanishes. Powers of x above n/2-1 are
 not basis labels; they expand as x^(n/2) = y + z and x^(n/2+k) = 2 g_k.
 
+No multiplication table is stored. Each basis label is x^a * s with s one
+of 1, y or z (g_a is x^a * y), and since x*y = x*z = g_1 the product of two
+labels depends only on the exponent sum and the two factors s: one rule
+(``_label_product``) gives it, and ``ring_mul`` extends it bilinearly.
+
 The module also maps each localization basis row to its ordinary image in
 this ring (rows of the lower half land on powers of x, the two middle rows
 on x^(n/2) = y+z and z, the upper rows on the g_k), which turns equivariant
@@ -84,11 +89,10 @@ def ring_labels(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RingTable:
-    """Multiplication table over the graded basis, fixed per even n."""
+    """The ring for one even n: its graded basis labels."""
 
     n: int
     labels: tuple[str, ...]
-    products: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def one(self) -> RingElement:
@@ -138,63 +142,46 @@ def x_power(table: RingTable, k: int) -> RingElement:
     return out
 
 
-def _basis_product(n: int, i: int, j: int) -> tuple[int, ...]:
+def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
+    """Product of basis labels i and j as (label index, coefficient) pairs.
+
+    Each label is x^a * s, with s the index of its factor 1 (index 0), y or z:
+    x^a below n/2 is (a, 0), y and z are (0, y) and (0, z), and g_a is (a, y).
+    """
     half = n // 2
-    size = n + 2
+    y = _index_y(n)
 
-    def vec(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-        out = [0] * size
-        for idx, c in pairs:
-            out[idx] += c
-        return tuple(out)
+    def split(k: int) -> tuple[int, int]:
+        if k < y:
+            return k, 0
+        if k <= y + 1:
+            return 0, k
+        return k - y - 1, y
 
-    def kind(idx: int) -> tuple[str, int]:
-        if idx == 0:
-            return ("one", 0)
-        if idx <= half - 1:
-            return ("x", idx)
-        if idx == _index_y(n):
-            return ("y", 0)
-        if idx == _index_z(n):
-            return ("z", 0)
-        return ("g", idx - half - 1)
-
-    a, b = kind(i), kind(j)
-    if a[0] == "one":
-        return vec([(j, 1)])
-    if b[0] == "one":
-        return vec([(i, 1)])
-    rank = {"x": 0, "y": 1, "z": 2, "g": 3}
-    if rank[a[0]] > rank[b[0]]:
-        a, b = b, a
-    if a[0] == "x" and b[0] == "x":
-        return vec(_x_power_terms(n, a[1] + b[1]))
-    if a[0] == "x" and b[0] in ("y", "z"):
-        return vec([(_index_g(n, a[1]), 1)])
-    if a[0] == "x" and b[0] == "g":
-        s = a[1] + b[1]
-        return vec([(_index_g(n, s), 1)]) if s <= half else vec([])
-    if (a[0], b[0]) in (("y", "y"), ("z", "z")):
-        return vec([(_index_g(n, half), 1)]) if n % 4 == 0 else vec([])
-    if (a[0], b[0]) == ("y", "z"):
-        return vec([(_index_g(n, half), 1)]) if n % 4 == 2 else vec([])
-    # y*g, z*g, g*g: degree above 2n
-    return vec([])
+    (a, s), (b, t) = split(i), split(j)
+    e = a + b
+    if not s and not t:
+        return _x_power_terms(n, e)
+    if not s or not t:
+        if e == 0:
+            return [(s or t, 1)]
+        return [(_index_g(n, e), 1)] if e <= half else []
+    # two middle factors make the top class (y^2 = z^2 for n = 4m, y*z for
+    # n = 4m+2) or 0; any power of x on top of them exceeds degree 2n
+    if e == 0 and (s == t) == (n % 4 == 0):
+        return [(_index_g(n, half), 1)]
+    return []
 
 
 def ring_make(n: int) -> RingTable:
-    """Build the multiplication table for even n >= 2."""
+    """The ring for even n >= 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and positive, got {n}")
-    size = n + 2
-    products = tuple(
-        tuple(_basis_product(n, i, j) for j in range(size)) for i in range(size)
-    )
-    return RingTable(n, ring_labels(n), products)
+    return RingTable(n, ring_labels(n))
 
 
 def ring_mul(table: RingTable, a: RingElement, b: RingElement) -> RingElement:
-    """Bilinear extension of the table; degrees above 2n vanish."""
+    """Bilinear extension of the label product; degrees above 2n vanish."""
     if a.n != table.n or b.n != table.n:
         raise ValueError("elements do not belong to this ring")
     out = [0] * (table.n + 2)
@@ -204,9 +191,8 @@ def ring_mul(table: RingTable, a: RingElement, b: RingElement) -> RingElement:
         for j, cb in enumerate(b.coeffs):
             if cb == 0:
                 continue
-            for idx, c in enumerate(table.products[i][j]):
-                if c:
-                    out[idx] += ca * cb * c
+            for idx, c in _label_product(table.n, i, j):
+                out[idx] += ca * cb * c
     return RingElement(table.n, tuple(out))
 
 
@@ -253,19 +239,20 @@ def ordinary_chern(
     if table.n != data.n:
         raise ValueError("ring and dataset have different n")
     expansions = [express_in_basis(basis, c) for c in chern_classes(data)]
-    return ordinary_from_expansions(table, expansions)
+    return ordinary_from_expansions(table, basis_images(table), expansions)
 
 
 def ordinary_from_expansions(
-    table: RingTable, expansions: Sequence[Expansion]
+    table: RingTable,
+    images: Sequence[RingElement],
+    expansions: Sequence[Expansion],
 ) -> list[RingElement]:
     """Ordinary classes of c_1..c_n from their expansions in the basis.
 
     Each expansion must be integral (IntegralityError otherwise). Setting t
     to 0 keeps only the terms of t-power zero, which are then mapped through
-    the ordinary images of the basis rows.
+    ``images``, the ordinary images of the basis rows (``basis_images``).
     """
-    images = basis_images(table)
     out = []
     for i, expansion in enumerate(expansions, 1):
         if not expansion.integral:

@@ -6,8 +6,6 @@ enforces its runtime budget.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -37,7 +35,7 @@ from hamfp import (
     symplectic_class,
     validate,
 )
-from conftest import sample_exponents
+from conftest import run_cli, sample_exponents
 
 
 def report(number, name, ok, budget=None, elapsed=None):
@@ -49,11 +47,7 @@ def report(number, name, ok, budget=None, elapsed=None):
 def test_criterion_1_dim4_weight_table(tmp_path):
     start = time.monotonic()
     out = tmp_path / "std2.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "hamfp", "generate", "--b", "2,1", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_cli("generate", "--b", "2,1", "--out", str(out))
     doc = json.loads(out.read_text())
     weights = [sorted(int(w) for w in p["weights"]) for p in doc["points"]]
     phis = [int(p["phi"]) for p in doc["points"]]

@@ -1,20 +1,11 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
 from hamfp import make_standard_g2
 from hamfp.dataio import data_to_document, dump_document, profile_to_document
 from hamfp.solver import MomentProfile
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hamfp", *args],
-        capture_output=True,
-        text=True,
-    )
+from conftest import run_cli
 
 
 def test_generate_prints_weight_pairs(tmp_path):

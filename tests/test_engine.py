@@ -28,16 +28,13 @@ from hamfp import (
 )
 from hamfp.localize import localization_sums
 
-from conftest import sample_exponents
+from conftest import quadric_chern_coefficients, sample_exponents
 
 
 def quadric_numbers(n):
     """Chern number of every partition of n on Q_n: 2 * prod(a_k), where
     (1+x)^(n+2)/(1+2x) = sum a_k x^k."""
-    a = [
-        sum(math.comb(n + 2, k - j) * (-2) ** j for j in range(k + 1))
-        for k in range(n + 1)
-    ]
+    a = quadric_chern_coefficients(n)
     return {p: 2 * math.prod(a[k] for k in p) for p in partitions(n)}
 
 

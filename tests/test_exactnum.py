@@ -1,34 +1,9 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
-import pytest
-
-from hamfp import ZeroDenominatorError, elementary_symmetric, rational
-
-
-def test_rational_examples():
-    assert rational(2, 4) == Fraction(1, 2)
-    assert rational(-3, -3) == Fraction(1, 1)
-    assert rational(0, 5) == Fraction(0, 1)
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDenominatorError):
-        rational(1, 0)
-
-
-def test_rational_canonical_form():
-    rng = random.Random(1)
-    for _ in range(200):
-        num = rng.randint(-10**6, 10**6)
-        den = rng.randint(-10**6, 10**6) or 1
-        q = rational(num, den)
-        assert q.denominator > 0
-        assert gcd(abs(q.numerator), q.denominator) == 1
-        if q.numerator == 0:
-            assert q.denominator == 1
+from hamfp import elementary_symmetric
 
 
 def test_field_axioms_randomized():

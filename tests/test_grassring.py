@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,9 @@ from hamfp import (
     ring_mul,
     x_power,
 )
-from conftest import sample_exponents
+from conftest import quadric_chern_coefficients, sample_exponents
+
+RING_PRODUCTS = Path(__file__).resolve().parent / "golden" / "ring-products.json"
 
 
 def idx_y(n):
@@ -98,6 +102,21 @@ def test_products_above_top_degree_vanish():
     assert ring_mul(table, table.element(idx_y(4)), g1).is_zero
 
 
+def test_every_label_product_matches_golden():
+    # every nonzero product of two basis labels for n = 2..12, as
+    # [i, j, [[index, coeff], ...]] rows; pairs not listed multiply to 0
+    golden = json.loads(RING_PRODUCTS.read_text())
+    assert sorted(map(int, golden)) == list(range(2, 13, 2))
+    for n_text, rows in golden.items():
+        n = int(n_text)
+        table = ring_make(n)
+        listed = {(i, j): terms for i, j, terms in rows}
+        for i, j in product(range(n + 2), repeat=2):
+            coeffs = ring_mul(table, table.element(i), table.element(j)).coeffs
+            got = [[index, c] for index, c in enumerate(coeffs) if c]
+            assert got == listed.get((i, j), []), (n, i, j)
+
+
 def test_associativity_all_triples():
     for n in (2, 4, 6, 8):
         table = ring_make(n)
@@ -164,6 +183,17 @@ def test_top_chern_class_counts_fixed_points():
         classes = ordinary_chern(data, build_basis(data), table)
         assert classes[-1] == (n + 2) * table.element(idx_g(n, n // 2))
         assert ring_integral(table, classes[-1]) == n + 2
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_ordinary_chern_matches_the_quadric(n):
+    # the standard data is the action on the quadric Q_n, whose total Chern
+    # class is (1+x)^(n+2)/(1+2x)
+    data = make_standard_g2(range(n // 2 + 1, 0, -1))
+    table = ring_make(n)
+    a = quadric_chern_coefficients(n)
+    expected = [a[k] * x_power(table, k) for k in range(1, n + 1)]
+    assert ordinary_chern(data, build_basis(data), table) == expected
 
 
 def test_ordinary_chern_rejects_fractional_expansion():

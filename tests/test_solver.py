@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -13,6 +16,7 @@ from hamfp import (
     enumerate_candidates,
     localization_consistent,
     make_standard_g2,
+    morse_pattern,
     point_invariants,
     predicted_products,
     standard_weights,
@@ -172,3 +176,84 @@ def test_middle_tie_profile_keeps_both_survivors():
     ]
     assert [(2, 2), (-2, 2), (-2, 2), (-2, -2)] in weight_sets
     assert [(1, 4), (-2, 2), (-2, 2), (-4, -1)] in weight_sets
+
+
+def brute_force_candidates(profile, bound, divisibility=True):
+    """enumerate_candidates without its pruning: each point takes every
+    sorted weight tuple over 1..bound with the forced negative count and the
+    predicted products, the cartesian product of those options is taken in
+    full, and each assignment is kept if every weight divides a nonzero
+    moment gap from its point, the weights are closed under negation, and
+    validate and localization_consistent pass."""
+    n, phi = profile.n, profile.phi
+    try:
+        products = predicted_products(profile)
+    except InconsistentProfileError:
+        return []
+    magnitudes = range(1, bound + 1)
+    options = []
+    for lam, (neg_target, pos_target) in zip(morse_pattern(n), products):
+        negs = [
+            tuple(sorted(-v for v in c))
+            for c in combinations_with_replacement(magnitudes, lam)
+            if prod(-v for v in c) == neg_target
+        ]
+        poss = [
+            c
+            for c in combinations_with_replacement(magnitudes, n - lam)
+            if prod(c) == pos_target
+        ]
+        options.append([a + b for a in negs for b in poss])
+    found = []
+    for assignment in product(*options):
+        counts = Counter(w for weights in assignment for w in weights)
+        if any(counts[w] != counts[-w] for w in counts):
+            continue
+        if divisibility and not all(
+            any(p != q and (p - q) % w == 0 for q in phi)
+            for p, weights in zip(phi, assignment)
+            for w in weights
+        ):
+            continue
+        data = FixedPointData(
+            n, tuple(FixedPoint(p, w) for p, w in zip(phi, assignment))
+        )
+        if validate(data).passed and localization_consistent(data):
+            found.append(data)
+    return sorted(found, key=lambda d: [p.weights for p in d.points])
+
+
+def test_brute_force_agrees_on_standard_profiles():
+    nonempty = 0
+    for n in (2, 4):
+        for exponents in combinations(range(1, 6), n // 2 + 1):
+            profile = profile_of(make_standard_g2(exponents))
+            for bound in (min(profile.spread, 8), 3):
+                expected = brute_force_candidates(profile, bound)
+                assert enumerate_candidates(profile, bound) == expected
+                nonempty += bool(expected)
+    assert nonempty >= 10
+
+
+def test_brute_force_agrees_on_random_profiles():
+    rng = random.Random(27)
+    for n in (2, 4):
+        for _ in range(150):
+            phi = sorted(rng.sample(range(-8, 9), n + 2))
+            if rng.random() < 0.25:
+                phi[n // 2 + 1] = phi[n // 2]
+            profile = MomentProfile(n, phi)
+            for bound in (min(profile.spread, 8), 3):
+                expected = brute_force_candidates(profile, bound)
+                assert enumerate_candidates(profile, bound) == expected
+
+
+def test_brute_force_needs_the_divisibility_check():
+    # weight 6 at P0 divides none of its moment gaps 3, 4 and 7, so only the
+    # divisibility hypothesis rules this assignment out
+    profile = MomentProfile(2, (-1, 2, 3, 6))
+    with_check = brute_force_candidates(profile, 6)
+    without = brute_force_candidates(profile, 6, divisibility=False)
+    extra = [[p.weights for p in d.points] for d in without if d not in with_check]
+    assert extra == [[(2, 6), (-3, 4), (-4, 3), (-6, -2)]]
+    assert enumerate_candidates(profile, 6) == with_check
