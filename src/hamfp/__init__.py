@@ -20,6 +20,7 @@ from .errors import (
     IntegralityError,
     InvalidGeneratorError,
     NotAManifoldError,
+    SearchTooLargeError,
 )
 from .exactnum import elementary_symmetric
 from .fpdata import (
@@ -87,6 +88,7 @@ __all__ = [
     "PointInvariants",
     "RingElement",
     "RingTable",
+    "SearchTooLargeError",
     "ValidationReport",
     "basis_images",
     "betti",

@@ -325,10 +325,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         profile = dataio.profile_from_document(dataio.load_document(args.path))
+        verdict = classify(profile, args.bound)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    verdict = classify(profile, args.bound)
     symmetric = check_symmetry(profile)
     if args.json:
         doc = {

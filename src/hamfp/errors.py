@@ -56,3 +56,8 @@ class ExpansionError(RuntimeError):
     This cannot happen for restriction tuples of genuine equivariant classes;
     it flags an input tuple outside the span of the basis in that degree.
     """
+
+
+class SearchTooLargeError(DataError):
+    """The classifier's search would build more partial assignments than it
+    allows, so the profile is refused before memory runs out."""

@@ -12,14 +12,21 @@ assignment compatible with
 * divisibility: each weight at a point divides some nonzero moment gap from
   that point (the arithmetic consequence of isotropy spheres);
 * the forced pattern of negative-weight counts;
-* the predicted per-point products;
+* the predicted per-point products, searched as factorizations that cut a
+  branch once the product still to place exceeds top**left or falls below
+  v**left (left parts to choose, v the next part, top the largest allowed);
 * in dimension above 4, where the second cohomology has rank one, affinity
   of the weight sums in the moment values (the pairwise difference ratio
   that expresses the first Chern class);
-* negation closure of the global weight multiset;
-* full validation, plus exact vanishing of the localization sum of every
-  monomial in the equivariant symplectic class and the equivariant Chern
-  classes below the top degree. Products and negation closure alone are not
+* exact vanishing of the localization sum of c_k for 0 < k < n. Every option
+  at a point P has the same weight product L_P, so over the common
+  denominator L = lcm |L_P| it adds the integer e_k(weights) * (L / L_P) to
+  the numerator of the integral of c_k. A meet in the middle joins the two
+  halves of the point list on opposite sums of these numerators;
+* full validation, which checks negation closure of the global weight
+  multiset, plus exact vanishing of the localization sum of every monomial
+  in the equivariant symplectic class and the equivariant Chern classes
+  below the top degree. Products and negation closure alone are not
   sufficient: there are assignments sharing all per-point products with the
   true data that only the Chern-class sums reject.
 
@@ -29,11 +36,14 @@ Search branches are independent, and results are merged in canonical
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
+from math import lcm, prod
+from operator import add
 
 from .errors import DataError, DegenerateProfileError, InconsistentProfileError
+from .errors import SearchTooLargeError
+from .exactnum import elementary_symmetric
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -48,6 +58,9 @@ from .localize import (  # noqa: F401
     localization_sums,
     symplectic_class,
 )
+
+# Most assignments one half of the meet-in-the-middle join may build.
+MAX_HALF_ASSIGNMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -171,15 +184,20 @@ def _factorizations(
     """Nondecreasing count-tuples over the allowed positive values with the
     given product (target >= 1)."""
     results: list[tuple[int, ...]] = []
+    top = allowed[-1] if allowed else 0
 
     def extend(start: int, remaining: int, chosen: list[int]) -> None:
-        if len(chosen) == count:
+        left = count - len(chosen)
+        if left == 0:
             if remaining == 1:
                 results.append(tuple(chosen))
             return
+        # each of the left parts is at least v and at most top
+        if remaining > top**left:
+            return
         for idx in range(start, len(allowed)):
             v = allowed[idx]
-            if v > remaining:
+            if v**left > remaining:
                 break
             if remaining % v == 0:
                 chosen.append(v)
@@ -214,59 +232,52 @@ def _point_options(
     return sorted(options)
 
 
-def _closure_join(
-    options: list[list[tuple[int, ...]]],
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Meet in the middle on negation closure.
+def _chern_key(option: tuple[int, ...], scale: int) -> tuple[int, ...]:
+    """e_1 .. e_{n-1} of the weights, times scale."""
+    return tuple(e * scale for e in elementary_symmetric(option)[1:-1])
 
-    Enumerates both halves of the point list, keys each partial assignment by
-    its imbalance signature (count(w) - count(-w) per magnitude), and joins
-    opposite signatures.
-    """
+
+def _keyed_join(
+    options: list[list[tuple[int, ...]]], scales: list[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every assignment whose Chern keys, _chern_key(option, scales[i]) at
+    point i, sum to zero, by meeting in the middle: half-assignments of the
+    two halves join on opposite key sums."""
     m = len(options)
-    lower = _half_assignments(options[: m // 2])
-    upper: dict[tuple, list[tuple[tuple[int, ...], ...]]] = {}
-    for signature, choice in _half_assignments(options[m // 2 :]):
-        upper.setdefault(signature, []).append(choice)
+    upper: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    for key, choice in _half_assignments(options[m // 2 :], scales[m // 2 :]):
+        upper.setdefault(key, []).append(choice)
     joined: list[tuple[tuple[int, ...], ...]] = []
-    for signature, choice in lower:
-        needed = tuple((v, -d) for v, d in signature)
-        for completion in upper.get(needed, ()):
+    for key, choice in _half_assignments(options[: m // 2], scales[: m // 2]):
+        for completion in upper.get(tuple(-k for k in key), ()):
             joined.append(choice + completion)
     return joined
 
 
 def _half_assignments(
-    option_lists: list[list[tuple[int, ...]]],
-) -> list[tuple[tuple, tuple[tuple[int, ...], ...]]]:
-    """Every choice of one option per point, with its imbalance signature.
+    options: list[list[tuple[int, ...]]], scales: list[int]
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Every choice of one option per point, with the sum of their keys.
 
-    The signature lists (magnitude, count(+v) - count(-v)) for the magnitudes
-    that do not balance; two half-assignments glue to a negation-closed
-    multiset exactly when their signatures are opposite.
+    The choices are counted before any is built, and more than
+    MAX_HALF_ASSIGNMENTS raise SearchTooLargeError.
     """
-    partial: list[tuple[Counter[int], tuple[tuple[int, ...], ...]]] = [
-        (Counter(), ())
-    ]
-    for opts in option_lists:
-        step = []
-        for counts, choice in partial:
-            for opt in opts:
-                merged = counts.copy()
-                merged.update(opt)
-                step.append((merged, choice + (opt,)))
-        partial = step
-    out = []
-    for counts, choice in partial:
-        signature = tuple(
-            sorted(
-                (v, counts[v] - counts[-v])
-                for v in {abs(w) for w in counts}
-                if counts[v] != counts[-v]
-            )
+    size = prod(len(opts) for opts in options)
+    if size > MAX_HALF_ASSIGNMENTS:
+        raise SearchTooLargeError(
+            f"the search would build {size} assignments for one half of the "
+            f"point list, more than the limit of {MAX_HALF_ASSIGNMENTS}"
         )
-        out.append((signature, choice))
-    return out
+    # a key has n - 1 entries, one fewer than an option
+    partial = [((0,) * (len(options[0][0]) - 1), ())]
+    for opts, scale in zip(options, scales):
+        keyed = [(opt, _chern_key(opt, scale)) for opt in opts]
+        partial = [
+            (tuple(map(add, key, k)), choice + (opt,))
+            for key, choice in partial
+            for opt, k in keyed
+        ]
+    return partial
 
 
 def localization_consistent(data: FixedPointData) -> bool:
@@ -300,52 +311,51 @@ def enumerate_candidates(
         return []
 
     pattern = morse_pattern(n)
+    # Over L = lcm |L_i|, L_i = neg * pos, an option at point i adds
+    # e_k * (L / L_i) to the numerator of the integral of c_k.
+    common = lcm(*(neg * pos for neg, pos in products))
+    scales = [common // (neg * pos) for neg, pos in products]
     options: list[list[tuple[int, ...]]] = []
-    for i in range(m):
+    for i, (neg, pos) in enumerate(products):
         gaps = {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]}
         allowed = tuple(
             w for w in range(1, bound + 1) if any(g % w == 0 for g in gaps)
         )
-        neg_target, pos_target = products[i]
-        options.append(_point_options(pattern[i], n, neg_target, pos_target, allowed))
+        options.append(_point_options(pattern[i], n, neg, pos, allowed))
     if any(not opts for opts in options):
         return []
 
     if n == 2:
-        found = _closure_join(options)
+        found = _keyed_join(options, scales)
     else:
         # In dimension above 4 the second cohomology has rank one, so the
         # weight sums must be an affine function of the moment values (the
         # first Chern class is a single multiple of the symplectic class).
-        # Enumerate the affine line through two anchor points and keep only
-        # options whose weight sums land on it.
+        # Bucket each point's options by weight sum, run through the lines
+        # fixed by the sums at two anchor points, and keep at every point
+        # the bucket whose sum lies on the line.
+        by_sum: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in options]
+        for buckets, opts in zip(by_sum, options):
+            for opt in opts:
+                buckets.setdefault(sum(opt), []).append(opt)
         pairs = [
             (i, j)
             for i in range(m)
             for j in range(i + 1, m)
             if phi[i] != phi[j]
         ]
-        a, b = min(pairs, key=lambda p: len(options[p[0]]) * len(options[p[1]]))
+        a, b = min(pairs, key=lambda p: len(by_sum[p[0]]) * len(by_sum[p[1]]))
+        run = phi[b] - phi[a]
         found = []
-        for opt_a in options[a]:
-            for opt_b in options[b]:
-                slope = Fraction(sum(opt_b) - sum(opt_a), phi[b] - phi[a])
-                offset = Fraction(sum(opt_a)) - slope * phi[a]
-                filtered: list[list[tuple[int, ...]]] = []
-                for i in range(m):
-                    if i == a:
-                        filtered.append([opt_a])
-                    elif i == b:
-                        filtered.append([opt_b])
-                    else:
-                        wanted = offset + slope * phi[i]
-                        filtered.append(
-                            [o for o in options[i] if sum(o) == wanted]
-                        )
-                    if not filtered[-1]:
-                        break
-                else:
-                    found += _closure_join(filtered)
+        for sum_a, sum_b in product(by_sum[a], by_sum[b]):
+            filtered: list[list[tuple[int, ...]]] = []
+            for i in range(m):
+                rise, r = divmod((sum_b - sum_a) * (phi[i] - phi[a]), run)
+                filtered.append(by_sum[i].get(sum_a + rise, []) if r == 0 else [])
+                if not filtered[-1]:
+                    break
+            else:
+                found += _keyed_join(filtered, scales)
 
     candidates = []
     for assignment in sorted(found):

@@ -126,6 +126,16 @@ def test_classify_rejects_data_file(tmp_path):
     assert run_cli("classify", str(path)).returncode == 2
 
 
+def test_classify_refuses_an_oversized_search(tmp_path):
+    path = tmp_path / "p.json"
+    data = make_standard_g2([7, 6, 5, 4, 3, 2, 1])
+    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    result = run_cli("classify", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: the search would build 3696000 assignments")
+
+
 def test_classify_json_report(tmp_path):
     path = tmp_path / "p.json"
     dump_document(profile_to_document(MomentProfile(2, (-2, -1, 1, 2))), str(path))

@@ -11,6 +11,11 @@ profile (-3, -2, -1, 1, 2, 3) in profile4, and three variants of the data:
 * degen4: P1's weights changed to (-1, 5, 3, 5), so that P0 and P1 share a
   weight sum and the basis cannot be built.
 
+The classify cases at n = 8 are the standard profiles for exponents
+(1, 3, 5, 7, 9), the slowest of the 126 with exponents from 1..9, and
+(1, 2, 3, 5, 7), and a random profile with no candidate; tie2 is the n = 2
+profile (-2, 0, 0, 2), whose tied middle pair leaves two candidates.
+
 Each verify report is pinned as text and as JSON, and the two must list the
 same checks in the same order."""
 
@@ -59,6 +64,11 @@ CASES = [
     *verify_cases(VERIFY[2:]),
     (["classify", "profile4.json"], 0, "classify-profile4.text.out"),
     (["generate", "--b", "3,2,1"], 0, "generate-b321.text.out"),
+    *[
+        (["classify", f"profile-{name}.json", *extra], 0, f"classify-{name}.{kind}.out")
+        for name in ("std8-13579", "std8-12357", "sweep8", "tie2")
+        for extra, kind in (([], "text"), (["--json"], "json"))
+    ],
 ]
 
 
