@@ -16,16 +16,27 @@ divide by differences of weight sums within one half, so those must be
 pairwise distinct (DegenerateGammaError otherwise); the two halves may share
 values across the middle.
 
+Each entry is formed as one integer numerator over one integer denominator
+(in the lower half the denominator prod_{j<i} (G_i - G_j) is shared by the
+whole row) and reduced once. The basis then keeps all its entries as integer
+numerators over a single common denominator D, the lcm of the entry
+denominators, so the basis is integral exactly when D = 1.
+
 Expansion of an arbitrary class in this basis is forward substitution down
 the moment order: the diagonal entries are nonzero weight products, and the
 middle row n/2 is solved before row n/2+1, matching the declared order of
-the middle pair even when their moment values tie.
+the middle pair even when their moment values tie. The substitution runs in
+integers: the coefficients found so far are kept as numerators over one
+running common denominator, each residual is an integer sum against the
+basis numerators, and only the new coefficient is reduced, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import DegenerateGammaError, ExpansionError
 from .fpdata import FixedPointData, morse_pattern, point_invariants
@@ -37,11 +48,14 @@ class BasisRestrictions:
     """Rows are the basis classes, columns the fixed points.
 
     Row i is stored as an EquivClass of half degree i (lower half) or i-1
-    (upper half).
+    (upper half). The same entries are kept as integers over one common
+    denominator: rows[i].coeffs[k] == numerators[i][k] / denominator.
     """
 
     n: int
     rows: tuple[EquivClass, ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
     @property
     def half_degrees(self) -> tuple[int, ...]:
@@ -87,27 +101,34 @@ def build_basis(data: FixedPointData) -> BasisRestrictions:
             seen[gammas[i]] = i
 
     pattern = morse_pattern(n)
-    rows = []
+    entries = []
     for i in range(m):
         coeffs = [Fraction(0)] * m
         coeffs[i] = Fraction(inv[i].lambda_minus)
         if i <= half:
+            below = range(i)
+            den = prod(gammas[i] - gammas[j] for j in below)
             for k in range(i + 1, m):
-                value = Fraction(inv[i].lambda_minus)
-                for j in range(i):
-                    value *= Fraction(gammas[k] - gammas[j], gammas[i] - gammas[j])
-                coeffs[k] = value
+                num = inv[i].lambda_minus * prod(gammas[k] - gammas[j] for j in below)
+                coeffs[k] = Fraction(num, den)
         else:
-            for k in range(i + 1, m):
-                value = Fraction(-inv[k].lambda_full, inv[i].lambda_plus)
-                for j in range(i + 1, m):
-                    if j != k:
-                        value *= Fraction(
-                            gammas[i] - gammas[j], gammas[k] - gammas[j]
-                        )
-                coeffs[k] = value
-        rows.append(EquivClass(pattern[i], tuple(coeffs)))
-    return BasisRestrictions(n, tuple(rows))
+            above = range(i + 1, m)
+            for k in above:
+                num = -inv[k].lambda_full * prod(
+                    gammas[i] - gammas[j] for j in above if j != k
+                )
+                den = inv[i].lambda_plus * prod(
+                    gammas[k] - gammas[j] for j in above if j != k
+                )
+                coeffs[k] = Fraction(num, den)
+        entries.append(coeffs)
+    denominator = lcm(*(c.denominator for row in entries for c in row))
+    numerators = tuple(
+        tuple(c.numerator * (denominator // c.denominator) for c in row)
+        for row in entries
+    )
+    rows = tuple(EquivClass(pattern[i], tuple(row)) for i, row in enumerate(entries))
+    return BasisRestrictions(n, rows, numerators, denominator)
 
 
 def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
@@ -125,20 +146,36 @@ def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
     if len(cls.coeffs) != m:
         raise ValueError("class does not match the basis point count")
     degrees = basis.half_degrees
+    numerators = basis.numerators
+    columns = list(zip(*numerators))
+    # The class is targets[k] / scale at point k; the coefficients found so
+    # far are found[i] / common, and the basis entries numerators / D.
+    scale = lcm(*(c.denominator for c in cls.coeffs))
+    targets = [c.numerator * (scale // c.denominator) for c in cls.coeffs]
+    found: list[int] = []
+    common = 1
     coeffs: list[Fraction] = []
     for k in range(m):
-        residual = cls.coeffs[k]
-        for i in range(k):
-            residual -= coeffs[i] * basis.rows[i].coeffs[k]
+        # residual * scale * common * D, in integers
+        top = targets[k] * common * basis.denominator - scale * sum(
+            map(mul, found, columns[k])
+        )
         if degrees[k] <= d:
-            coeffs.append(residual / basis.rows[k].coeffs[k])
+            coeff = Fraction(top, scale * common * numerators[k][k])
         else:
-            if residual != 0:
+            if top != 0:
+                residual = Fraction(top, scale * common * basis.denominator)
                 raise ExpansionError(
                     f"degree-{2 * d} tuple is outside the basis span: residual "
                     f"{residual} at point {k}"
                 )
-            coeffs.append(Fraction(0))
+            coeff = Fraction(0)
+        coeffs.append(coeff)
+        grow = coeff.denominator // gcd(common, coeff.denominator)
+        if grow != 1:
+            found = [a * grow for a in found]
+            common *= grow
+        found.append(coeff.numerator * (common // coeff.denominator))
     terms = tuple(
         (coeffs[k], d - degrees[k] if degrees[k] <= d else 0) for k in range(m)
     )

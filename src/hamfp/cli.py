@@ -118,7 +118,7 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
 
 def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
     matrix = [[str(c) for c in row.coeffs] for row in basis.rows]
-    integral = all(c.denominator == 1 for row in basis.rows for c in row.coeffs)
+    integral = basis.denominator == 1
     check = CheckResult(
         "basis-integrality",
         integral,

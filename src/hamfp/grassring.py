@@ -25,6 +25,7 @@ Chern expansions into ordinary Chern classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .basis import BasisRestrictions, Expansion, express_in_basis
@@ -78,6 +79,7 @@ class RingElement:
         return " + ".join(terms) if terms else "0"
 
 
+@cache
 def ring_labels(n: int) -> tuple[str, ...]:
     half = n // 2
     labels = ["1"]
@@ -89,10 +91,9 @@ def ring_labels(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RingTable:
-    """The ring for one even n: its graded basis labels."""
+    """The ring for one even n; its graded basis labels are ring_labels(n)."""
 
     n: int
-    labels: tuple[str, ...]
 
     @property
     def one(self) -> RingElement:
@@ -177,7 +178,7 @@ def ring_make(n: int) -> RingTable:
     """The ring for even n >= 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and positive, got {n}")
-    return RingTable(n, ring_labels(n))
+    return RingTable(n)
 
 
 def ring_mul(table: RingTable, a: RingElement, b: RingElement) -> RingElement:

@@ -11,7 +11,9 @@ produce it.
 
 Monomials u^a * c_lambda in the symplectic class and the Chern classes are
 integrated by one engine, ``localization_sums``, without restriction tuples;
-``integrate`` remains the primitive for arbitrary classes.
+``pairing_matrix`` sums products of basis rows the same way, in integers over
+one common denominator; ``integrate`` remains the primitive for arbitrary
+classes.
 
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
@@ -188,20 +191,31 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     """Intersection pairing of the basis rows, via localization.
 
     Entry (i, j) is the integral of row_i * row_j when the degrees are
-    complementary (sum 2n) and 0 otherwise. Entries must be integers; a
-    fractional value raises IntegralityError.
+    complementary (sum 2n) and 0 otherwise. With the basis entries N / D and
+    L = lcm |Lambda_P|, it is sum_P N_i[P] * N_j[P] * (L / Lambda_P) over
+    D^2 * L, summed in integers and reduced once. Entries must be integers;
+    the first fractional value in row-major order raises IntegralityError.
+    The matrix is symmetric, so only i <= j is summed: the first fractional
+    entry in row-major order always lies there.
     """
     m = data.n + 2
-    rows = basis.rows
+    rows = basis.numerators
+    degrees = basis.half_degrees
+    products = [prod(p.weights) for p in data.points]
+    common = lcm(*products)
+    scales = [common // w for w in products]
+    den = basis.denominator**2 * common
     out = [[0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
-            if rows[i].degree_half + rows[j].degree_half != data.n:
+        scaled = [a * s for a, s in zip(rows[i], scales)]
+        for j in range(i, m):
+            if degrees[i] + degrees[j] != data.n:
                 continue
-            value = integrate(data, rows[i] * rows[j])
-            if value.denominator != 1:
+            total = sum(map(mul, scaled, rows[j]))
+            value, rest = divmod(total, den)
+            if rest:
                 raise IntegralityError(
-                    f"pairing ({i},{j}) is {value}, expected an integer"
+                    f"pairing ({i},{j}) is {Fraction(total, den)}, expected an integer"
                 )
-            out[i][j] = int(value)
+            out[i][j] = out[j][i] = value
     return out

@@ -1,7 +1,19 @@
-import random
+"""The canonical basis, its expansion and its pairing.
+
+Properties over standard data draw the exponents with ``hypothesis``. The
+integer forms of ``build_basis``, ``express_in_basis`` and ``pairing_matrix``
+are compared with plain ``Fraction`` references (the closed forms as running
+products, forward substitution one ``Fraction`` operation at a time, and
+``integrate`` on each product of rows) on standard data, on standard data
+with one weight changed and on freely drawn weights, whose bases are often
+fractional."""
+
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hamfp import (
     DegenerateGammaError,
@@ -9,16 +21,137 @@ from hamfp import (
     ExpansionError,
     FixedPoint,
     FixedPointData,
+    IntegralityError,
     build_basis,
     chern_restriction,
     express_in_basis,
     integrate,
     make_standard_g2,
     morse_pattern,
+    pairing_matrix,
     point_invariants,
     symplectic_class,
 )
-from conftest import sample_exponents
+from hamfp.localize import chern_classes
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def standard_data(draw, ns=(2, 4, 6)):
+    """Standard data for n drawn from ns and distinct exponents from 1..29."""
+    n = draw(st.sampled_from(ns))
+    size = n // 2 + 1
+    return make_standard_g2(
+        draw(st.lists(st.integers(1, 29), min_size=size, max_size=size, unique=True))
+    )
+
+
+@st.composite
+def weight_data(draw):
+    """A dataset and its basis: standard data, standard data with one weight
+    changed (same sign, new size), or weights drawn freely with the Morse
+    pattern's count of negative ones at each point."""
+    data = draw(standard_data())
+    n = data.n
+    points = list(data.points)
+    kind = draw(st.sampled_from(("standard", "changed", "free")))
+    if kind == "changed":
+        p = draw(st.integers(0, n + 1))
+        i = draw(st.integers(0, n - 1))
+        weights = list(points[p].weights)
+        weights[i] = draw(st.integers(1, 40)) * (1 if weights[i] > 0 else -1)
+        points[p] = FixedPoint(points[p].phi, tuple(weights))
+    elif kind == "free":
+        sizes = st.integers(1, 12)
+        points = [
+            FixedPoint(
+                point.phi,
+                tuple(-w for w in draw(st.lists(sizes, min_size=neg, max_size=neg)))
+                + tuple(draw(st.lists(sizes, min_size=n - neg, max_size=n - neg))),
+            )
+            for point, neg in zip(points, morse_pattern(n))
+        ]
+    data = FixedPointData(n, tuple(points))
+    try:
+        basis = build_basis(data)
+    except DegenerateGammaError:
+        assume(False)
+    return data, basis
+
+
+def reference_rows(data):
+    """The closed-form entries, each a running product of Fractions."""
+    n = data.n
+    m = n + 2
+    inv = [point_invariants(data, i) for i in range(m)]
+    gammas = [v.gamma for v in inv]
+    rows = []
+    for i in range(m):
+        coeffs = [Fraction(0)] * m
+        coeffs[i] = Fraction(inv[i].lambda_minus)
+        for k in range(i + 1, m):
+            if i <= n // 2:
+                value = Fraction(inv[i].lambda_minus)
+                for j in range(i):
+                    value *= Fraction(gammas[k] - gammas[j], gammas[i] - gammas[j])
+            else:
+                value = Fraction(-inv[k].lambda_full, inv[i].lambda_plus)
+                for j in range(i + 1, m):
+                    if j != k:
+                        value *= Fraction(gammas[i] - gammas[j], gammas[k] - gammas[j])
+            coeffs[k] = value
+        rows.append(tuple(coeffs))
+    return rows
+
+
+def reference_expansion(basis, cls):
+    """Forward substitution with one Fraction operation at a time."""
+    d = cls.degree_half
+    degrees = basis.half_degrees
+    coeffs = []
+    for k in range(basis.n + 2):
+        residual = cls.coeffs[k]
+        for i in range(k):
+            residual -= coeffs[i] * basis.rows[i].coeffs[k]
+        if degrees[k] <= d:
+            coeffs.append(residual / basis.rows[k].coeffs[k])
+        elif residual != 0:
+            raise ExpansionError(
+                f"degree-{2 * d} tuple is outside the basis span: residual "
+                f"{residual} at point {k}"
+            )
+        else:
+            coeffs.append(Fraction(0))
+    return tuple(
+        (c, d - degrees[k] if degrees[k] <= d else 0) for k, c in enumerate(coeffs)
+    )
+
+
+def reference_pairing(data, basis):
+    """integrate on each product of complementary rows, in row-major order."""
+    m = data.n + 2
+    rows = basis.rows
+    out = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if rows[i].degree_half + rows[j].degree_half != data.n:
+                continue
+            value = integrate(data, rows[i] * rows[j])
+            if value.denominator != 1:
+                raise IntegralityError(
+                    f"pairing ({i},{j}) is {value}, expected an integer"
+                )
+            out[i][j] = int(value)
+    return out
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of the error it raises."""
+    try:
+        return "returned", fn(*args)
+    except (ExpansionError, IntegralityError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_basis_rows_n2(std2):
@@ -30,20 +163,20 @@ def test_basis_rows_n2(std2):
     assert basis.half_degrees == (0, 1, 1, 2)
 
 
-def test_basis_triangular_with_weight_product_diagonal():
-    rng = random.Random(15)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        pattern = morse_pattern(n)
-        for i, row in enumerate(basis.rows):
-            assert row.degree_half == pattern[i]
-            for k in range(i):
-                assert row.coeffs[k] == 0
-            assert row.coeffs[i] == point_invariants(data, i).lambda_minus
-        # last row has a single entry; first row is the unit class
-        assert basis.rows[0].coeffs == (1,) * (n + 2)
-        assert all(c == 0 for c in basis.rows[n + 1].coeffs[:-1])
+@SETTINGS
+@given(standard_data())
+def test_basis_triangular_with_weight_product_diagonal(data):
+    n = data.n
+    basis = build_basis(data)
+    pattern = morse_pattern(n)
+    for i, row in enumerate(basis.rows):
+        assert row.degree_half == pattern[i]
+        for k in range(i):
+            assert row.coeffs[k] == 0
+        assert row.coeffs[i] == point_invariants(data, i).lambda_minus
+    # last row has a single entry; first row is the unit class
+    assert basis.rows[0].coeffs == (1,) * (n + 2)
+    assert all(c == 0 for c in basis.rows[n + 1].coeffs[:-1])
 
 
 def test_basis_middle_row_entry_is_evaluated_not_assumed():
@@ -95,53 +228,91 @@ def test_express_rejects_tuple_outside_span(std2):
         express_in_basis(basis, EquivClass(4, (0, 0, 0, 1)))
 
 
-def test_round_trip_random_integer_expansions():
-    rng = random.Random(16)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        degrees = basis.half_degrees
-        for _ in range(10):
-            d = rng.randint(0, n + 1)
-            wanted = [
-                rng.randint(-9, 9) if degrees[i] <= d else 0
-                for i in range(n + 2)
-            ]
-            coeffs = [Fraction(0)] * (n + 2)
-            for i, c in enumerate(wanted):
-                for k in range(n + 2):
-                    coeffs[k] += c * basis.rows[i].coeffs[k]
-            expansion = express_in_basis(basis, EquivClass(d, tuple(coeffs)))
-            assert list(expansion.coefficients) == wanted
-            for i, (_, power) in enumerate(expansion.terms):
-                if degrees[i] <= d:
-                    assert power == d - degrees[i]
+@SETTINGS
+@given(standard_data(), st.data())
+def test_round_trip_random_integer_expansions(data, draw):
+    n = data.n
+    basis = build_basis(data)
+    degrees = basis.half_degrees
+    d = draw.draw(st.integers(0, n + 1))
+    wanted = [
+        draw.draw(st.integers(-9, 9)) if degrees[i] <= d else 0
+        for i in range(n + 2)
+    ]
+    coeffs = [Fraction(0)] * (n + 2)
+    for i, c in enumerate(wanted):
+        for k in range(n + 2):
+            coeffs[k] += c * basis.rows[i].coeffs[k]
+    expansion = express_in_basis(basis, EquivClass(d, tuple(coeffs)))
+    assert list(expansion.coefficients) == wanted
+    for i, (_, power) in enumerate(expansion.terms):
+        if degrees[i] <= d:
+            assert power == d - degrees[i]
 
 
-def test_chern_expansions_are_integral():
-    rng = random.Random(17)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        for i in range(1, n + 1):
-            assert express_in_basis(basis, chern_restriction(data, i)).integral
+@SETTINGS
+@given(standard_data())
+def test_chern_expansions_are_integral(data):
+    basis = build_basis(data)
+    for i in range(1, data.n + 1):
+        assert express_in_basis(basis, chern_restriction(data, i)).integral
 
 
-def test_first_chern_coefficient_is_n():
-    rng = random.Random(18)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        expansion = express_in_basis(basis, chern_restriction(data, 1))
-        assert expansion.terms[1] == (Fraction(n), 0)
+@SETTINGS
+@given(standard_data())
+def test_first_chern_coefficient_is_n(data):
+    basis = build_basis(data)
+    expansion = express_in_basis(basis, chern_restriction(data, 1))
+    assert expansion.terms[1] == (Fraction(data.n), 0)
 
 
-def test_rows_integrate_to_zero_against_symplectic_powers():
-    rng = random.Random(19)
-    for n in (2, 4):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        u = symplectic_class(data)
-        for row in basis.rows:
-            for a in range(n - row.degree_half):
-                assert integrate(data, row * u.power(a)) == 0
+@SETTINGS
+@given(standard_data((2, 4)))
+def test_rows_integrate_to_zero_against_symplectic_powers(data):
+    basis = build_basis(data)
+    u = symplectic_class(data)
+    for row in basis.rows:
+        for a in range(data.n - row.degree_half):
+            assert integrate(data, row * u.power(a)) == 0
+
+
+@SETTINGS
+@given(weight_data())
+def test_basis_entries_are_numerators_over_one_denominator(case):
+    data, basis = case
+    expected = reference_rows(data)
+    assert [row.coeffs for row in basis.rows] == expected
+    assert basis.denominator == lcm(*(c.denominator for row in expected for c in row))
+    assert [
+        tuple(Fraction(a, basis.denominator) for a in row) for row in basis.numerators
+    ] == expected
+
+
+@SETTINGS
+@given(weight_data(), st.data())
+def test_express_in_basis_matches_fraction_substitution(case, draw):
+    data, basis = case
+    n = data.n
+    d = draw.draw(st.integers(0, n + 1))
+    fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    wanted = [draw.draw(fractions) if deg <= d else 0 for deg in basis.half_degrees]
+    coeffs = [
+        sum(c * row.coeffs[k] for c, row in zip(wanted, basis.rows))
+        for k in range(n + 2)
+    ]
+    if draw.draw(st.booleans()):  # usually moves the tuple off the span
+        coeffs[draw.draw(st.integers(0, n + 1))] += draw.draw(fractions)
+    for cls in [EquivClass(d, tuple(coeffs)), *chern_classes(data)]:
+        got = outcome(express_in_basis, basis, cls)
+        if got[0] == "returned":
+            got = got[0], got[1].terms
+        assert got == outcome(reference_expansion, basis, cls)
+
+
+@SETTINGS
+@given(weight_data())
+def test_pairing_matrix_matches_integrate(case):
+    data, basis = case
+    assert outcome(pairing_matrix, data, basis) == outcome(
+        reference_pairing, data, basis
+    )

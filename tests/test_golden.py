@@ -11,6 +11,12 @@ profile (-3, -2, -1, 1, 2, 3) in profile4, and three variants of the data:
 * degen4: P1's weights changed to (-1, 5, 3, 5), so that P0 and P1 share a
   weight sum and the basis cannot be built.
 
+Above n = 4, std16 is the standard data for exponents 4, 7, 18, 24, 26, 36,
+50, 55, 59 (n = 16), and frac6 the standard data for exponents 4, 3, 2, 1
+(n = 6) with P1's weight -1 changed to -12: its basis is fractional, c_1
+expands with coefficients of denominator up to 12, c_2 leaves the basis
+span, and the pairing is fractional first at (1, 6).
+
 The classify cases at n = 8 are the standard profiles for exponents
 (1, 3, 5, 7, 9), the slowest of the 126 with exponents from 1..9, and
 (1, 2, 3, 5, 7), and a random profile with no candidate; tie2 is the n = 2
@@ -42,6 +48,11 @@ VERIFY = [
     ("degen4", ["--chern"], 1, "-chern"),
     ("degen4", ALL, 1, ""),
 ]
+# Appended after the n = 4 cases so that earlier test ids keep their numbers.
+VERIFY_LARGE = [
+    ("std16", ALL, 0, ""),
+    ("frac6", ALL, 1, ""),
+]
 
 
 def verify_cases(runs):
@@ -69,6 +80,7 @@ CASES = [
         for name in ("std8-13579", "std8-12357", "sweep8", "tie2")
         for extra, kind in (([], "text"), (["--json"], "json"))
     ],
+    *verify_cases(VERIFY_LARGE),
 ]
 
 
@@ -83,7 +95,9 @@ def test_report_bytes(argv, code, expected, capsys):
     assert run(argv, capsys) == (code, (GOLDEN / expected).read_text())
 
 
-@pytest.mark.parametrize("name, tag", [(name, tag) for name, _, _, tag in VERIFY])
+@pytest.mark.parametrize(
+    "name, tag", [(name, tag) for name, _, _, tag in VERIFY + VERIFY_LARGE]
+)
 def test_text_and_json_list_the_same_checks(name, tag):
     text = (GOLDEN / f"verify-{name}{tag}.text.out").read_text()
     report = json.loads((GOLDEN / f"verify-{name}{tag}.json.out").read_text())

@@ -43,6 +43,11 @@ def test_labels():
     assert ring_labels(2) == ("1", "y", "z", "g_1")
     assert ring_labels(4) == ("1", "x", "y", "z", "g_1", "g_2")
     assert ring_labels(6) == ("1", "x", "x^2", "y", "z", "g_1", "g_2", "g_3")
+    assert ring_labels(8) == (
+        "1", "x", "x^2", "x^3", "y", "z", "g_1", "g_2", "g_3", "g_4"
+    )
+    # memoized: every element printed in the ring reuses one tuple
+    assert ring_labels(6) is ring_labels(6)
 
 
 def test_ring_make_rejects_bad_n():
