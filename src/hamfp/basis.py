@@ -47,19 +47,25 @@ from .localize import EquivClass
 class BasisRestrictions:
     """Rows are the basis classes, columns the fixed points.
 
-    Row i is stored as an EquivClass of half degree i (lower half) or i-1
-    (upper half). The same entries are kept as integers over one common
-    denominator: rows[i].coeffs[k] == numerators[i][k] / denominator.
+    Entry (i, k) is numerators[i][k] / denominator. Row i has half degree i
+    in the lower half and i-1 in the upper half (``half_degrees``).
     """
 
     n: int
-    rows: tuple[EquivClass, ...]
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
 
     @property
     def half_degrees(self) -> tuple[int, ...]:
-        return tuple(row.degree_half for row in self.rows)
+        return morse_pattern(self.n)
+
+    @property
+    def rows(self) -> tuple[EquivClass, ...]:
+        """Each row as an EquivClass, built afresh from the numerators."""
+        return tuple(
+            EquivClass(degree, tuple(Fraction(a, self.denominator) for a in row))
+            for degree, row in zip(self.half_degrees, self.numerators)
+        )
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,6 @@ def build_basis(data: FixedPointData) -> BasisRestrictions:
                 )
             seen[gammas[i]] = i
 
-    pattern = morse_pattern(n)
     entries = []
     for i in range(m):
         coeffs = [Fraction(0)] * m
@@ -127,8 +132,7 @@ def build_basis(data: FixedPointData) -> BasisRestrictions:
         tuple(c.numerator * (denominator // c.denominator) for c in row)
         for row in entries
     )
-    rows = tuple(EquivClass(pattern[i], tuple(row)) for i, row in enumerate(entries))
-    return BasisRestrictions(n, rows, numerators, denominator)
+    return BasisRestrictions(n, numerators, denominator)
 
 
 def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:

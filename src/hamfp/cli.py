@@ -12,17 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from typing import Any
 
 from . import dataio
 from .basis import BasisRestrictions, build_basis, express_in_basis
-from .errors import (
-    DataError,
-    DegenerateGammaError,
-    ExpansionError,
-    IntegralityError,
-    InvalidGeneratorError,
-)
+from .errors import DataError, DegenerateGammaError, ExpansionError, IntegralityError
 from .fpdata import (
     CheckResult,
     FixedPointData,
@@ -117,7 +112,9 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
 
 
 def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
-    matrix = [[str(c) for c in row.coeffs] for row in basis.rows]
+    matrix = [
+        [str(Fraction(a, basis.denominator)) for a in row] for row in basis.numerators
+    ]
     integral = basis.denominator == 1
     check = CheckResult(
         "basis-integrality",
@@ -214,12 +211,13 @@ def _pairing_section(
             f"middle block {block} has determinant {det}",
         )
     )
+    degrees = basis.half_degrees
     ring_matches = all(
         matrix[i][j]
         == ring_integral(table, ring_mul(table, images[i], images[j]))
         for i in range(data.n + 2)
         for j in range(data.n + 2)
-        if basis.rows[i].degree_half + basis.rows[j].degree_half == data.n
+        if degrees[i] + degrees[j] == data.n
     )
     checks.append(
         CheckResult(
@@ -237,14 +235,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         exponents = [int(part) for part in args.b.split(",") if part.strip() != ""]
     except ValueError:
-        print(f"error: --b expects comma-separated integers, got {args.b!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        data = make_standard_g2(exponents)
-    except InvalidGeneratorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DataError(
+            f"--b expects comma-separated integers, got {args.b!r}"
+        ) from None
+    data = make_standard_g2(exponents)
     doc = dataio.data_to_document(data)
     if args.out:
         dataio.dump_document(doc, args.out)
@@ -260,12 +254,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        data = dataio.data_from_document(dataio.load_document(args.path))
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    data = dataio.data_from_document(dataio.load_document(args.path))
     sections: dict[str, Section] = {
         "validation": ({}, list(validate(data).checks)),
         "localization": ({}, _localization_checks(data)),
@@ -321,14 +310,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.bound is not None and args.bound < 1:
-        print(f"error: --bound must be at least 1, got {args.bound}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        profile = dataio.profile_from_document(dataio.load_document(args.path))
-        verdict = classify(profile, args.bound)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DataError(f"--bound must be at least 1, got {args.bound}")
+    profile = dataio.profile_from_document(dataio.load_document(args.path))
+    verdict = classify(profile, args.bound)
     symmetric = check_symmetry(profile)
     if args.json:
         doc = {
@@ -394,9 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command. A DataError, raised before the command prints
+    anything, becomes a one-line message on stderr and exit code 2."""
+    # Reports print integers of any size; Python 3.10.7+ otherwise refuses
+    # str() of an int above 4,300 digits.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ Layout:
 that arbitrary-precision values survive any JSON parser untouched. A profile
 document is the same with the "weights" key omitted from every point; mixing
 points with and without weights is malformed.
+
+A file that cannot be read, decoded, parsed or written, and a document of the
+wrong shape, raise DataError.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ _DECIMAL = re.compile(r"-?[0-9]+\Z")
 def _parse_int(value: Any, context: str) -> int:
     if not isinstance(value, str) or not _DECIMAL.match(value):
         raise DataError(f"{context} must be a decimal string, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise DataError(f"{context}: {exc}") from exc
 
 
 def _parse_points(doc: Any) -> tuple[int, list[dict[str, Any]]]:
@@ -103,11 +109,15 @@ def load_document(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past the digit limit, nesting too deep
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def dump_document(doc: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc

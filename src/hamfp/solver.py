@@ -304,7 +304,11 @@ def enumerate_candidates(
     n = profile.n
     m = n + 2
     phi = profile.phi
-    bound = profile.spread if weight_bound is None else int(weight_bound)
+    # No weight above the spread divides a moment gap, so a larger bound
+    # admits nothing more.
+    bound = profile.spread
+    if weight_bound is not None:
+        bound = min(bound, int(weight_bound))
     try:
         products = predicted_products(profile)
     except InconsistentProfileError:

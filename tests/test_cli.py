@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from hamfp import make_standard_g2
 from hamfp.dataio import data_to_document, dump_document, profile_to_document
 from hamfp.solver import MomentProfile
 from conftest import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_generate_prints_weight_pairs(tmp_path):
@@ -77,6 +80,41 @@ def test_verify_malformed_file(tmp_path):
     assert missing.returncode == 2
 
 
+def _assert_usage_error(result):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_unreadable_files_exit_2(tmp_path, command):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path in (not_utf8, deep):
+        _assert_usage_error(run_cli(command, str(path)))
+
+
+def test_generate_into_a_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    result = run_cli("generate", "--b", "2,1", "--out", str(target))
+    _assert_usage_error(result)
+    assert result.stderr.startswith(f"error: cannot write {target}: ")
+
+
+def test_integers_past_4300_digits_are_reported(tmp_path):
+    # n = 16 with 601-digit exponents: Lambda has about 9,600 digits
+    path = tmp_path / "big.json"
+    exponents = ",".join(str(10**600 + k) for k in range(9))
+    generated = run_cli("generate", "--b", exponents, "--out", str(path))
+    assert generated.returncode == 0, generated.stderr
+    result = run_cli("verify", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "result: PASS" in result.stdout
+
+
 def test_verify_json_report_is_deterministic(tmp_path):
     path = tmp_path / "d.json"
     dump_document(data_to_document(make_standard_g2([3, 2, 1])), str(path))
@@ -118,6 +156,16 @@ def test_classify_rejects_bound_below_one(tmp_path, bound):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"--bound must be at least 1, got {bound}" in result.stderr
+
+
+def test_classify_bound_above_the_spread_changes_nothing():
+    path = str(GOLDEN / "profile4.json")
+    plain = run_cli("classify", path)
+    huge = run_cli("classify", path, "--bound", "1000000000000")
+    assert huge.returncode == plain.returncode == 0
+    assert huge.stdout == plain.stdout
+    report = run_cli("classify", path, "--bound", "1000000000000", "--json")
+    assert json.loads(report.stdout)["bound"] == 10**12
 
 
 def test_classify_rejects_data_file(tmp_path):

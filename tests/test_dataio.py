@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hamfp import DataError, MomentProfile, make_standard_g2
@@ -55,6 +57,23 @@ def test_malformed_data_documents(std2, mutate):
     mutate(doc)
     with pytest.raises(DataError):
         data_from_document(doc)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int-string digit limit",
+)
+def test_digits_past_the_interpreter_limit_are_a_data_error(std2):
+    doc = data_to_document(std2)
+    doc["points"][0]["phi"] = "1" * 5000
+    # cli.main lifts the limit for its process; set the default here
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(DataError, match="^point 0 phi: "):
+            data_from_document(doc)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_profile_rejects_weights_and_disorder():
