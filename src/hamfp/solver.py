@@ -10,11 +10,15 @@ assignment compatible with
 * a magnitude bound (default: the full moment spread, which no weight can
   exceed, since each weight divides the moment gap it climbs along);
 * divisibility: each weight at a point divides some nonzero moment gap from
-  that point (the arithmetic consequence of isotropy spheres);
+  that point (the arithmetic consequence of isotropy spheres), so the
+  allowed weights are the divisors of the gaps, found by trial division;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations that cut a
   branch once the product still to place exceeds top**left or falls below
-  v**left (left parts to choose, v the next part, top the largest allowed);
+  v**left (left parts to choose, v the next part, top the largest allowed).
+  A profile symmetric about the middle pair poses the same problems at
+  points i and n + 1 - i, so each distinct problem is solved once per
+  ``enumerate_candidates`` call, and nothing is kept between calls;
 * in dimension above 4, where the second cohomology has rank one, affinity
   of the weight sums in the moment values (the pairwise difference ratio
   that expresses the first Chern class);
@@ -22,7 +26,11 @@ assignment compatible with
   at a point P has the same weight product L_P, so over the common
   denominator L = lcm |L_P| it adds the integer e_k(weights) * (L / L_P) to
   the numerator of the integral of c_k. A meet in the middle joins the two
-  halves of the point list on opposite sums of these numerators;
+  halves of the point list on opposite sums of these numerators. Each
+  option's numerators are packed into one int, in a base wide enough that
+  sums of packed keys are the packed sums, so a half's key sums are int
+  additions; only the upper half is held, in a dict, and the lower half is
+  streamed past it;
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
@@ -37,9 +45,10 @@ Search branches are independent, and results are merged in canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from math import lcm, prod
-from operator import add
+from math import isqrt, lcm, prod
+from typing import Callable
 
 from .errors import DataError, DegenerateProfileError, InconsistentProfileError
 from .errors import SearchTooLargeError
@@ -212,18 +221,41 @@ def _factorizations(
     return results
 
 
+def _allowed_weights(gaps: set[int], bound: int) -> tuple[int, ...]:
+    """The weights up to bound that divide one of the positive gaps.
+
+    Trial division runs up to min(sqrt(g), bound) for each gap g: a divisor
+    above sqrt(g) is the cofactor of one below it, and when bound < sqrt(g)
+    no divisor above the bound is wanted.
+    """
+    allowed: set[int] = set()
+    for g in gaps:
+        for d in range(1, min(isqrt(g), bound) + 1):
+            if g % d == 0:
+                allowed.add(d)
+                if g // d <= bound:
+                    allowed.add(g // d)
+    return tuple(sorted(allowed))
+
+
 def _point_options(
-    lam: int, total: int, neg_target: int, pos_target: int, allowed: tuple[int, ...]
+    lam: int,
+    total: int,
+    neg_target: int,
+    pos_target: int,
+    allowed: tuple[int, ...],
+    factorizations: Callable[[int, int, tuple[int, ...]], list[tuple[int, ...]]],
 ) -> list[tuple[int, ...]]:
     """All sorted weight tuples at one point: lam negatives with the given
-    product, the rest positives with theirs."""
+    product, the rest positives with theirs. factorizations solves the
+    subproblems, as _factorizations does."""
     sign = -1 if lam % 2 else 1
     if neg_target * sign < 0:
         return []
-    neg_parts = _factorizations(abs(neg_target), lam, allowed)
+    neg_parts = factorizations(abs(neg_target), lam, allowed)
     if pos_target < 1:
         return []
-    pos_parts = _factorizations(pos_target, total - lam, allowed)
+    pos_parts = factorizations(pos_target, total - lam, allowed)
     options = []
     for neg in neg_parts:
         negs = tuple(sorted(-v for v in neg))
@@ -241,43 +273,52 @@ def _keyed_join(
     options: list[list[tuple[int, ...]]], scales: list[int]
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every assignment whose Chern keys, _chern_key(option, scales[i]) at
-    point i, sum to zero, by meeting in the middle: half-assignments of the
-    two halves join on opposite key sums."""
-    m = len(options)
-    upper: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for key, choice in _half_assignments(options[m // 2 :], scales[m // 2 :]):
-        upper.setdefault(key, []).append(choice)
+    point i, sum to zero, by meeting in the middle: choices of one option per
+    point in the two halves of the point list join on opposite key sums.
+
+    Each key is packed into one int, in base 2B + 1 with B the sum over the
+    points of the largest key entry in absolute value. Every entry of a sum
+    of keys then lies in [-B, B], so sums of packed keys are the packed sums
+    of keys, and a packed sum is zero exactly when every entry is. Only the
+    upper half is held, in a dict from key sum to choices; the lower half is
+    streamed past it. Each half is counted before anything is built, and a
+    half of more than MAX_HALF_ASSIGNMENTS raises SearchTooLargeError.
+    """
+    half = len(options) // 2
+    for opts in (options[half:], options[:half]):
+        size = prod(len(o) for o in opts)
+        if size > MAX_HALF_ASSIGNMENTS:
+            raise SearchTooLargeError(
+                f"the search would build {size} assignments for one half of "
+                f"the point list, more than the limit of {MAX_HALF_ASSIGNMENTS}"
+            )
+    keys = [[_chern_key(o, s) for o in opts] for opts, s in zip(options, scales)]
+    bound = sum(max((abs(e) for k in ks for e in k), default=0) for ks in keys)
+    base = 2 * bound + 1
+
+    def pack(key: tuple[int, ...]) -> int:
+        value = 0
+        for e in reversed(key):
+            value = value * base + e
+        return value
+
+    packed = [[pack(k) for k in ks] for ks in keys]
+
+    def key_sums(rows: list[list[int]]) -> list[int]:
+        # in the order of itertools.product over the same points
+        sums = [0]
+        for row in rows:
+            sums = [a + b for a in sums for b in row]
+        return sums
+
+    upper: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for key, choice in zip(key_sums(packed[half:]), product(*options[half:])):
+        upper.setdefault(-key, []).append(choice)
     joined: list[tuple[tuple[int, ...], ...]] = []
-    for key, choice in _half_assignments(options[: m // 2], scales[: m // 2]):
-        for completion in upper.get(tuple(-k for k in key), ()):
+    for key, choice in zip(key_sums(packed[:half]), product(*options[:half])):
+        for completion in upper.get(key, ()):
             joined.append(choice + completion)
     return joined
-
-
-def _half_assignments(
-    options: list[list[tuple[int, ...]]], scales: list[int]
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Every choice of one option per point, with the sum of their keys.
-
-    The choices are counted before any is built, and more than
-    MAX_HALF_ASSIGNMENTS raise SearchTooLargeError.
-    """
-    size = prod(len(opts) for opts in options)
-    if size > MAX_HALF_ASSIGNMENTS:
-        raise SearchTooLargeError(
-            f"the search would build {size} assignments for one half of the "
-            f"point list, more than the limit of {MAX_HALF_ASSIGNMENTS}"
-        )
-    # a key has n - 1 entries, one fewer than an option
-    partial = [((0,) * (len(options[0][0]) - 1), ())]
-    for opts, scale in zip(options, scales):
-        keyed = [(opt, _chern_key(opt, scale)) for opt in opts]
-        partial = [
-            (tuple(map(add, key, k)), choice + (opt,))
-            for key, choice in partial
-            for opt, k in keyed
-        ]
-    return partial
 
 
 def localization_consistent(data: FixedPointData) -> bool:
@@ -319,13 +360,15 @@ def enumerate_candidates(
     # e_k * (L / L_i) to the numerator of the integral of c_k.
     common = lcm(*(neg * pos for neg, pos in products))
     scales = [common // (neg * pos) for neg, pos in products]
+    # Points i and n + 1 - i of a symmetric profile pose the same problems.
+    factorizations = cache(_factorizations)
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
         gaps = {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]}
-        allowed = tuple(
-            w for w in range(1, bound + 1) if any(g % w == 0 for g in gaps)
+        allowed = _allowed_weights(gaps, bound)
+        options.append(
+            _point_options(pattern[i], n, neg, pos, allowed, factorizations)
         )
-        options.append(_point_options(pattern[i], n, neg, pos, allowed))
     if any(not opts for opts in options):
         return []
 

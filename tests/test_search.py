@@ -1,9 +1,9 @@
 """The classifier's search filters lose no solution.
 
-The factorization search and the meet-in-the-middle join on Chern-class
-keys are each compared with a brute-force enumeration on generated inputs;
-the join's oracle sums the integrals of c_k as fractions, without the keys'
-common denominator."""
+The allowed-weight scan, the factorization search and the meet-in-the-middle
+join on Chern-class keys are each compared with a brute-force enumeration on
+generated inputs; the join's oracle sums the integrals of c_k as fractions,
+without the keys' common denominator or their packing into one int."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -21,9 +21,30 @@ from hamfp import (
     enumerate_candidates,
     make_standard_g2,
 )
-from hamfp.solver import MAX_HALF_ASSIGNMENTS, _factorizations, _keyed_join
+from hamfp.solver import (
+    MAX_HALF_ASSIGNMENTS,
+    _allowed_weights,
+    _chern_key,
+    _factorizations,
+    _keyed_join,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 6).flatmap(
+        lambda m: st.lists(st.integers(-30, 30), min_size=m, max_size=m, unique=True)
+    ),
+    st.integers(0, 70),
+)
+def test_allowed_weights_are_the_divisors_of_the_gaps(phi, bound):
+    gaps = {abs(p - phi[0]) for p in phi[1:]}
+    expected = tuple(
+        w for w in range(1, bound + 1) if any(g % w == 0 for g in gaps)
+    )
+    assert _allowed_weights(gaps, bound) == expected
 
 
 @st.composite
@@ -51,18 +72,19 @@ def test_factorizations_match_brute_force(case):
 
 
 @st.composite
-def option_lists(draw):
+def option_lists(draw, ns=(2, 4), exponents=st.integers(1, 5), variants=2):
     """Weight tuples per point sharing the point's weight product, as the
-    solver's options do: the standard weights of a random exponent set, so
-    that some assignment has vanishing sums, and up to two tuples made from
-    them by moving a divisor d of one weight, with either sign, to another."""
-    n = draw(st.sampled_from((2, 4)))
+    solver's options do: the standard weights of a random set of exponents,
+    so that some assignment has vanishing sums, and up to variants tuples
+    made from them by moving a divisor d of one weight, with either sign, to
+    another."""
+    n = draw(st.sampled_from(ns))
     size = n // 2 + 1
-    exponents = draw(st.sets(st.integers(1, 5), min_size=size, max_size=size))
+    exponents = draw(st.sets(exponents, min_size=size, max_size=size))
     options = []
     for point in make_standard_g2(sorted(exponents)).points:
         opts = [tuple(sorted(point.weights))]
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(draw(st.integers(0, variants))):
             w = list(draw(st.sampled_from(opts)))
             i, j = draw(st.permutations(range(n)))[:2]
             divisors = [d for d in range(1, abs(w[i]) + 1) if w[i] % d == 0]
@@ -73,12 +95,13 @@ def option_lists(draw):
     return n, options
 
 
-@SETTINGS
-@given(option_lists())
-def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
-    n, options = case
+def join_scales(options):
+    """The solver's key scales: L / L_i, with L the lcm of the products."""
     products = [prod(opts[0]) for opts in options]
-    scales = [lcm(*products) // p for p in products]
+    return [lcm(*products) // p for p in products]
+
+
+def assert_join_matches_fractions(n, options, scales):
     expected = [
         choice
         for choice in product(*options)
@@ -89,6 +112,30 @@ def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
     ]
     assert expected
     assert sorted(_keyed_join(options, scales)) == sorted(expected)
+
+
+@SETTINGS
+@given(option_lists())
+def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
+    n, options = case
+    assert_join_matches_fractions(n, options, join_scales(options))
+
+
+@settings(SETTINGS, max_examples=25)
+@given(option_lists(ns=(6,), exponents=st.integers(10, 40), variants=2))
+def test_keyed_join_with_large_keys_of_both_signs(case):
+    # at n = 6 the key entries run past 10**6 with both signs, so the base
+    # the join packs keys in is far from the small cases above
+    n, options = case
+    scales = join_scales(options)
+    entries = [
+        e
+        for opts, scale in zip(options, scales)
+        for opt in opts
+        for e in _chern_key(opt, scale)
+    ]
+    assert max(entries) > 10**6 and min(entries) < -(10**6)
+    assert_join_matches_fractions(n, options, scales)
 
 
 def test_oversized_join_is_refused_before_it_is_built():

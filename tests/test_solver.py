@@ -1,9 +1,10 @@
-import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamfp import (
     DataError,
@@ -22,11 +23,25 @@ from hamfp import (
     standard_weights,
     validate,
 )
-from conftest import sample_exponents
+
+SETTINGS = settings(derandomize=True, deadline=None)
 
 
 def profile_of(data):
     return MomentProfile(data.n, data.phis)
+
+
+def standard_data(ns, hi=30):
+    """Standard data in dimension 2n for n drawn from ns, with n/2 + 1
+    distinct exponents from 1..hi-1."""
+    return st.sampled_from(ns).flatmap(
+        lambda n: st.lists(
+            st.integers(1, hi - 1),
+            min_size=n // 2 + 1,
+            max_size=n // 2 + 1,
+            unique=True,
+        )
+    ).map(make_standard_g2)
 
 
 def test_profile_requires_middle_tie_at_most():
@@ -47,20 +62,18 @@ def test_predicted_products_n4_example():
     assert products[5][1] == 1  # empty product at the maximum
 
 
-def test_predicted_products_match_standard_data():
-    rng = random.Random(24)
-    for n in (2, 4, 6, 8, 10):
-        for _ in range(5):
-            data = make_standard_g2(sample_exponents(rng, n, hi=40))
-            predicted = predicted_products(profile_of(data))
-            actual = [
-                (
-                    point_invariants(data, i).lambda_minus,
-                    point_invariants(data, i).lambda_plus,
-                )
-                for i in range(n + 2)
-            ]
-            assert predicted == actual
+@settings(SETTINGS, max_examples=25)
+@given(standard_data((2, 4, 6, 8, 10), hi=40))
+def test_predicted_products_match_standard_data(data):
+    predicted = predicted_products(profile_of(data))
+    actual = [
+        (
+            point_invariants(data, i).lambda_minus,
+            point_invariants(data, i).lambda_plus,
+        )
+        for i in range(data.n + 2)
+    ]
+    assert predicted == actual
 
 
 def test_predicted_products_fractional_profile_raises():
@@ -77,10 +90,12 @@ def test_check_symmetry():
     assert not check_symmetry(MomentProfile(2, (-2, -1, 0, 3)))
     # translation invariance
     assert check_symmetry(MomentProfile(2, (5, 6, 8, 9)))
-    rng = random.Random(25)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        assert check_symmetry(profile_of(data))
+
+
+@settings(SETTINGS, max_examples=25)
+@given(standard_data((2, 4, 6)))
+def test_standard_profiles_are_symmetric(data):
+    assert check_symmetry(profile_of(data))
 
 
 def test_enumerate_unique_standard_n2():
@@ -93,14 +108,13 @@ def test_enumerate_empty_for_asymmetric_profile():
     assert enumerate_candidates(MomentProfile(2, (-2, -1, 0, 3))) == []
 
 
-def test_enumerate_soundness_and_default_bound():
-    rng = random.Random(26)
-    for n in (2, 4):
-        data = make_standard_g2(sample_exponents(rng, n, hi=7))
-        candidates = enumerate_candidates(profile_of(data))
-        assert data in candidates
-        for cand in candidates:
-            assert validate(cand).passed
+@settings(SETTINGS, max_examples=20)
+@given(standard_data((2, 4), hi=7))
+def test_enumerate_soundness_and_default_bound(data):
+    candidates = enumerate_candidates(profile_of(data))
+    assert data in candidates
+    for cand in candidates:
+        assert validate(cand).passed
 
 
 def test_enumerate_is_deterministic():
@@ -152,6 +166,15 @@ def test_classify_standard_match_uses_sorted_weights():
         tuple(sorted(standard_weights(data.phis, i))) for i in range(4)
     ]
     assert [tuple(sorted(p.weights)) for p in verdict.candidates[0].points] == expected
+
+
+def test_classify_handles_a_spread_of_two_million():
+    # the allowed weights come from the divisors of the moment gaps, not
+    # from a scan of 1..spread
+    data = make_standard_g2([10**6, 1])
+    verdict = classify(profile_of(data))
+    assert verdict.candidates == (data,)
+    assert verdict.is_unique_standard
 
 
 def test_classify_minimal_n8_profile_is_unique_standard():
@@ -235,17 +258,25 @@ def test_brute_force_agrees_on_standard_profiles():
     assert nonempty >= 10
 
 
-def test_brute_force_agrees_on_random_profiles():
-    rng = random.Random(27)
-    for n in (2, 4):
-        for _ in range(150):
-            phi = sorted(rng.sample(range(-8, 9), n + 2))
-            if rng.random() < 0.25:
-                phi[n // 2 + 1] = phi[n // 2]
-            profile = MomentProfile(n, phi)
-            for bound in (min(profile.spread, 8), 3):
-                expected = brute_force_candidates(profile, bound)
-                assert enumerate_candidates(profile, bound) == expected
+@st.composite
+def small_profiles(draw):
+    """Profiles at n = 2 or 4 with distinct moment values from -8..8, one in
+    four with its middle pair tied."""
+    n = draw(st.sampled_from((2, 4)))
+    phi = sorted(
+        draw(st.lists(st.integers(-8, 8), min_size=n + 2, max_size=n + 2, unique=True))
+    )
+    if draw(st.integers(0, 3)) == 0:
+        phi[n // 2 + 1] = phi[n // 2]
+    return MomentProfile(n, phi)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(small_profiles())
+def test_brute_force_agrees_on_random_profiles(profile):
+    for bound in (min(profile.spread, 8), 3):
+        expected = brute_force_candidates(profile, bound)
+        assert enumerate_candidates(profile, bound) == expected
 
 
 def test_brute_force_needs_the_divisibility_check():
