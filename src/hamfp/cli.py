@@ -43,6 +43,7 @@ from .localize import (  # noqa: F401
     chern_classes,
     chern_number,
     chern_restriction,
+    chern_table,
     euler_characteristic,
     integrate,
     localization_sums,
@@ -134,8 +135,9 @@ def _chern_section(
 ) -> Section:
     expansions = {}
     expanded = []
+    esym = chern_table(data)
     try:
-        for i, cls in enumerate(chern_classes(data), 1):
+        for i, cls in enumerate(chern_classes(data, esym), 1):
             expansion = express_in_basis(basis, cls)
             expansions[f"c_{i}"] = [
                 {"coefficient": str(c), "t_power": p} for c, p in expansion.terms
@@ -147,9 +149,9 @@ def _chern_section(
     all_integral = all(e.integral for e in expanded)
     first_coeff = expanded[0].terms[1][0]
     numbers = {
-        "{" + ",".join(str(p) for p in parts) + "}": value
+        "{" + ",".join(map(str, parts)) + "}": value
         for _, parts, value in localization_sums(
-            data, [data.n], with_u=False, with_chern=True
+            data, [data.n], with_u=False, with_chern=True, table=esym
         )
     }
     numbers_integral = all(v.denominator == 1 for v in numbers.values())

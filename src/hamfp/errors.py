@@ -59,5 +59,6 @@ class ExpansionError(RuntimeError):
 
 
 class SearchTooLargeError(DataError):
-    """The classifier's search would build more partial assignments than it
-    allows, so the profile is refused before memory runs out."""
+    """The classifier's search would build more partial assignments, or make
+    more trial divisions, than it allows, so the profile is refused before
+    memory or time runs out."""

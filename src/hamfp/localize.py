@@ -10,10 +10,16 @@ d < n the sum must vanish exactly; a nonzero value is reported as
 produce it.
 
 Monomials u^a * c_lambda in the symplectic class and the Chern classes are
-integrated by one engine, ``localization_sums``, without restriction tuples;
-``pairing_matrix`` sums products of basis rows the same way, in integers over
-one common denominator; ``integrate`` remains the primitive for arbitrary
-classes.
+integrated by one engine, ``localization_sums``, without restriction tuples:
+it walks the partitions of each degree with parts in nondecreasing order,
+closing one monomial at every node, and yields each block in the order of
+``partitions``. ``chern_table`` expands each point's weights into their
+elementary symmetric polynomials once, and a caller may hand the table to
+both ``chern_classes`` and the engine. ``chern_number`` sums its one
+partition directly, and ``euler_characteristic`` needs only the weight
+products. ``pairing_matrix`` sums products of basis rows the same way, in
+integers over one common denominator; ``integrate`` remains the primitive
+for arbitrary classes.
 
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
@@ -77,15 +83,28 @@ def symplectic_class(data: FixedPointData) -> EquivClass:
     return EquivClass(1, tuple(Fraction(phi0 - p.phi) for p in data.points))
 
 
-def chern_classes(data: FixedPointData) -> list[EquivClass]:
+def chern_table(data: FixedPointData) -> list[list[int]]:
+    """Each point's elementary symmetric polynomials e_0..e_n of its weights.
+
+    Entry [P][k] is the restriction of c_k to P over t^k: c_0 = 1, and c_n is
+    the weight product Lambda_P. A caller that needs the Chern classes and
+    their numbers passes one table to ``chern_classes`` and
+    ``localization_sums``, so each point is expanded once.
+    """
+    return [elementary_symmetric(p.weights) for p in data.points]
+
+
+def chern_classes(
+    data: FixedPointData, table: list[list[int]] | None = None
+) -> list[EquivClass]:
     """The equivariant Chern classes c_1..c_n: c_i restricts at each point to
     the i-th elementary symmetric polynomial of its weights times t^i.
 
-    Each point's elementary symmetric polynomials are computed once. c_n is
-    the equivariant Euler class of the normal bundle, the full weight
-    product at each point.
+    The entries come from ``table`` (``chern_table`` by default). c_n is the
+    equivariant Euler class of the normal bundle, the full weight product at
+    each point.
     """
-    esym = [elementary_symmetric(p.weights) for p in data.points]
+    esym = chern_table(data) if table is None else table
     return [EquivClass(i, tuple(e[i] for e in esym)) for i in range(1, data.n + 1)]
 
 
@@ -119,37 +138,72 @@ def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
 
 
 def localization_sums(
-    data: FixedPointData, degrees: Iterable[int], *, with_u: bool, with_chern: bool
+    data: FixedPointData,
+    degrees: Iterable[int],
+    *,
+    with_u: bool,
+    with_chern: bool,
+    table: list[list[int]] | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
     """Stream (a, parts, integral of u^a * c_parts), u the symplectic class.
 
     For each half-degree d (at most n) in the given order, a runs from d down
     to 0 (only 0 without u, only d without Chern classes) and parts over the
-    partitions of d - a in the order of ``partitions``. Each point's
-    elementary symmetric polynomials and u(P) = phi_0 - phi(P) are computed
-    once; the walk is depth first, each part extending its parent's
-    per-point products, summed in integers over lcm |Lambda_P|.
+    partitions of d - a in the order of ``partitions``. Sums are exact, in
+    integers over L = lcm |Lambda_P|. Pure powers of u need only the weight
+    products Lambda_P; Chern monomials read each point's e_k from ``table``
+    (``chern_table`` by default).
+
+    Each (d, a) block walks the partitions of d - a with parts in
+    nondecreasing order. A node holds its parts' per-point product
+    u(P)^a * e_p1(P) * ...; it closes one leaf by taking the whole remainder
+    r as its last part, the dot product of its products with the column
+    e_r(P) * (L / Lambda_P), and its children extend the products by one
+    part from its last part up to half the remainder. The block is then
+    yielded sorted as ``partitions`` lists it.
     """
-    esym = [elementary_symmetric(p.weights) for p in data.points]
-    common = lcm(*(e[data.n] for e in esym))
+    n = data.n
+    if with_chern:
+        esym = chern_table(data) if table is None else table
+        lambdas = [e[n] for e in esym]
+        columns = [[e[k] for e in esym] for k in range(n + 1)]
+    else:
+        lambdas = [prod(p.weights) for p in data.points]
+        columns = [[1] * (n + 2)]  # e_0 only
+    common = lcm(*lambdas)
+    scales = [common // w for w in lambdas]
+    # closing[k][P]: the last factor e_k(P) of a monomial times its point's
+    # share L / Lambda_P of the common denominator
+    closing = [[x * s for x, s in zip(col, scales)] for col in columns]
     phi0 = data.points[0].phi
-    roots = [(common // e[data.n], phi0 - p.phi) for e, p in zip(esym, data.points)]
+    heights = [phi0 - p.phi for p in data.points]
 
     def walk(
-        products: list[int], remaining: int, largest: int
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
-        if remaining == 0:
-            yield (), sum(products)
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            extended = [x * e[part] for x, e in zip(products, esym)]
-            for rest, total in walk(extended, remaining - part, part):
-                yield (part,) + rest, total
+        products: list[int],
+        remaining: int,
+        smallest: int,
+        parts: tuple[int, ...],
+        block: list[tuple[tuple[int, ...], int]],
+    ) -> None:
+        # parts holds the chosen parts largest first; every later part is at
+        # least the last one chosen, and a child keeps a remainder at least
+        # as large as its own part so that the remainder can close it
+        total = sum(map(mul, products, closing[remaining]))
+        block.append(((remaining,) + parts, total))
+        for part in range(smallest, remaining // 2 + 1):
+            extended = list(map(mul, products, columns[part]))
+            walk(extended, remaining - part, part, (part,) + parts, block)
 
     for d in degrees:
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
-            products = [scale * u**a for scale, u in roots]
-            for parts, total in walk(products, d - a, d - a):
+            powers = [h**a for h in heights]
+            if a == d:
+                yield a, (), Fraction(sum(map(mul, powers, closing[0])), common)
+                continue
+            block: list[tuple[tuple[int, ...], int]] = []
+            walk(powers, d - a, 1, (), block)
+            block.sort(reverse=True)
+            for parts, total in block:
                 yield a, parts, Fraction(total, common)
 
 
@@ -157,22 +211,34 @@ def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
     """Integral of the product of Chern classes indexed by the partition.
 
     The partition must sum to n; the result is an integer (as a Fraction)
-    for data coming from an actual manifold. The Chern numbers are walked in
-    the order of ``partitions`` up to this one.
+    for data coming from an actual manifold. Only this partition is summed:
+    prod_k e_(lambda_k)(P) / Lambda_P over the points, in integers over
+    lcm |Lambda_P|.
     """
     parts = list(partition)
     if not parts or any(not 1 <= p <= data.n for p in parts):
         raise ValueError(f"partition entries must lie in 1..{data.n}: {parts}")
     if sum(parts) != data.n:
         raise ValueError(f"partition {parts} does not sum to n={data.n}")
-    wanted = tuple(sorted(parts, reverse=True))
-    sums = localization_sums(data, [data.n], with_u=False, with_chern=True)
-    return next(total for _, walked, total in sums if walked == wanted)
+    esym = chern_table(data)
+    lambdas = [e[data.n] for e in esym]
+    common = lcm(*lambdas)
+    total = sum(
+        common // w * prod(e[k] for k in parts) for e, w in zip(esym, lambdas)
+    )
+    return Fraction(total, common)
 
 
 def euler_characteristic(data: FixedPointData) -> Fraction:
-    """Integral of the top Chern class; equals the number of fixed points."""
-    return chern_number(data, [data.n])
+    """Integral of the top Chern class; equals the number of fixed points.
+
+    c_n restricts at each point to its weight product Lambda_P, so the sum
+    needs only the products, not the points' other elementary symmetric
+    polynomials.
+    """
+    lambdas = [prod(p.weights) for p in data.points]
+    common = lcm(*lambdas)
+    return Fraction(sum(common // w * w for w in lambdas), common)
 
 
 def partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -11,7 +11,8 @@ assignment compatible with
   exceed, since each weight divides the moment gap it climbs along);
 * divisibility: each weight at a point divides some nonzero moment gap from
   that point (the arithmetic consequence of isotropy spheres), so the
-  allowed weights are the divisors of the gaps, found by trial division;
+  allowed weights are the divisors of the gaps, found by trial division,
+  and a profile whose scan would pass MAX_TRIAL_DIVISIONS is refused;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations that cut a
   branch once the product still to place exceeds top**left or falls below
@@ -70,6 +71,10 @@ from .localize import (  # noqa: F401
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
+# Most trial divisions the allowed-weight scan may make over all points:
+# about 1.5 s in-process on a 2-core host. The standard n = 2 profile with
+# exponents (10^12, 1) needs 10,828,424.
+MAX_TRIAL_DIVISIONS = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -341,6 +346,8 @@ def enumerate_candidates(
     The output is deterministic (lexicographic in the per-point sorted weight
     tuples) and may be empty. A profile whose predicted products are
     fractional admits no integer weights at all and yields the empty list.
+    One whose allowed-weight scan would make more than MAX_TRIAL_DIVISIONS
+    trial divisions raises SearchTooLargeError before the scan starts.
     """
     n = profile.n
     m = n + 2
@@ -360,12 +367,20 @@ def enumerate_candidates(
     # e_k * (L / L_i) to the numerator of the integral of c_k.
     common = lcm(*(neg * pos for neg, pos in products))
     scales = [common // (neg * pos) for neg, pos in products]
+    gap_sets = [
+        {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]} for i in range(m)
+    ]
+    divisions = sum(min(isqrt(g), bound) for gaps in gap_sets for g in gaps)
+    if divisions > MAX_TRIAL_DIVISIONS:
+        raise SearchTooLargeError(
+            f"the allowed-weight scan would make {divisions} trial divisions, "
+            f"more than the limit of {MAX_TRIAL_DIVISIONS}"
+        )
     # Points i and n + 1 - i of a symmetric profile pose the same problems.
     factorizations = cache(_factorizations)
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
-        gaps = {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]}
-        allowed = _allowed_weights(gaps, bound)
+        allowed = _allowed_weights(gap_sets[i], bound)
         options.append(
             _point_options(pattern[i], n, neg, pos, allowed, factorizations)
         )

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import hamfp
 from hamfp import make_standard_g2
@@ -52,3 +53,13 @@ def quadric_chern_coefficients(n: int) -> list[int]:
         sum(math.comb(n + 2, j) * (-2) ** (k - j) for j in range(k + 1))
         for k in range(n + 1)
     ]
+
+
+@st.composite
+def standard_data(draw, ns=(2, 4, 6), hi=29):
+    """Standard data for n drawn from ns and distinct exponents from 1..hi."""
+    n = draw(st.sampled_from(ns))
+    size = n // 2 + 1
+    return make_standard_g2(
+        draw(st.lists(st.integers(1, hi), min_size=size, max_size=size, unique=True))
+    )

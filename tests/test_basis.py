@@ -34,17 +34,9 @@ from hamfp import (
 )
 from hamfp.localize import chern_classes
 
+from conftest import standard_data
+
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
-
-
-@st.composite
-def standard_data(draw, ns=(2, 4, 6)):
-    """Standard data for n drawn from ns and distinct exponents from 1..29."""
-    n = draw(st.sampled_from(ns))
-    size = n // 2 + 1
-    return make_standard_g2(
-        draw(st.lists(st.integers(1, 29), min_size=size, max_size=size, unique=True))
-    )
 
 
 @st.composite

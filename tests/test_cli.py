@@ -1,11 +1,21 @@
 import json
+import sys
+from itertools import combinations
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from hamfp import make_standard_g2
-from hamfp.dataio import data_to_document, dump_document, profile_to_document
-from hamfp.solver import MomentProfile
+from hamfp import elementary_symmetric, make_standard_g2
+from hamfp.cli import main
+from hamfp.dataio import (
+    data_from_document,
+    data_to_document,
+    dump_document,
+    load_document,
+    profile_to_document,
+)
+from hamfp.solver import MAX_TRIAL_DIVISIONS, MomentProfile
 from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -182,6 +192,73 @@ def test_classify_refuses_an_oversized_search(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: the search would build 3696000 assignments")
+
+
+def test_classify_refuses_a_trial_division_scan_past_the_cap(tmp_path):
+    # the moment gaps near 2 * 10^18 would need about 10^10 trial divisions
+    path = tmp_path / "p.json"
+    data = make_standard_g2([10**18, 1])
+    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    start = perf_counter()
+    result = run_cli("classify", str(path))
+    elapsed = perf_counter() - start
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: the allowed-weight scan would make")
+    assert f"limit of {MAX_TRIAL_DIVISIONS}" in result.stderr
+    assert elapsed < 5
+
+
+def test_classify_scans_a_spread_of_two_billion(tmp_path):
+    path = tmp_path / "p.json"
+    data = make_standard_g2([10**9, 1])
+    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    result = run_cli("classify", str(path), "--json")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert report["candidates"] == [data_to_document(data)]
+    assert report["unique_standard"] is True
+
+
+def count_expansions(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the values of every elementary_symmetric call made through any
+    hamfp module that binds the function."""
+    calls: list[tuple[int, ...]] = []
+
+    def counted(values):
+        calls.append(tuple(values))
+        return elementary_symmetric(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hamfp" and (
+            getattr(module, "elementary_symmetric", None) is elementary_symmetric
+        ):
+            monkeypatch.setattr(module, "elementary_symmetric", counted)
+    return calls
+
+
+VERIFY_FLAGS = ["--basis", "--chern", "--pairing"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [list(c) for k in range(4) for c in combinations(VERIFY_FLAGS, k)],
+    ids=lambda flags: "+".join(f[2:] for f in flags) or "bare",
+)
+@pytest.mark.parametrize("name", ["std16", "frac6", "tampered4"])
+def test_verify_expands_each_point_at_most_once(monkeypatch, capsys, name, flags):
+    # each point's elementary symmetric polynomials serve the Chern classes
+    # and the Chern numbers alike; powers of u and the Euler characteristic
+    # need only the weight products
+    path = GOLDEN / f"{name}.json"
+    data = data_from_document(load_document(str(path)))
+    calls = count_expansions(monkeypatch)
+    main(["verify", str(path), *flags, "--json"])
+    capsys.readouterr()
+    if "--chern" in flags:
+        assert calls == [p.weights for p in data.points]
+    else:
+        assert calls == []
 
 
 def test_classify_json_report(tmp_path):

@@ -3,14 +3,16 @@
 Oracle 1 is the quadric: the standard data is the circle action on the
 oriented 2-plane Grassmannian, the quadric Q_n, with c(TQ_n) =
 (1+x)^(n+2)/(1+2x) and integral of x^n equal to 2. Oracle 2 is the naive
-sum over restriction tuples, monomial by monomial.
+sum over restriction tuples, monomial by monomial. Exponents and weight
+swaps are drawn with ``hypothesis``.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hamfp import (
     FixedPoint,
@@ -28,7 +30,9 @@ from hamfp import (
 )
 from hamfp.localize import localization_sums
 
-from conftest import quadric_chern_coefficients, sample_exponents
+from conftest import quadric_chern_coefficients, standard_data
+
+SETTINGS = settings(derandomize=True, max_examples=5, deadline=None)
 
 
 def quadric_numbers(n):
@@ -38,11 +42,16 @@ def quadric_numbers(n):
     return {p: 2 * math.prod(a[k] for k in p) for p in partitions(n)}
 
 
-@pytest.mark.parametrize("n", range(2, 13, 2))
-def test_chern_numbers_match_the_quadric(n):
-    rng = random.Random(1000 + n)
+@pytest.mark.parametrize("n", [*range(2, 13, 2), 20, 24])
+@SETTINGS
+@given(drawn=st.data())
+def test_chern_numbers_match_the_quadric(n, drawn):
+    size = n // 2 + 1
+    sample = drawn.draw(
+        st.lists(st.integers(1, 29), min_size=size, max_size=size, unique=True)
+    )
     expected = quadric_numbers(n)
-    for exponents in (range(n // 2 + 1, 0, -1), sample_exponents(rng, n)):
+    for exponents in (range(size, 0, -1), sample):
         data = make_standard_g2(list(exponents))
         grid = localization_sums(data, [n], with_u=False, with_chern=True)
         got = {parts: value for a, parts, value in grid if a == 0}
@@ -55,13 +64,14 @@ def naive_sums(data, degrees):
     """(a, parts, integral) from restriction tuples, in the engine's order:
     degree ascending, u-power descending, partitions as listed."""
     u = symplectic_class(data)
+    chern = {i: chern_restriction(data, i) for i in range(1, data.n + 1)}
     out = []
     for d in degrees:
         for a in range(d, -1, -1):
             for parts in partitions(d - a):
                 cls = u.power(a)
                 for p in parts:
-                    cls = cls * chern_restriction(data, p)
+                    cls = cls * chern[p]
                 total = sum(
                     c / point_invariants(data, i).lambda_full
                     for i, c in enumerate(cls.coeffs)
@@ -91,43 +101,55 @@ def products_and_closure_variant():
     )
 
 
-def swapped_weights(rng, n):
-    """Standard data with two same-sign weights exchanged between points."""
-    data = make_standard_g2(sample_exponents(rng, n, hi=12))
+@st.composite
+def swapped_weights(draw, ns=(2, 4, 6, 8, 10)):
+    """Standard data with a weight exchanged for one of the same sign at
+    another point: the weight multiset, and so negation closure, is kept,
+    while the per-point products and Chern classes change."""
+    data = draw(standard_data(ns=ns, hi=12))
+    n = data.n
     weights = [list(p.weights) for p in data.points]
-    i, j = rng.sample(range(n + 2), 2)
-    a, b = rng.randrange(n), rng.randrange(n)
-    if (weights[i][a] < 0) == (weights[j][b] < 0):
-        weights[i][a], weights[j][b] = weights[j][b], weights[i][a]
+    i, j = draw(st.permutations(range(n + 2)))[:2]
+    a = draw(st.integers(0, n - 1))
+    same_sign = [b for b in range(n) if (weights[j][b] < 0) == (weights[i][a] < 0)]
+    assume(same_sign)
+    b = draw(st.sampled_from(same_sign))
+    weights[i][a], weights[j][b] = weights[j][b], weights[i][a]
     return FixedPointData(
         n,
         tuple(FixedPoint(p.phi, tuple(w)) for p, w in zip(data.points, weights)),
     )
 
 
-def oracle_datasets():
-    rng = random.Random(20150413)
-    yield make_standard_g2([2, 1])
-    yield make_standard_g2([3, 2, 1])
-    yield make_standard_g2([7, 3, 2, 1])
-    yield products_and_closure_variant()
-    for _ in range(12):
-        yield swapped_weights(rng, rng.choice([2, 4, 6]))
+def assert_engine_matches_naive_sums(data):
+    """Compare the engine with the naive sums over every degree up to n, and
+    return the verdict of the sums below the top degree."""
+    degrees = range(data.n + 1)
+    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
+    reference = naive_sums(data, degrees)
+    assert walked == reference
+    below_top = [total for a, parts, total in reference if a + sum(parts) < data.n]
+    consistent = not any(below_top)
+    assert localization_consistent(data) == consistent
+    return consistent
 
 
 def test_engine_matches_naive_sums_on_accepted_and_rejected_data():
-    verdicts = set()
-    for data in oracle_datasets():
-        degrees = range(data.n + 1)
-        walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
-        reference = naive_sums(data, degrees)
-        assert walked == reference
-        below_top = [total for a, parts, total in reference if a + sum(parts) < data.n]
-        consistent = not any(below_top)
-        assert localization_consistent(data) == consistent
-        verdicts.add(consistent)
+    datasets = [
+        make_standard_g2([2, 1]),
+        make_standard_g2([3, 2, 1]),
+        make_standard_g2([7, 3, 2, 1]),
+        products_and_closure_variant(),
+    ]
+    verdicts = {assert_engine_matches_naive_sums(data) for data in datasets}
     assert verdicts == {True, False}
     assert validate(products_and_closure_variant()).passed
+
+
+@settings(SETTINGS, max_examples=30)
+@given(swapped_weights())
+def test_engine_matches_naive_sums_on_swapped_weights(data):
+    assert_engine_matches_naive_sums(data)
 
 
 def test_engine_restricts_to_u_powers_or_chern_classes():

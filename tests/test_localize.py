@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamfp import (
     FixedPoint,
@@ -18,7 +19,9 @@ from hamfp import (
     symplectic_class,
     unit_class,
 )
-from conftest import sample_exponents
+from conftest import standard_data
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def shift_phis(data, delta):
@@ -51,15 +54,15 @@ def test_chern_restriction_examples(std2):
         chern_restriction(std2, 3)
 
 
-def test_top_chern_is_weight_product():
-    rng = random.Random(10)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        top = chern_restriction(data, n)
-        expected = tuple(
-            Fraction(point_invariants(data, i).lambda_full) for i in range(n + 2)
-        )
-        assert top.coeffs == expected
+@SETTINGS
+@given(standard_data())
+def test_top_chern_is_weight_product(data):
+    n = data.n
+    top = chern_restriction(data, n)
+    expected = tuple(
+        Fraction(point_invariants(data, i).lambda_full) for i in range(n + 2)
+    )
+    assert top.coeffs == expected
 
 
 def test_integrate_unit_vanishes(std2, std4):
@@ -85,13 +88,12 @@ def test_integrate_rejects_non_manifold_data(std2):
         integrate(bad, unit_class(bad))
 
 
-def test_symplectic_powers_vanish_below_top_degree():
-    rng = random.Random(11)
-    for n in (2, 4, 6, 8):
-        data = make_standard_g2(sample_exponents(rng, n))
-        u = symplectic_class(data)
-        for a in range(n):
-            assert integrate(data, u.power(a)) == 0
+@SETTINGS
+@given(standard_data(ns=(2, 4, 6, 8)))
+def test_symplectic_powers_vanish_below_top_degree(data):
+    u = symplectic_class(data)
+    for a in range(data.n):
+        assert integrate(data, u.power(a)) == 0
 
 
 def test_chern_number_examples(std2):
@@ -103,11 +105,10 @@ def test_chern_number_examples(std2):
         chern_number(std2, [3])
 
 
-def test_euler_characteristic_counts_fixed_points():
-    rng = random.Random(12)
-    for n in (2, 4, 6, 8):
-        data = make_standard_g2(sample_exponents(rng, n))
-        assert euler_characteristic(data) == n + 2
+@SETTINGS
+@given(standard_data(ns=(2, 4, 6, 8)))
+def test_euler_characteristic_counts_fixed_points(data):
+    assert euler_characteristic(data) == data.n + 2
 
 
 def test_chern_numbers_are_integers(std4):
@@ -125,24 +126,22 @@ def test_pairing_matrix_n2(std2):
     assert det == -1
 
 
-def test_middle_block_is_unimodular():
-    rng = random.Random(13)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        matrix = pairing_matrix(data, build_basis(data))
-        half = n // 2
-        det = (
-            matrix[half][half] * matrix[half + 1][half + 1]
-            - matrix[half][half + 1] * matrix[half + 1][half]
-        )
-        assert det in (1, -1)
+@SETTINGS
+@given(standard_data())
+def test_middle_block_is_unimodular(data):
+    matrix = pairing_matrix(data, build_basis(data))
+    half = data.n // 2
+    det = (
+        matrix[half][half] * matrix[half + 1][half + 1]
+        - matrix[half][half + 1] * matrix[half + 1][half]
+    )
+    assert det in (1, -1)
 
 
-def test_class_products_commute_and_associate(std4):
-    rng = random.Random(14)
-    classes = [
-        chern_restriction(std4, rng.randint(1, 4)) for _ in range(3)
-    ]
-    a, b, c = classes
+@SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def test_class_products_commute_and_associate(indices):
+    std4 = make_standard_g2([3, 2, 1])
+    a, b, c = (chern_restriction(std4, i) for i in indices)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)

@@ -138,6 +138,42 @@ def test_keyed_join_with_large_keys_of_both_signs(case):
     assert_join_matches_fractions(n, options, scales)
 
 
+@pytest.mark.parametrize(
+    "options, scales, solutions",
+    [
+        # keys (0, -4, 0), (-1, -3, 5) and (1, -6, -4) from the first options
+        # sum to (0, -13, 1), which packs to 0 in base 13, twice the largest
+        # entry at one point plus one; the second options' keys (-6, 2, 6),
+        # (2, -4, -2) and (4, 2, -4) sum to zero
+        (
+            [
+                [(-1, -1, 1, 1), (-2, -1, -1, 1)],
+                [(-1, -1, -1, 2), (-1, -1, 1, 3)],
+                [(-2, -1, 2, 2), (-1, 1, 1, 3)],
+            ],
+            [2, 1, 1],
+            [((-2, -1, -1, 1), (-1, -1, 1, 3), (-1, 1, 1, 3))],
+        ),
+        # keys 99202 * (8, 18, 0), 373 * (10, 25, 0) and 28951 * (7, -62, 0)
+        # sum to (1000003, -1, 0), which packs to 0 in base 1000003
+        (
+            [[(-1, 3, 3, 3)], [(-1, 2, 3, 6)], [(-4, -3, 2, 12)]],
+            [99202, 373, 28951],
+            [],
+        ),
+    ],
+    ids=["twice-the-largest-entry-at-one-point", "fixed-1000003"],
+)
+def test_keyed_join_packing_base_admits_no_false_zero(options, scales, solutions):
+    # the first options' keys sum to a nonzero vector that a base too small
+    # for the sum of the points' largest entries would pack to 0
+    def key_sum(choice):
+        return [sum(e) for e in zip(*map(_chern_key, choice, scales))]
+
+    assert [c for c in product(*options) if not any(key_sum(c))] == solutions
+    assert sorted(_keyed_join(options, scales)) == solutions
+
+
 def test_oversized_join_is_refused_before_it_is_built():
     # the minimal profile at n = 12 needs a half of 3,696,000 assignments
     data = make_standard_g2([7, 6, 5, 4, 3, 2, 1])
