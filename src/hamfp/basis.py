@@ -33,7 +33,6 @@ basis numerators, and only the new coefficient is reduced, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -41,16 +40,17 @@ from operator import mul
 from .errors import DegenerateGammaError, ExpansionError
 from .fpdata import FixedPointData, morse_pattern, point_invariants
 from .localize import EquivClass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BasisRestrictions:
+class BasisRestrictions(Record):
     """Rows are the basis classes, columns the fixed points.
 
     Entry (i, k) is numerators[i][k] / denominator. Row i has half degree i
     in the lower half and i-1 in the upper half (``half_degrees``).
     """
 
+    __slots__ = ("n", "numerators", "denominator")
     n: int
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
@@ -68,8 +68,7 @@ class BasisRestrictions:
         )
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Coefficients of a class in the basis: one (rational, t-power) pair per
     row, with cls = sum_i coeff_i * t^power_i * row_i.
 
@@ -78,6 +77,7 @@ class Expansion:
     integer.
     """
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[Fraction, int], ...]
 
     @property

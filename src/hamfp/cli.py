@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -284,7 +283,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         report = {"command": "verify", "n": data.n, "points": points, "passed": passed}
         for name, (payload, section_checks) in sections.items():
-            report[name] = {**payload, "checks": [asdict(c) for c in section_checks]}
+            report[name] = {
+                **payload,
+                "checks": [
+                    {"name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in section_checks
+                ],
+            }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         lines = [f"fixed-point data: n={data.n}, {data.n + 2} fixed points"]

@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: elementary symmetric polynomials.
+"""Exact integer arithmetic: integer coercion and elementary symmetric
+polynomials.
 
 All computation in this package is exact. Integers are Python ``int`` (which
 is already arbitrary-precision sign-magnitude) and rationals are
@@ -10,7 +11,20 @@ alongside it. Floating point is forbidden everywhere.
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import index
+from typing import Any, Sequence
+
+from .errors import DataError
+
+
+def exact_int(value: Any, field: str) -> int:
+    """The value as an int, through ``operator.index``: a float, Fraction or
+    string raises DataError naming the field and the value, so it is never
+    truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DataError(f"{field}: {value!r} is not an integer") from None
 
 
 def elementary_symmetric(values: Sequence[int]) -> list[int]:

@@ -21,23 +21,28 @@ safe to call concurrently.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DataError, InvalidGeneratorError
+from .exactnum import exact_int
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Record):
     """One isolated fixed point: moment value and weight multiset."""
 
+    __slots__ = ("phi", "weights")
     phi: int
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "phi", int(self.phi))
+        object.__setattr__(self, "phi", exact_int(self.phi, "FixedPoint.phi"))
+        object.__setattr__(
+            self,
+            "weights",
+            tuple([exact_int(w, "FixedPoint.weights") for w in self.weights]),
+        )
         if any(w == 0 for w in self.weights):
             raise DataError(f"zero weight at moment value {self.phi}")
 
@@ -47,8 +52,7 @@ class FixedPoint:
         return sum(1 for w in self.weights if w < 0)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """n plus the ordered list of n+2 fixed points.
 
     Construction checks only structure (n even and positive, point and weight
@@ -56,10 +60,12 @@ class FixedPointData:
     ``validate`` so that bad datasets can be inspected rather than rejected.
     """
 
+    __slots__ = ("n", "points")
     n: int
     points: tuple[FixedPoint, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", exact_int(self.n, "FixedPointData.n"))
         object.__setattr__(self, "points", tuple(self.points))
         if self.n < 2 or self.n % 2 != 0:
             raise DataError(f"n must be even and positive, got {self.n}")
@@ -85,8 +91,7 @@ class FixedPointData:
         return counts
 
 
-@dataclass(frozen=True)
-class PointInvariants:
+class PointInvariants(Record):
     """Weight sum and products at one fixed point.
 
     gamma is the sum of the weights, lambda_full their product, and
@@ -94,23 +99,24 @@ class PointInvariants:
     weights (empty products are 1).
     """
 
+    __slots__ = ("gamma", "lambda_full", "lambda_minus", "lambda_plus")
     gamma: int
     lambda_full: int
     lambda_minus: int
     lambda_plus: int
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """One entry per validation check, in a fixed order."""
 
+    __slots__ = ("checks",)
     checks: tuple[CheckResult, ...]
 
     @property

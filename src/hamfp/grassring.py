@@ -24,8 +24,8 @@ Chern expansions into ordinary Chern classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from operator import index
 from typing import Sequence
 
 from .basis import BasisRestrictions, Expansion, express_in_basis
@@ -34,17 +34,19 @@ from .fpdata import FixedPointData
 # chern_restriction is unused here; perfbench/tracing.py wraps it at this
 # module.
 from .localize import chern_classes, chern_restriction  # noqa: F401
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """Integer coefficient vector over the graded basis labels."""
 
+    __slots__ = ("n", "coeffs")
     n: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        # operator.index raises TypeError on a float, Fraction or string
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.n + 2:
             raise ValueError("coefficient vector does not match the basis size")
 
@@ -89,10 +91,10 @@ def ring_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class RingTable:
+class RingTable(Record):
     """The ring for one even n; its graded basis labels are ring_labels(n)."""
 
+    __slots__ = ("n",)
     n: int
 
     @property

@@ -27,7 +27,6 @@ are order-independent, so callers may parallelize freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -36,13 +35,14 @@ from typing import Iterable, Iterator, Sequence
 from .errors import IntegralityError, NotAManifoldError
 from .exactnum import elementary_symmetric
 from .fpdata import FixedPointData, point_invariants
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(Record):
     """Restrictions of one homogeneous class: coeffs[i] * t^degree_half at
     point i."""
 
+    __slots__ = ("degree_half", "coeffs")
     degree_half: int
     coeffs: tuple[Fraction, ...]
 

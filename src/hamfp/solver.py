@@ -45,7 +45,6 @@ Search branches are independent, and results are merged in canonical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import isqrt, lcm, prod
@@ -53,7 +52,7 @@ from typing import Callable
 
 from .errors import DataError, DegenerateProfileError, InconsistentProfileError
 from .errors import SearchTooLargeError
-from .exactnum import elementary_symmetric
+from .exactnum import elementary_symmetric, exact_int
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -68,6 +67,7 @@ from .localize import (  # noqa: F401
     localization_sums,
     symplectic_class,
 )
+from .record import Record
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
@@ -77,16 +77,19 @@ MAX_HALF_ASSIGNMENTS = 10**6
 MAX_TRIAL_DIVISIONS = 2 * 10**7
 
 
-@dataclass(frozen=True)
-class MomentProfile:
+class MomentProfile(Record):
     """Integer moment values only: nondecreasing, strict except possibly at
     the middle pair."""
 
+    __slots__ = ("n", "phi")
     n: int
     phi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", tuple(int(v) for v in self.phi))
+        object.__setattr__(self, "n", exact_int(self.n, "MomentProfile.n"))
+        object.__setattr__(
+            self, "phi", tuple([exact_int(v, "MomentProfile.phi") for v in self.phi])
+        )
         if self.n < 2 or self.n % 2 != 0:
             raise DataError(f"n must be even and positive, got {self.n}")
         if len(self.phi) != self.n + 2:
@@ -109,8 +112,8 @@ class MomentProfile:
         return self.phi[-1] - self.phi[0]
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(Record):
+    __slots__ = ("candidates", "is_unique_standard")
     candidates: tuple[FixedPointData, ...]
     is_unique_standard: bool
 

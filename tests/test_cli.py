@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -16,9 +17,29 @@ from hamfp.dataio import (
     profile_to_document,
 )
 from hamfp.solver import MAX_TRIAL_DIVISIONS, MomentProfile
-from conftest import run_cli
+from conftest import PACKAGE_ROOT, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_start_up_imports_no_code_generation():
+    # dataclasses imports inspect, ast, dis and tokenize, and each dataclass
+    # generates and compiles its methods: together about half of importing
+    # the CLI and building its parser. The value types are Records instead.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import hamfp.cli\n"
+        "hamfp.cli.build_parser()\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, PACKAGE_ROOT],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout.split() == []
 
 
 def test_generate_prints_weight_pairs(tmp_path):

@@ -1,7 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from hamfp import (
     DataError,
@@ -13,7 +13,9 @@ from hamfp import (
     point_invariants,
     validate,
 )
-from conftest import sample_exponents
+from conftest import standard_data
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def replace_weights(data, index, weights):
@@ -140,41 +142,39 @@ def test_point_invariants_examples(std2):
         point_invariants(std2, 4)
 
 
-def test_minimum_point_has_trivial_negative_product():
-    rng = random.Random(5)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        assert point_invariants(data, 0).lambda_minus == 1
+@SETTINGS
+@given(standard_data())
+def test_minimum_point_has_trivial_negative_product(data):
+    assert point_invariants(data, 0).lambda_minus == 1
 
 
-def test_first_chern_ratio_is_n():
-    rng = random.Random(6)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        gammas = [point_invariants(data, i).gamma for i in range(n + 2)]
-        phis = data.phis
-        for i in range(n + 2):
-            for j in range(n + 2):
-                if phis[i] != phis[j]:
-                    ratio = Fraction(gammas[i] - gammas[j], phis[j] - phis[i])
-                    assert ratio == n
+@SETTINGS
+@given(standard_data())
+def test_first_chern_ratio_is_n(data):
+    n = data.n
+    gammas = [point_invariants(data, i).gamma for i in range(n + 2)]
+    phis = data.phis
+    for i in range(n + 2):
+        for j in range(n + 2):
+            if phis[i] != phis[j]:
+                ratio = Fraction(gammas[i] - gammas[j], phis[j] - phis[i])
+                assert ratio == n
 
 
-def test_dim4_gap_identity():
-    rng = random.Random(7)
-    for _ in range(10):
-        data = make_standard_g2(sample_exponents(rng, 2))
-        phis = data.phis
-        assert phis[3] - phis[2] == phis[1] - phis[0]
+@SETTINGS
+@given(standard_data(ns=(2,)))
+def test_dim4_gap_identity(data):
+    phis = data.phis
+    assert phis[3] - phis[2] == phis[1] - phis[0]
 
 
-def test_negation_closure_of_standard_data():
-    rng = random.Random(8)
-    for n in (2, 4, 6, 8):
-        data = make_standard_g2(sample_exponents(rng, n))
-        counts = data.all_weights()
-        assert all(counts[w] == counts[-w] for w in counts)
-        assert sum(counts.values()) == n * (n + 2)
+@SETTINGS
+@given(standard_data(ns=(2, 4, 6, 8)))
+def test_negation_closure_of_standard_data(data):
+    n = data.n
+    counts = data.all_weights()
+    assert all(counts[w] == counts[-w] for w in counts)
+    assert sum(counts.values()) == n * (n + 2)
 
 
 def test_morse_pattern_values():
@@ -182,9 +182,7 @@ def test_morse_pattern_values():
     assert morse_pattern(4) == (0, 1, 2, 2, 3, 4)
 
 
-def test_validate_full_pass_for_random_standard_data():
-    rng = random.Random(9)
-    for n in (2, 4, 6, 8):
-        for _ in range(5):
-            data = make_standard_g2(sample_exponents(rng, n))
-            assert validate(data).passed
+@SETTINGS
+@given(standard_data(ns=(2, 4, 6, 8)))
+def test_validate_full_pass_for_random_standard_data(data):
+    assert validate(data).passed

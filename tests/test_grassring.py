@@ -1,10 +1,10 @@
 import json
-import random
 from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from hamfp import (
     FixedPoint,
@@ -22,9 +22,10 @@ from hamfp import (
     ring_mul,
     x_power,
 )
-from conftest import quadric_chern_coefficients, sample_exponents
+from conftest import quadric_chern_coefficients, standard_data
 
 RING_PRODUCTS = Path(__file__).resolve().parent / "golden" / "ring-products.json"
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def idx_y(n):
@@ -149,12 +150,12 @@ def test_betti_numbers():
         betti(5)
 
 
-def test_betti_matches_basis_degree_pattern():
-    rng = random.Random(20)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        counts = Counter(build_basis(data).half_degrees)
-        assert [counts[k] for k in range(n + 1)] == betti(n)
+@SETTINGS
+@given(standard_data())
+def test_betti_matches_basis_degree_pattern(data):
+    n = data.n
+    counts = Counter(build_basis(data).half_degrees)
+    assert [counts[k] for k in range(n + 1)] == betti(n)
 
 
 def test_ordinary_chern_n2(std2):
@@ -171,23 +172,23 @@ def test_ordinary_chern_n4(std4):
     assert classes[0] == 4 * x_power(table, 1)
 
 
-def test_first_chern_is_n_times_generator():
-    rng = random.Random(21)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        table = ring_make(n)
-        classes = ordinary_chern(data, build_basis(data), table)
-        assert classes[0] == n * x_power(table, 1)
+@SETTINGS
+@given(standard_data())
+def test_first_chern_is_n_times_generator(data):
+    n = data.n
+    table = ring_make(n)
+    classes = ordinary_chern(data, build_basis(data), table)
+    assert classes[0] == n * x_power(table, 1)
 
 
-def test_top_chern_class_counts_fixed_points():
-    rng = random.Random(22)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        table = ring_make(n)
-        classes = ordinary_chern(data, build_basis(data), table)
-        assert classes[-1] == (n + 2) * table.element(idx_g(n, n // 2))
-        assert ring_integral(table, classes[-1]) == n + 2
+@SETTINGS
+@given(standard_data())
+def test_top_chern_class_counts_fixed_points(data):
+    n = data.n
+    table = ring_make(n)
+    classes = ordinary_chern(data, build_basis(data), table)
+    assert classes[-1] == (n + 2) * table.element(idx_g(n, n // 2))
+    assert ring_integral(table, classes[-1]) == n + 2
 
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
@@ -213,22 +214,20 @@ def test_ordinary_chern_rejects_fractional_expansion():
         ordinary_chern(data, build_basis(data), ring_make(2))
 
 
-def test_pairing_matches_ring_on_ordinary_images():
-    rng = random.Random(23)
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
-        basis = build_basis(data)
-        matrix = pairing_matrix(data, basis)
-        table = ring_make(n)
-        images = basis_images(table)
-        for i in range(n + 2):
-            for j in range(n + 2):
-                if basis.rows[i].degree_half + basis.rows[j].degree_half != n:
-                    continue
-                ring_value = ring_integral(
-                    table, ring_mul(table, images[i], images[j])
-                )
-                assert matrix[i][j] == ring_value
+@SETTINGS
+@given(standard_data())
+def test_pairing_matches_ring_on_ordinary_images(data):
+    n = data.n
+    basis = build_basis(data)
+    matrix = pairing_matrix(data, basis)
+    table = ring_make(n)
+    images = basis_images(table)
+    for i in range(n + 2):
+        for j in range(n + 2):
+            if basis.rows[i].degree_half + basis.rows[j].degree_half != n:
+                continue
+            ring_value = ring_integral(table, ring_mul(table, images[i], images[j]))
+            assert matrix[i][j] == ring_value
 
 
 def test_middle_block_invariant_under_y_z_relabeling():
