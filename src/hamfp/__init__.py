@@ -14,7 +14,6 @@ from .basis import BasisRestrictions, Expansion, build_basis, express_in_basis
 from .errors import (
     DataError,
     DegenerateGammaError,
-    DegenerateProfileError,
     ExpansionError,
     InconsistentProfileError,
     IntegralityError,
@@ -74,7 +73,6 @@ __all__ = [
     "ClassificationVerdict",
     "DataError",
     "DegenerateGammaError",
-    "DegenerateProfileError",
     "EquivClass",
     "Expansion",
     "ExpansionError",

@@ -34,10 +34,6 @@ class DegenerateGammaError(ValueError):
     """
 
 
-class DegenerateProfileError(ValueError):
-    """A weight-product prediction has a vanishing denominator."""
-
-
 class InconsistentProfileError(ValueError):
     """A predicted weight product is not an integer.
 

@@ -153,7 +153,7 @@ def make_standard_g2(b: Sequence[int]) -> FixedPointData:
     they would collide moment values away from the middle pair and produce
     zero weights. The output is order-insensitive in b and passes ``validate``.
     """
-    values = [int(x) for x in b]
+    values = [exact_int(x, "make_standard_g2.b") for x in b]
     if len(values) < 2:
         raise InvalidGeneratorError("need at least two exponents")
     if len(set(values)) != len(values):

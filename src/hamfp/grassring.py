@@ -46,6 +46,7 @@ class RingElement(Record):
 
     def __post_init__(self) -> None:
         # operator.index raises TypeError on a float, Fraction or string
+        object.__setattr__(self, "n", index(self.n))
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.n + 2:
             raise ValueError("coefficient vector does not match the basis size")
@@ -96,6 +97,11 @@ class RingTable(Record):
 
     __slots__ = ("n",)
     n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", index(self.n))
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError(f"n must be even and positive, got {self.n}")
 
     @property
     def one(self) -> RingElement:
@@ -178,8 +184,6 @@ def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
 
 def ring_make(n: int) -> RingTable:
     """The ring for even n >= 2."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and positive, got {n}")
     return RingTable(n)
 
 
@@ -209,8 +213,7 @@ def betti(n: int) -> list[int]:
 
     All ranks are 1 except rank 2 in the middle degree n; odd degrees vanish.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and positive, got {n}")
+    n = RingTable(n).n
     ranks = [1] * (n + 1)
     ranks[n // 2] = 2
     return ranks

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
@@ -47,9 +47,16 @@ class EquivClass(Record):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # operator.index raises TypeError on a float or string; a Fraction
+        # coefficient is kept as given, so products and powers of classes are
+        # not wrapped again
+        object.__setattr__(self, "degree_half", index(self.degree_half))
         if self.degree_half < 0:
             raise ValueError(f"negative degree {self.degree_half}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = [
+            c if isinstance(c, Fraction) else Fraction(index(c)) for c in self.coeffs
+        ]
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __mul__(self, other: EquivClass) -> EquivClass:
         if len(self.coeffs) != len(other.coeffs):

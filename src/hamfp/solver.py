@@ -48,9 +48,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import isqrt, lcm, prod
-from typing import Callable
 
-from .errors import DataError, DegenerateProfileError, InconsistentProfileError
+from .errors import DataError, InconsistentProfileError
 from .errors import SearchTooLargeError
 from .exactnum import elementary_symmetric, exact_int
 from .fpdata import (
@@ -119,8 +118,6 @@ class ClassificationVerdict(Record):
 
 
 def _exact_quotient(num: int, den: int, context: str) -> int:
-    if den == 0:
-        raise DegenerateProfileError(f"vanishing denominator in {context}")
     q, r = divmod(num, den)
     if r != 0:
         raise InconsistentProfileError(
@@ -132,11 +129,16 @@ def _exact_quotient(num: int, den: int, context: str) -> int:
 def predicted_products(profile: MomentProfile) -> list[tuple[int, int]]:
     """Predicted (negative product, positive product) at every point.
 
-    Lower-half negative products and upper-half positive products are plain
-    products of moment gaps; the remaining products divide by the summed gap
-    to the middle pair, which requires dimension above 4. For n = 2 all four
-    points are instead covered by the two-gap weight sets of the
-    4-dimensional case.
+    For n > 2 one rule covers every point i: the negative product is the
+    product of the gaps phi_j - phi_i over j < i, and the positive product
+    the product over j > i, each leaving out the gap inside the middle pair
+    (j = n/2 + 1 at i = n/2, j = n/2 at i = n/2 + 1). Away from the middle
+    pair, the side that reaches across it is divided by the summed gap
+    (phi_{n/2} - phi_i) + (phi_{n/2+1} - phi_i): the positive product below
+    n/2, the negative product above n/2 + 1. The profile is strict away from
+    the middle pair, so that sum is never zero. For n = 2, where the second
+    cohomology has rank two, the four points take the two-gap weight sets of
+    the 4-dimensional case instead.
     """
     n = profile.n
     phi = profile.phi
@@ -153,34 +155,15 @@ def predicted_products(profile: MomentProfile) -> list[tuple[int, int]]:
 
     out = []
     for i in range(m):
+        partner = {half: half + 1, half + 1: half}.get(i)
+        below = prod([phi[j] - phi[i] for j in range(i) if j != partner])
+        above = prod([phi[j] - phi[i] for j in range(i + 1, m) if j != partner])
         middle_gap = (phi[half] - phi[i]) + (phi[half + 1] - phi[i])
-        if i <= half:
-            neg = 1
-            for j in range(i):
-                neg *= phi[j] - phi[i]
-        elif i == half + 1:
-            neg = 1
-            for j in range(half):
-                neg *= phi[j] - phi[i]
-        else:
-            num = 1
-            for j in range(i):
-                num *= phi[j] - phi[i]
-            neg = _exact_quotient(num, middle_gap, f"negative product at point {i}")
-        if i >= half + 1:
-            pos = 1
-            for j in range(i + 1, m):
-                pos *= phi[j] - phi[i]
-        elif i == half:
-            pos = 1
-            for j in range(half + 2, m):
-                pos *= phi[j] - phi[i]
-        else:
-            num = 1
-            for j in range(i + 1, m):
-                num *= phi[j] - phi[i]
-            pos = _exact_quotient(num, middle_gap, f"positive product at point {i}")
-        out.append((neg, pos))
+        if i > half + 1:
+            below = _exact_quotient(below, middle_gap, f"negative product at point {i}")
+        if i < half:
+            above = _exact_quotient(above, middle_gap, f"positive product at point {i}")
+        out.append((below, above))
     return out
 
 
@@ -244,32 +227,6 @@ def _allowed_weights(gaps: set[int], bound: int) -> tuple[int, ...]:
                 if g // d <= bound:
                     allowed.add(g // d)
     return tuple(sorted(allowed))
-
-
-def _point_options(
-    lam: int,
-    total: int,
-    neg_target: int,
-    pos_target: int,
-    allowed: tuple[int, ...],
-    factorizations: Callable[[int, int, tuple[int, ...]], list[tuple[int, ...]]],
-) -> list[tuple[int, ...]]:
-    """All sorted weight tuples at one point: lam negatives with the given
-    product, the rest positives with theirs. factorizations solves the
-    subproblems, as _factorizations does."""
-    sign = -1 if lam % 2 else 1
-    if neg_target * sign < 0:
-        return []
-    neg_parts = factorizations(abs(neg_target), lam, allowed)
-    if pos_target < 1:
-        return []
-    pos_parts = factorizations(pos_target, total - lam, allowed)
-    options = []
-    for neg in neg_parts:
-        negs = tuple(sorted(-v for v in neg))
-        for pos in pos_parts:
-            options.append(negs + pos)
-    return sorted(options)
 
 
 def _chern_key(option: tuple[int, ...], scale: int) -> tuple[int, ...]:
@@ -359,7 +316,7 @@ def enumerate_candidates(
     # admits nothing more.
     bound = profile.spread
     if weight_bound is not None:
-        bound = min(bound, int(weight_bound))
+        bound = min(bound, exact_int(weight_bound, "weight_bound"))
     try:
         products = predicted_products(profile)
     except InconsistentProfileError:
@@ -381,12 +338,20 @@ def enumerate_candidates(
         )
     # Points i and n + 1 - i of a symmetric profile pose the same problems.
     factorizations = cache(_factorizations)
+    # At point i the negative product has the sign (-1)^pattern[i] and the
+    # positive product is at least 1, so every option is pattern[i] negated
+    # factors of |neg| and n - pattern[i] factors of pos.
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
         allowed = _allowed_weights(gap_sets[i], bound)
-        options.append(
-            _point_options(pattern[i], n, neg, pos, allowed, factorizations)
-        )
+        neg_parts = factorizations(abs(neg), pattern[i], allowed)
+        pos_parts = factorizations(pos, n - pattern[i], allowed)
+        point_options = []
+        for parts in neg_parts:
+            negs = tuple(sorted(-v for v in parts))
+            for p in pos_parts:
+                point_options.append(negs + p)
+        options.append(sorted(point_options))
     if any(not opts for opts in options):
         return []
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,16 @@ def replace_weights(data, index, weights):
     points = list(data.points)
     points[index] = FixedPoint(points[index].phi, tuple(weights))
     return FixedPointData(data.n, tuple(points))
+
+
+@pytest.mark.parametrize(
+    "bad", [2.7, 2.0, Fraction(5, 2), Fraction(2), "2"],
+    ids=["float", "whole-float", "fraction", "whole-fraction", "str"],
+)
+def test_make_standard_g2_refuses_non_integers(bad):
+    message = re.escape(f"make_standard_g2.b: {bad!r} is not an integer")
+    with pytest.raises(DataError, match=message):
+        make_standard_g2([bad, 1])
 
 
 def test_standard_dim4_weights(std2):

@@ -150,6 +150,14 @@ def test_betti_numbers():
         betti(5)
 
 
+@pytest.mark.parametrize("bad", [4.0, "4"], ids=["float", "str"])
+def test_ring_refuses_a_non_integer_n(bad):
+    with pytest.raises(TypeError):
+        ring_make(bad)
+    with pytest.raises(TypeError):
+        betti(bad)
+
+
 @SETTINGS
 @given(standard_data())
 def test_betti_matches_basis_degree_pattern(data):

@@ -1,0 +1,132 @@
+"""The predicted weight products: one rule for every point when n > 2.
+
+``reference_predicted_products`` is the earlier form of
+``solver.predicted_products``, which split the points into five cases and
+guarded its quotients against a zero denominator; it is kept verbatim as the
+oracle. The test also pins the invariants the classifier relies on instead of
+its former per-point guards: the negative product at point i has the sign
+(-1)^morse_pattern(n)[i], and the positive product is a positive integer."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hamfp import (
+    InconsistentProfileError,
+    MomentProfile,
+    morse_pattern,
+    predicted_products,
+)
+
+
+class DegenerateProfileError(ValueError):
+    """A weight-product prediction has a vanishing denominator."""
+
+
+def _exact_quotient(num: int, den: int, context: str) -> int:
+    if den == 0:
+        raise DegenerateProfileError(f"vanishing denominator in {context}")
+    q, r = divmod(num, den)
+    if r != 0:
+        raise InconsistentProfileError(
+            f"{context} predicts the fractional product {num}/{den}"
+        )
+    return q
+
+
+def reference_predicted_products(profile: MomentProfile) -> list[tuple[int, int]]:
+    """Predicted (negative product, positive product) at every point.
+
+    Lower-half negative products and upper-half positive products are plain
+    products of moment gaps; the remaining products divide by the summed gap
+    to the middle pair, which requires dimension above 4. For n = 2 all four
+    points are instead covered by the two-gap weight sets of the
+    4-dimensional case.
+    """
+    n = profile.n
+    phi = profile.phi
+    m = n + 2
+    half = n // 2
+
+    if n == 2:
+        return [
+            (1, (phi[1] - phi[0]) * (phi[2] - phi[0])),
+            (phi[0] - phi[1], phi[3] - phi[1]),
+            (phi[0] - phi[2], phi[3] - phi[2]),
+            ((phi[1] - phi[3]) * (phi[2] - phi[3]), 1),
+        ]
+
+    out = []
+    for i in range(m):
+        middle_gap = (phi[half] - phi[i]) + (phi[half + 1] - phi[i])
+        if i <= half:
+            neg = 1
+            for j in range(i):
+                neg *= phi[j] - phi[i]
+        elif i == half + 1:
+            neg = 1
+            for j in range(half):
+                neg *= phi[j] - phi[i]
+        else:
+            num = 1
+            for j in range(i):
+                num *= phi[j] - phi[i]
+            neg = _exact_quotient(num, middle_gap, f"negative product at point {i}")
+        if i >= half + 1:
+            pos = 1
+            for j in range(i + 1, m):
+                pos *= phi[j] - phi[i]
+        elif i == half:
+            pos = 1
+            for j in range(half + 2, m):
+                pos *= phi[j] - phi[i]
+        else:
+            num = 1
+            for j in range(i + 1, m):
+                num *= phi[j] - phi[i]
+            pos = _exact_quotient(num, middle_gap, f"positive product at point {i}")
+        out.append((neg, pos))
+    return out
+
+
+@st.composite
+def profiles(draw):
+    """n from 2..10, distinct moment values, and one profile in four with a
+    tied middle pair."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    tied = draw(st.integers(0, 3)) == 0
+    size = n + 1 if tied else n + 2
+    phi = sorted(
+        draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size, unique=True))
+    )
+    if tied:
+        phi.insert(n // 2 + 1, phi[n // 2])
+    return MomentProfile(n, tuple(phi))
+
+
+def outcome(fn, profile):
+    try:
+        return fn(profile)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+# Examples pin one profile whose products are all integers for each n, tied
+# and untied, and one whose positive product at point 0 is fractional.
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(profiles())
+@example(MomentProfile(2, (-2, 0, 0, 2)))
+@example(MomentProfile(4, (-3, -2, -1, 1, 2, 3)))
+@example(MomentProfile(4, (-2, -1, 0, 0, 1, 2)))
+@example(MomentProfile(6, (-4, -3, -2, -1, 1, 2, 3, 4)))
+@example(MomentProfile(8, (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+@example(MomentProfile(10, (-6, -5, -4, -3, -2, 0, 0, 2, 3, 4, 5, 6)))
+@example(MomentProfile(4, (-5, -2, -1, 1, 2, 3)))
+def test_one_rule_matches_the_case_split(profile):
+    got = outcome(predicted_products, profile)
+    assert got == outcome(reference_predicted_products, profile)
+    if isinstance(got, tuple):
+        assert got[0] is InconsistentProfileError
+        return
+    for (neg, pos), lam in zip(got, morse_pattern(profile.n)):
+        assert neg * (-1) ** lam > 0
+        assert pos >= 1

@@ -134,6 +134,8 @@ def test_construction_checks_still_run():
         EquivClass(-1, (1, 2))
     with pytest.raises(ValueError, match="basis size"):
         RingElement(2, (1, 0, 0))
+    with pytest.raises(ValueError, match="n must be even and positive, got 3"):
+        RingTable(3)
 
 
 @pytest.mark.parametrize(
@@ -154,3 +156,15 @@ def test_non_integers_are_refused_not_truncated(bad):
         MomentProfile(bad, (0, 1, 2, 3))
     with pytest.raises(TypeError):
         RingElement(2, (1, 0, bad, 1))
+    with pytest.raises(TypeError):
+        RingElement(bad, (1, 0, 0, 1))
+    with pytest.raises(TypeError):
+        RingTable(bad)
+    with pytest.raises(TypeError):
+        EquivClass(bad, (1, 2))
+    if isinstance(bad, Fraction):
+        # a Fraction coefficient is kept as given, not wrapped again
+        assert EquivClass(1, (1, bad)).coeffs[1] is bad
+    else:
+        with pytest.raises(TypeError):
+            EquivClass(1, (1, bad))

@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
@@ -102,6 +104,20 @@ def test_enumerate_unique_standard_n2():
     profile = MomentProfile(2, (-2, -1, 1, 2))
     candidates = enumerate_candidates(profile, 4)
     assert candidates == [make_standard_g2([2, 1])]
+
+
+@pytest.mark.parametrize(
+    "bad", [1.9, 3.0, Fraction(7, 2), Fraction(3), "3"],
+    ids=["float", "whole-float", "fraction", "whole-fraction", "str"],
+)
+def test_weight_bound_refuses_non_integers(bad):
+    # truncated to 1, the bound 1.9 would admit no candidate where bound 3
+    # admits the standard one
+    profile = MomentProfile(2, (-2, -1, 1, 2))
+    assert len(enumerate_candidates(profile, 3)) == 1
+    message = re.escape(f"weight_bound: {bad!r} is not an integer")
+    with pytest.raises(DataError, match=message):
+        enumerate_candidates(profile, bad)
 
 
 def test_enumerate_empty_for_asymmetric_profile():
