@@ -28,7 +28,11 @@ middle row n/2 is solved before row n/2+1, matching the declared order of
 the middle pair even when their moment values tie. The substitution runs in
 integers: the coefficients found so far are kept as numerators over one
 running common denominator, each residual is an integer sum against the
-basis numerators, and only the new coefficient is reduced, once.
+basis numerators, and the new coefficient is reduced once with ``divmod``;
+only a fractional one builds a reduced ``Fraction``. ``express_in_basis``
+expands one ``EquivClass``. ``express_chern`` expands c_1..c_n straight from
+the integers of ``chern_table``, transposing the basis once for all of them
+and building no ``EquivClass``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import Iterator
 
 from .errors import DegenerateGammaError, ExpansionError
 from .fpdata import FixedPointData, morse_pattern, point_invariants
@@ -143,44 +148,80 @@ def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
     is not the restriction of any class (ExpansionError).
     """
     n = basis.n
-    m = n + 2
     d = cls.degree_half
     if d > n + 1:
         raise ValueError(f"degree {2 * d} exceeds the basis range {2 * (n + 1)}")
-    if len(cls.coeffs) != m:
+    if len(cls.coeffs) != n + 2:
         raise ValueError("class does not match the basis point count")
-    degrees = basis.half_degrees
-    numerators = basis.numerators
-    columns = list(zip(*numerators))
-    # The class is targets[k] / scale at point k; the coefficients found so
-    # far are found[i] / common, and the basis entries numerators / D.
+    # The class is targets[k] / scale at point k.
     scale = lcm(*(c.denominator for c in cls.coeffs))
     targets = [c.numerator * (scale // c.denominator) for c in cls.coeffs]
+    columns = list(zip(*basis.numerators))
+    return _substitute(basis, columns, d, targets, scale)
+
+
+def express_chern(
+    basis: BasisRestrictions, table: list[list[int]]
+) -> Iterator[Expansion]:
+    """Expansions of the Chern classes c_1..c_n, read from ``chern_table``.
+
+    Entry table[P][i] is the restriction of c_i to point P over t^i, an
+    integer, so each class is expanded with scale 1 and no EquivClass is
+    built. The basis is transposed once for all n classes. The expansions
+    come one at a time: an ExpansionError at c_i leaves c_1..c_(i-1) with
+    the caller.
+    """
+    if len(table) != basis.n + 2:
+        raise ValueError("table does not match the basis point count")
+    columns = list(zip(*basis.numerators))
+    for i in range(1, basis.n + 1):
+        yield _substitute(basis, columns, i, [e[i] for e in table], 1)
+
+
+def _substitute(
+    basis: BasisRestrictions,
+    columns: list[tuple[int, ...]],
+    d: int,
+    targets: list[int],
+    scale: int,
+) -> Expansion:
+    """Forward substitution of the class targets[k] / scale * t^d at point k.
+
+    ``columns`` is the transpose of ``basis.numerators``. The coefficients
+    found so far are found[i] / common and the basis entries numerators / D,
+    so each residual is one integer sum; a coefficient is reduced with
+    divmod, and only a fractional one builds a reduced Fraction.
+    """
+    degrees = basis.half_degrees
+    numerators = basis.numerators
+    den_basis = basis.denominator
     found: list[int] = []
     common = 1
-    coeffs: list[Fraction] = []
-    for k in range(m):
+    terms: list[tuple[Fraction, int]] = []
+    for k, column in enumerate(columns):
         # residual * scale * common * D, in integers
-        top = targets[k] * common * basis.denominator - scale * sum(
-            map(mul, found, columns[k])
-        )
-        if degrees[k] <= d:
-            coeff = Fraction(top, scale * common * numerators[k][k])
-        else:
-            if top != 0:
-                residual = Fraction(top, scale * common * basis.denominator)
+        top = targets[k] * common * den_basis - scale * sum(map(mul, found, column))
+        if degrees[k] > d:
+            if top:
+                residual = Fraction(top, scale * common * den_basis)
                 raise ExpansionError(
                     f"degree-{2 * d} tuple is outside the basis span: residual "
                     f"{residual} at point {k}"
                 )
-            coeff = Fraction(0)
-        coeffs.append(coeff)
+            terms.append((Fraction(0), 0))
+            found.append(0)
+            continue
+        den = scale * common * numerators[k][k]
+        quotient, rest = divmod(top, den)
+        if not rest:
+            terms.append((Fraction(quotient), d - degrees[k]))
+            found.append(quotient * common)
+            continue
+        coeff = Fraction(top, den)
+        terms.append((coeff, d - degrees[k]))
         grow = coeff.denominator // gcd(common, coeff.denominator)
         if grow != 1:
             found = [a * grow for a in found]
             common *= grow
         found.append(coeff.numerator * (common // coeff.denominator))
-    terms = tuple(
-        (coeffs[k], d - degrees[k] if degrees[k] <= d else 0) for k in range(m)
-    )
-    return Expansion(terms)
+    return Expansion(tuple(terms))

@@ -9,13 +9,20 @@ a machine-readable report with all large integers as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Any
 
 from . import dataio
-from .basis import BasisRestrictions, build_basis, express_in_basis
+# chern_number, chern_restriction, express_in_basis, integrate,
+# ordinary_chern and symplectic_class are unused here; perfbench/tracing.py
+# wraps them at this module.
+from .basis import (  # noqa: F401
+    BasisRestrictions,
+    build_basis,
+    express_chern,
+    express_in_basis,
+)
 from .errors import DataError, DegenerateGammaError, ExpansionError, IntegralityError
 from .fpdata import (
     CheckResult,
@@ -24,9 +31,6 @@ from .fpdata import (
     point_invariants,
     validate,
 )
-# chern_number, chern_restriction, integrate, ordinary_chern and
-# symplectic_class are unused here; perfbench/tracing.py wraps them at this
-# module.
 from .grassring import (  # noqa: F401
     RingElement,
     RingTable,
@@ -39,7 +43,6 @@ from .grassring import (  # noqa: F401
     ring_mul,
 )
 from .localize import (  # noqa: F401
-    chern_classes,
     chern_number,
     chern_restriction,
     chern_table,
@@ -112,10 +115,12 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
 
 
 def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
-    matrix = [
-        [str(Fraction(a, basis.denominator)) for a in row] for row in basis.numerators
-    ]
-    integral = basis.denominator == 1
+    den = basis.denominator
+    integral = den == 1
+    if integral:
+        matrix = [list(map(str, row)) for row in basis.numerators]
+    else:
+        matrix = [[str(Fraction(a, den)) for a in row] for row in basis.numerators]
     check = CheckResult(
         "basis-integrality",
         integral,
@@ -136,8 +141,7 @@ def _chern_section(
     expanded = []
     esym = chern_table(data)
     try:
-        for i, cls in enumerate(chern_classes(data, esym), 1):
-            expansion = express_in_basis(basis, cls)
+        for i, expansion in enumerate(express_chern(basis, esym), 1):
             expansions[f"c_{i}"] = [
                 {"coefficient": str(c), "t_power": p} for c, p in expansion.terms
             ]
@@ -244,7 +248,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.out:
         dataio.dump_document(doc, args.out)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(dataio.format_document(doc))
     else:
         print(f"standard fixed-point data: n={data.n}, {data.n + 2} fixed points")
         for line in _point_lines(_point_json(data)):
@@ -290,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for c in section_checks
                 ],
             }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dataio.format_document(report))
     else:
         lines = [f"fixed-point data: n={data.n}, {data.n + 2} fixed points"]
         lines += _point_lines(points)
@@ -334,7 +338,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "unique_standard": verdict.is_unique_standard,
             "symmetric": symmetric,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(dataio.format_document(doc))
     else:
         phis = ", ".join(str(v) for v in profile.phi)
         print(f"profile: n={profile.n}, phi=({phis})")

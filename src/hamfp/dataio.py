@@ -11,13 +11,20 @@ points with and without weights is malformed.
 
 A file that cannot be read, decoded, parsed or written, and a document of the
 wrong shape, raise DataError.
+
+Every document and report is written by ``format_document``, which gives the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` without Python's
+pure-Python indented encoder: strings go through the C string escaper, a
+list of scalars is converted in one comprehension, and every list or object
+is written with one join.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .errors import DataError
 from .fpdata import FixedPoint, FixedPointData
@@ -115,9 +122,57 @@ def load_document(path: str) -> Any:
 
 
 def dump_document(doc: dict[str, Any], path: str) -> None:
+    text = format_document(doc) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+# How each scalar type is written, as the json module writes it.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def format_document(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with str keys, lists, str, int, bool and None. Any other
+    type, a tuple or a float included, raises TypeError."""
+    return _format(doc, "\n")
+
+
+def _format(value: Any, newline: str) -> str:
+    # newline ends a line and indents the next to the level of value
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        texts = []
+        for key in sorted(value):
+            member = value[key]
+            scalar = _SCALARS.get(type(member))
+            texts.append(
+                encode_basestring_ascii(key)
+                + ": "
+                + (scalar(member) if scalar else _format(member, inner))
+            )
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            texts = [_SCALARS[type(member)](member) for member in value]
+        except KeyError:  # a container, or a type refused below
+            texts = [_format(member, inner) for member in value]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    scalar = _SCALARS.get(kind)
+    if scalar is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return scalar(value)

@@ -28,12 +28,17 @@ from functools import cache
 from operator import index
 from typing import Sequence
 
-from .basis import BasisRestrictions, Expansion, express_in_basis
+# express_in_basis and chern_restriction are unused here;
+# perfbench/tracing.py wraps them at this module.
+from .basis import (  # noqa: F401
+    BasisRestrictions,
+    Expansion,
+    express_chern,
+    express_in_basis,
+)
 from .errors import IntegralityError
 from .fpdata import FixedPointData
-# chern_restriction is unused here; perfbench/tracing.py wraps it at this
-# module.
-from .localize import chern_classes, chern_restriction  # noqa: F401
+from .localize import chern_restriction, chern_table  # noqa: F401
 from .record import Record
 
 
@@ -244,7 +249,7 @@ def ordinary_chern(
     """
     if table.n != data.n:
         raise ValueError("ring and dataset have different n")
-    expansions = [express_in_basis(basis, c) for c in chern_classes(data)]
+    expansions = list(express_chern(basis, chern_table(data)))
     return ordinary_from_expansions(table, basis_images(table), expansions)
 
 

@@ -13,13 +13,15 @@ Monomials u^a * c_lambda in the symplectic class and the Chern classes are
 integrated by one engine, ``localization_sums``, without restriction tuples:
 it walks the partitions of each degree with parts in nondecreasing order,
 closing one monomial at every node, and yields each block in the order of
-``partitions``. ``chern_table`` expands each point's weights into their
-elementary symmetric polynomials once, and a caller may hand the table to
-both ``chern_classes`` and the engine. ``chern_number`` sums its one
-partition directly, and ``euler_characteristic`` needs only the weight
-products. ``pairing_matrix`` sums products of basis rows the same way, in
-integers over one common denominator; ``integrate`` remains the primitive
-for arbitrary classes.
+``partitions``. Its sums stay integers over lcm |Lambda_P| until each is
+divided once, and an exact quotient skips the gcd of a reduced Fraction.
+``chern_table`` expands each point's weights into their elementary
+symmetric polynomials once, and a caller may hand the table to the engine
+and to ``basis.express_chern``, which expands c_1..c_n from its integers.
+``chern_number`` sums its one partition directly, and
+``euler_characteristic`` needs only the weight products. ``pairing_matrix``
+sums products of basis rows the same way, in integers over one common
+denominator; ``integrate`` remains the primitive for arbitrary classes.
 
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
@@ -95,7 +97,7 @@ def chern_table(data: FixedPointData) -> list[list[int]]:
 
     Entry [P][k] is the restriction of c_k to P over t^k: c_0 = 1, and c_n is
     the weight product Lambda_P. A caller that needs the Chern classes and
-    their numbers passes one table to ``chern_classes`` and
+    their numbers passes one table to ``basis.express_chern`` and
     ``localization_sums``, so each point is expanded once.
     """
     return [elementary_symmetric(p.weights) for p in data.points]
@@ -157,7 +159,9 @@ def localization_sums(
     For each half-degree d (at most n) in the given order, a runs from d down
     to 0 (only 0 without u, only d without Chern classes) and parts over the
     partitions of d - a in the order of ``partitions``. Sums are exact, in
-    integers over L = lcm |Lambda_P|. Pure powers of u need only the weight
+    integers over L = lcm |Lambda_P|, and each is divided by L once with
+    divmod: an exact quotient q becomes Fraction(q), and only a fractional
+    sum builds a reduced Fraction. Pure powers of u need only the weight
     products Lambda_P; Chern monomials read each point's e_k from ``table``
     (``chern_table`` by default).
 
@@ -205,13 +209,20 @@ def localization_sums(
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
             powers = [h**a for h in heights]
             if a == d:
-                yield a, (), Fraction(sum(map(mul, powers, closing[0])), common)
+                yield a, (), _over(sum(map(mul, powers, closing[0])), common)
                 continue
             block: list[tuple[tuple[int, ...], int]] = []
             walk(powers, d - a, 1, (), block)
             block.sort(reverse=True)
             for parts, total in block:
-                yield a, parts, Fraction(total, common)
+                yield a, parts, _over(total, common)
+
+
+def _over(total: int, common: int) -> Fraction:
+    """total / common for common > 0: an exact quotient skips the gcd of a
+    reduced Fraction."""
+    quotient, rest = divmod(total, common)
+    return Fraction(total, common) if rest else Fraction(quotient)
 
 
 def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:

@@ -307,7 +307,8 @@ def enumerate_candidates(
     tuples) and may be empty. A profile whose predicted products are
     fractional admits no integer weights at all and yields the empty list.
     One whose allowed-weight scan would make more than MAX_TRIAL_DIVISIONS
-    trial divisions raises SearchTooLargeError before the scan starts.
+    trial divisions raises SearchTooLargeError before the scan starts. A
+    weight_bound below 1, which no weight could meet, raises DataError.
     """
     n = profile.n
     m = n + 2
@@ -316,7 +317,10 @@ def enumerate_candidates(
     # admits nothing more.
     bound = profile.spread
     if weight_bound is not None:
-        bound = min(bound, exact_int(weight_bound, "weight_bound"))
+        weight_bound = exact_int(weight_bound, "weight_bound")
+        if weight_bound < 1:
+            raise DataError(f"weight_bound must be at least 1, got {weight_bound}")
+        bound = min(bound, weight_bound)
     try:
         products = predicted_products(profile)
     except InconsistentProfileError:

@@ -1,15 +1,15 @@
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 import hamfp
-from hamfp import make_standard_g2
+from hamfp import FixedPoint, FixedPointData, make_standard_g2
 
 # The directory holding the imported package, so that a child process runs
 # the same code as the tests, installed or not.
@@ -41,9 +41,11 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def sample_exponents(rng: random.Random, n: int, hi: int = 30) -> list[int]:
-    """Distinct positive exponents for a standard dataset in dimension 2n."""
-    return rng.sample(range(1, hi), n // 2 + 1)
+def exponent_lists(n: int, hi: int = 30) -> st.SearchStrategy[list[int]]:
+    """Distinct positive exponents below hi for a standard dataset in
+    dimension 2n."""
+    size = n // 2 + 1
+    return st.lists(st.integers(1, hi - 1), min_size=size, max_size=size, unique=True)
 
 
 def quadric_chern_coefficients(n: int) -> list[int]:
@@ -59,7 +61,24 @@ def quadric_chern_coefficients(n: int) -> list[int]:
 def standard_data(draw, ns=(2, 4, 6), hi=29):
     """Standard data for n drawn from ns and distinct exponents from 1..hi."""
     n = draw(st.sampled_from(ns))
-    size = n // 2 + 1
-    return make_standard_g2(
-        draw(st.lists(st.integers(1, hi), min_size=size, max_size=size, unique=True))
+    return make_standard_g2(draw(exponent_lists(n, hi + 1)))
+
+
+@st.composite
+def swapped_weights(draw, ns=(2, 4, 6, 8, 10)):
+    """Standard data with a weight exchanged for one of the same sign at
+    another point: the weight multiset, and so negation closure, is kept,
+    while the per-point products and Chern classes change."""
+    data = draw(standard_data(ns=ns, hi=12))
+    n = data.n
+    weights = [list(p.weights) for p in data.points]
+    i, j = draw(st.permutations(range(n + 2)))[:2]
+    a = draw(st.integers(0, n - 1))
+    same_sign = [b for b in range(n) if (weights[j][b] < 0) == (weights[i][a] < 0)]
+    assume(same_sign)
+    b = draw(st.sampled_from(same_sign))
+    weights[i][a], weights[j][b] = weights[j][b], weights[i][a]
+    return FixedPointData(
+        n,
+        tuple(FixedPoint(p.phi, tuple(w)) for p, w in zip(data.points, weights)),
     )

@@ -1,16 +1,21 @@
 """Acceptance suite: one test per criterion, every comparison exact.
 
 Each test prints a single pass/fail line (visible with ``pytest -s``) and
-enforces its runtime budget.
+enforces its runtime budget. Sampled inputs are drawn with ``hypothesis``,
+derandomized, and each property asserts on every example, so a failure names
+its input.
 """
 
 import json
-import random
 import time
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hamfp import (
+    EquivClass,
     FixedPoint,
     FixedPointData,
     MomentProfile,
@@ -35,7 +40,19 @@ from hamfp import (
     symplectic_class,
     validate,
 )
-from conftest import run_cli, sample_exponents
+from conftest import exponent_lists, run_cli
+
+
+def run_examples(strategy, count, check):
+    """Call check on count derandomized examples of strategy, now."""
+    settings(derandomize=True, max_examples=count, deadline=None)(
+        given(strategy)(check)
+    )()
+
+
+def standard(n, hi=30):
+    """Standard data in dimension 2n with distinct exponents below hi."""
+    return exponent_lists(n, hi).map(make_standard_g2)
 
 
 def report(number, name, ok, budget=None, elapsed=None):
@@ -62,34 +79,30 @@ def test_criterion_1_dim4_weight_table(tmp_path):
 
 def test_criterion_2_localization_vanishing():
     start = time.monotonic()
-    rng = random.Random(101)
-    ok = True
+
+    def check(data):
+        u = symplectic_class(data)
+        for a in range(data.n):
+            assert integrate(data, u.power(a)) == 0
+        assert integrate(data, chern_restriction(data, data.n)) == data.n + 2
+
     for n in (2, 4, 6, 8):
-        for _ in range(20):
-            data = make_standard_g2(sample_exponents(rng, n))
-            u = symplectic_class(data)
-            for a in range(n):
-                ok = ok and integrate(data, u.power(a)) == 0
-            euler = integrate(data, chern_restriction(data, n))
-            ok = ok and euler == n + 2
+        run_examples(standard(n), 20, check)
     elapsed = time.monotonic() - start
-    report(2, "localization vanishing", ok and elapsed < 10.0, 10, elapsed)
+    report(2, "localization vanishing", elapsed < 10.0, 10, elapsed)
 
 
 def test_criterion_3_first_chern_identity():
-    ok = True
-    rng = random.Random(102)
+    def check(data):
+        expansion = express_in_basis(build_basis(data), chern_restriction(data, 1))
+        assert expansion.terms[1] == (Fraction(data.n), 0)
+
     for n in (2, 4, 6):
-        for _ in range(5):
-            data = make_standard_g2(sample_exponents(rng, n))
-            expansion = express_in_basis(
-                build_basis(data), chern_restriction(data, 1)
-            )
-            ok = ok and expansion.terms[1] == (Fraction(n), 0)
+        run_examples(standard(n), 5, check)
     std2 = make_standard_g2([2, 1])
     gamma0 = point_invariants(std2, 0).gamma
     expansion = express_in_basis(build_basis(std2), chern_restriction(std2, 1))
-    ok = ok and expansion.terms == (
+    ok = expansion.terms == (
         (Fraction(gamma0), 1),
         (Fraction(2), 0),
         (Fraction(0), 0),
@@ -100,17 +113,17 @@ def test_criterion_3_first_chern_identity():
 
 def test_criterion_4_weight_product_formulas():
     start = time.monotonic()
-    rng = random.Random(103)
-    ok = True
+
+    def check(data):
+        predicted = predicted_products(MomentProfile(data.n, data.phis))
+        for i in range(data.n + 2):
+            inv = point_invariants(data, i)
+            assert predicted[i] == (inv.lambda_minus, inv.lambda_plus)
+
     for n in (2, 4, 6, 8, 10):
-        for _ in range(20):
-            data = make_standard_g2(sample_exponents(rng, n, hi=40))
-            predicted = predicted_products(MomentProfile(n, data.phis))
-            for i in range(n + 2):
-                inv = point_invariants(data, i)
-                ok = ok and predicted[i] == (inv.lambda_minus, inv.lambda_plus)
+        run_examples(standard(n, hi=40), 20, check)
     elapsed = time.monotonic() - start
-    report(4, "weight product formulas", ok and elapsed < 30.0, 30, elapsed)
+    report(4, "weight product formulas", elapsed < 30.0, 30, elapsed)
 
 
 def test_criterion_5_desk_scale_uniqueness():
@@ -195,25 +208,26 @@ def test_criterion_7_integrality_and_unimodularity():
     report(7, "integrality and unimodularity", ok and elapsed < 10.0, 10, elapsed)
 
 
-def _tamper(rng, data):
-    """Random tampering drawn from classes that provably break a check."""
+@st.composite
+def tampered(draw, data):
+    """Data with a tampering drawn from classes that provably break a check."""
     points = list(data.points)
-    kind = rng.randrange(4)
+    kind = draw(st.integers(0, 3))
     if kind == 0:
         # changing a single weight unbalances the negation closure
-        i = rng.randrange(len(points))
+        i = draw(st.integers(0, len(points) - 1))
         weights = list(points[i].weights)
-        j = rng.randrange(len(weights))
-        delta = rng.choice([-2, -1, 1, 2])
+        j = draw(st.integers(0, len(weights) - 1))
+        delta = draw(st.sampled_from([-2, -1, 1, 2]))
         if weights[j] + delta == 0:
             delta += 1 if delta > 0 else -1
         weights[j] += delta
         points[i] = FixedPoint(points[i].phi, tuple(weights))
     elif kind == 1:
         # negating one weight shifts one count up and its mirror down
-        i = rng.randrange(len(points))
+        i = draw(st.integers(0, len(points) - 1))
         weights = list(points[i].weights)
-        j = rng.randrange(len(weights))
+        j = draw(st.integers(0, len(weights) - 1))
         weights[j] = -weights[j]
         points[i] = FixedPoint(points[i].phi, tuple(weights))
     elif kind == 2:
@@ -230,54 +244,56 @@ def _tamper(rng, data):
 
 
 def test_criterion_8_property_suite():
-    rng = random.Random(104)
-    ok = True
-
     # basis round trip on random integer expansions
-    for n in (2, 4, 6):
-        data = make_standard_g2(sample_exponents(rng, n))
+    def round_trip(data, drawn):
+        n = data.n
         basis = build_basis(data)
         degrees = basis.half_degrees
-        for _ in range(10):
-            d = rng.randint(0, n + 1)
-            wanted = [
-                rng.randint(-9, 9) if degrees[i] <= d else 0 for i in range(n + 2)
-            ]
-            coeffs = [Fraction(0)] * (n + 2)
-            for i, c in enumerate(wanted):
-                for k in range(n + 2):
-                    coeffs[k] += c * basis.rows[i].coeffs[k]
-            from hamfp import EquivClass
+        d = drawn.draw(st.integers(0, n + 1))
+        wanted = [
+            drawn.draw(st.integers(-9, 9)) if degrees[i] <= d else 0
+            for i in range(n + 2)
+        ]
+        coeffs = [Fraction(0)] * (n + 2)
+        for i, c in enumerate(wanted):
+            for k in range(n + 2):
+                coeffs[k] += c * basis.rows[i].coeffs[k]
+        recovered = express_in_basis(basis, EquivClass(d, tuple(coeffs)))
+        assert list(recovered.coefficients) == wanted
 
-            recovered = express_in_basis(basis, EquivClass(d, tuple(coeffs)))
-            ok = ok and list(recovered.coefficients) == wanted
+    for n in (2, 4, 6):
+        run_examples(st.tuples(standard(n), st.data()), 10, lambda case: round_trip(*case))
 
     # negation closure of standard weight multisets
-    for n in (2, 4, 6, 8):
-        data = make_standard_g2(sample_exponents(rng, n))
+    def closed(data):
         counts = data.all_weights()
-        ok = ok and all(counts[w] == counts[-w] for w in counts)
+        assert all(counts[w] == counts[-w] for w in counts)
+
+    for n in (2, 4, 6, 8):
+        run_examples(standard(n), 5, closed)
 
     # translation invariance of the symplectic class and the symmetry test
-    for n in (2, 4):
-        data = make_standard_g2(sample_exponents(rng, n))
-        shift = rng.randint(-100, 100)
+    def translated(data, shift):
         shifted = FixedPointData(
-            n, tuple(FixedPoint(p.phi + shift, p.weights) for p in data.points)
+            data.n, tuple(FixedPoint(p.phi + shift, p.weights) for p in data.points)
         )
-        ok = ok and symplectic_class(shifted) == symplectic_class(data)
-        ok = ok and check_symmetry(
-            MomentProfile(n, shifted.phis)
-        ) == check_symmetry(MomentProfile(n, data.phis))
+        assert symplectic_class(shifted) == symplectic_class(data)
+        assert check_symmetry(MomentProfile(data.n, shifted.phis)) == check_symmetry(
+            MomentProfile(data.n, data.phis)
+        )
+
+    for n in (2, 4):
+        run_examples(
+            st.tuples(standard(n), st.integers(-100, 100)), 5, lambda case: translated(*case)
+        )
 
     # validator soundness on randomized tamperings
-    failures = 0
-    for _ in range(50):
-        n = rng.choice((2, 4, 6))
-        data = make_standard_g2(sample_exponents(rng, n))
-        tampered = _tamper(rng, data)
-        if not validate(tampered).passed:
-            failures += 1
-    ok = ok and failures == 50
+    def refused(data):
+        assert not validate(data).passed
 
-    report(8, "property suite", ok)
+    run_examples(
+        st.sampled_from((2, 4, 6)).flatmap(standard).flatmap(tampered), 50, refused
+    )
+
+    # every check above asserts on each of its examples
+    report(8, "property suite", True)

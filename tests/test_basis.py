@@ -1,4 +1,4 @@
-"""The canonical basis, its expansion and its pairing.
+"""The canonical basis, its expansions and its pairing.
 
 Properties over standard data draw the exponents with ``hypothesis``. The
 integer forms of ``build_basis``, ``express_in_basis`` and ``pairing_matrix``
@@ -6,10 +6,13 @@ are compared with plain ``Fraction`` references (the closed forms as running
 products, forward substitution one ``Fraction`` operation at a time, and
 ``integrate`` on each product of rows) on standard data, on standard data
 with one weight changed and on freely drawn weights, whose bases are often
-fractional."""
+fractional. The batched Chern expansions of ``express_chern`` are compared
+with ``express_in_basis`` on each Chern class, on those data and on
+standard data with two weights swapped between points."""
 
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,9 +35,13 @@ from hamfp import (
     point_invariants,
     symplectic_class,
 )
-from hamfp.localize import chern_classes
+from hamfp.basis import express_chern
+from hamfp.dataio import data_from_document, load_document
+from hamfp.localize import chern_classes, chern_table
 
-from conftest import standard_data
+from conftest import standard_data, swapped_weights
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -308,3 +315,47 @@ def test_pairing_matrix_matches_integrate(case):
     assert outcome(pairing_matrix, data, basis) == outcome(
         reference_pairing, data, basis
     )
+
+
+def expansions_one_by_one(basis, data):
+    """The Chern expansions, one express_in_basis call per EquivClass, up
+    to the first ExpansionError, and that error's message or None."""
+    expansions = []
+    try:
+        for cls in chern_classes(data):
+            expansions.append(express_in_basis(basis, cls).terms)
+    except ExpansionError as exc:
+        return expansions, str(exc)
+    return expansions, None
+
+
+def expansions_batched(basis, data):
+    """The same from express_chern, read lazily as the CLI reads it."""
+    expansions = []
+    try:
+        for expansion in express_chern(basis, chern_table(data)):
+            expansions.append(expansion.terms)
+    except ExpansionError as exc:
+        return expansions, str(exc)
+    return expansions, None
+
+
+@SETTINGS
+@given(st.one_of(standard_data(), swapped_weights(), weight_data().map(lambda c: c[0])))
+def test_express_chern_matches_express_in_basis(data):
+    try:
+        basis = build_basis(data)
+    except DegenerateGammaError:
+        assume(False)
+    batched = expansions_batched(basis, data)
+    assert batched == expansions_one_by_one(basis, data)
+    for terms in batched[0]:
+        assert all(type(c) is Fraction for c, _ in terms)
+
+
+def test_express_chern_fails_at_the_same_class_on_frac6():
+    data = data_from_document(load_document(str(GOLDEN / "frac6.json")))
+    basis = build_basis(data)
+    expansions, message = expansions_batched(basis, data)
+    assert message is not None and 0 < len(expansions) < data.n
+    assert (expansions, message) == expansions_one_by_one(basis, data)

@@ -1,14 +1,52 @@
+import json
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamfp import DataError, MomentProfile, make_standard_g2
 from hamfp.dataio import (
     data_from_document,
     data_to_document,
+    dump_document,
+    format_document,
     profile_from_document,
     profile_to_document,
 )
+
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+# Quotes, backslashes, control characters, a line separator, non-ASCII text
+# in and beyond the basic plane, and a lone surrogate.
+AWKWARD = '"\\/\x00\x1f\x7f\n\r\t\u2028é中😀\ud800'
+texts = st.text(st.sampled_from(AWKWARD) | st.characters(), max_size=12)
+# Integers past the interpreter's 4,300-digit str() limit, as well as small ones.
+integers = st.integers() | st.builds(
+    lambda k, digits: k * 10**digits + 1, st.integers(-9, 9), st.integers(4300, 4400)
+)
+scalars = st.none() | st.booleans() | integers | texts
+trees = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(texts, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int/str digit limit, as cli.main does for its process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_data_document_round_trip(std4):
@@ -86,3 +124,42 @@ def test_profile_rejects_weights_and_disorder():
     }
     with pytest.raises(DataError):
         profile_from_document(bad_order)
+
+
+@SETTINGS
+@given(trees)
+def test_format_document_matches_indented_json(tree):
+    with no_digit_limit():
+        assert format_document(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_format_document_nests_empty_containers():
+    tree = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "": [None, True, 0]}
+    assert format_document(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert format_document([]) == "[]" and format_document({}) == "{}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 2.0, Fraction(1, 2), Fraction(3), (1, 2), {"a": [Fraction(1, 3)]}, {1: "a"}],
+    ids=["float", "whole-float", "fraction", "whole-fraction", "tuple", "nested", "int-key"],
+)
+def test_format_document_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        format_document(value)
+
+
+@settings(
+    SETTINGS,
+    max_examples=30,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.dictionaries(texts, trees, max_size=5))
+def test_dump_document_writes_the_indented_json(tmp_path, doc):
+    ours, reference = tmp_path / "ours.json", tmp_path / "reference.json"
+    with no_digit_limit():
+        dump_document(doc, str(ours))
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    assert ours.read_bytes() == reference.read_bytes()

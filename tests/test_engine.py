@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
@@ -30,7 +30,7 @@ from hamfp import (
 )
 from hamfp.localize import localization_sums
 
-from conftest import quadric_chern_coefficients, standard_data
+from conftest import quadric_chern_coefficients, standard_data, swapped_weights
 
 SETTINGS = settings(derandomize=True, max_examples=5, deadline=None)
 
@@ -101,26 +101,6 @@ def products_and_closure_variant():
     )
 
 
-@st.composite
-def swapped_weights(draw, ns=(2, 4, 6, 8, 10)):
-    """Standard data with a weight exchanged for one of the same sign at
-    another point: the weight multiset, and so negation closure, is kept,
-    while the per-point products and Chern classes change."""
-    data = draw(standard_data(ns=ns, hi=12))
-    n = data.n
-    weights = [list(p.weights) for p in data.points]
-    i, j = draw(st.permutations(range(n + 2)))[:2]
-    a = draw(st.integers(0, n - 1))
-    same_sign = [b for b in range(n) if (weights[j][b] < 0) == (weights[i][a] < 0)]
-    assume(same_sign)
-    b = draw(st.sampled_from(same_sign))
-    weights[i][a], weights[j][b] = weights[j][b], weights[i][a]
-    return FixedPointData(
-        n,
-        tuple(FixedPoint(p.phi, tuple(w)) for p, w in zip(data.points, weights)),
-    )
-
-
 def assert_engine_matches_naive_sums(data):
     """Compare the engine with the naive sums over every degree up to n, and
     return the verdict of the sums below the top degree."""
@@ -150,6 +130,17 @@ def test_engine_matches_naive_sums_on_accepted_and_rejected_data():
 @given(swapped_weights())
 def test_engine_matches_naive_sums_on_swapped_weights(data):
     assert_engine_matches_naive_sums(data)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.one_of(standard_data(ns=(2, 4, 6)), swapped_weights(ns=(2, 4, 6))))
+def test_engine_yields_fractions_equal_to_naive_sums(data):
+    # exact sums are divided without a gcd; the value must still be a
+    # Fraction, and fractional sums (swapped weights) must stay exact
+    degrees = range(data.n + 1)
+    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
+    assert all(type(total) is Fraction for _, _, total in walked)
+    assert walked == naive_sums(data, degrees)
 
 
 def test_engine_restricts_to_u_powers_or_chern_classes():

@@ -120,6 +120,18 @@ def test_weight_bound_refuses_non_integers(bad):
         enumerate_candidates(profile, bad)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_weight_bound_below_one_is_refused(bad):
+    # a bound below 1 admits no weight; it must not pass for a profile with
+    # no solutions
+    profile = MomentProfile(2, (-2, -1, 1, 2))
+    message = re.escape(f"weight_bound must be at least 1, got {bad}")
+    with pytest.raises(DataError, match=message):
+        enumerate_candidates(profile, bad)
+    with pytest.raises(DataError, match=message):
+        classify(profile, bad)
+
+
 def test_enumerate_empty_for_asymmetric_profile():
     assert enumerate_candidates(MomentProfile(2, (-2, -1, 0, 3))) == []
 
