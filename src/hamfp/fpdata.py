@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import DataError, InvalidGeneratorError
@@ -254,14 +255,16 @@ def _check_index_bound(data: FixedPointData) -> CheckResult:
 
 
 def _check_unit_localization(data: FixedPointData) -> CheckResult:
-    total = Fraction(0)
-    for i in range(data.n + 2):
-        total += Fraction(1, point_invariants(data, i).lambda_full)
-    if total != 0:
+    # the sum of 1 / Lambda_P, in integers over L = lcm |Lambda_P|
+    lambdas = [prod(p.weights) for p in data.points]
+    common = lcm(*lambdas)
+    total = sum(common // w for w in lambdas)
+    if total:
         return CheckResult(
             "localization-of-one",
             False,
-            f"sum of reciprocal weight products is {total}, expected 0",
+            f"sum of reciprocal weight products is {Fraction(total, common)}, "
+            "expected 0",
         )
     return CheckResult(
         "localization-of-one", True, "sum of reciprocal weight products vanishes"

@@ -271,9 +271,11 @@ def ordinary_from_expansions(
                 f"Chern class {i} has a non-integral expansion: "
                 f"{expansion.coefficients}"
             )
-        elem = table.zero()
+        coeffs = [0] * (table.n + 2)
         for (coeff, power), image in zip(expansion.terms, images):
             if power == 0 and coeff != 0:
-                elem = elem + int(coeff) * image
-        out.append(elem)
+                scalar = int(coeff)
+                for k, c in enumerate(image.coeffs):
+                    coeffs[k] += scalar * c
+        out.append(RingElement(table.n, tuple(coeffs)))
     return out

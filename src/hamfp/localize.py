@@ -218,9 +218,15 @@ def localization_sums(
                 yield a, parts, _over(total, common)
 
 
+# Fractions are immutable, so every vanishing sum may share one zero.
+_ZERO = Fraction(0)
+
+
 def _over(total: int, common: int) -> Fraction:
     """total / common for common > 0: an exact quotient skips the gcd of a
-    reduced Fraction."""
+    reduced Fraction, and a zero total builds none."""
+    if not total:
+        return _ZERO
     quotient, rest = divmod(total, common)
     return Fraction(total, common) if rest else Fraction(quotient)
 

@@ -14,9 +14,11 @@ assignment compatible with
   allowed weights are the divisors of the gaps, found by trial division,
   and a profile whose scan would pass MAX_TRIAL_DIVISIONS is refused;
 * the forced pattern of negative-weight counts;
-* the predicted per-point products, searched as factorizations that cut a
-  branch once the product still to place exceeds top**left or falls below
-  v**left (left parts to choose, v the next part, top the largest allowed).
+* the predicted per-point products, searched as factorizations over the
+  allowed values that divide the product, which cut a branch once the
+  product still to place exceeds top**left or falls below v**left (left
+  parts to choose, v the next part, top the largest such value) and take
+  the last part as the product still to place, if it is allowed.
   A profile symmetric about the middle pair poses the same problems at
   points i and n + 1 - i, so each distinct problem is solved once per
   ``enumerate_candidates`` call, and nothing is kept between calls;
@@ -30,8 +32,11 @@ assignment compatible with
   halves of the point list on opposite sums of these numerators. Each
   option's numerators are packed into one int, in a base wide enough that
   sums of packed keys are the packed sums, so a half's key sums are int
-  additions; only the upper half is held, in a dict, and the lower half is
-  streamed past it;
+  additions. Matches are found by intersecting the two halves' sets of key
+  sums before any assignment is built, and only the upper choices whose
+  sums match are held, while the lower half is streamed past them. Each
+  option's elementary symmetric polynomials are expanded once per call and
+  serve its keys in every join and the final filter;
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
@@ -48,6 +53,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import isqrt, lcm, prod
+from typing import Callable, Sequence
 
 from .errors import DataError, InconsistentProfileError
 from .errors import SearchTooLargeError
@@ -67,6 +73,9 @@ from .localize import (  # noqa: F401
     symplectic_class,
 )
 from .record import Record
+
+# Expands weights into their elementary symmetric polynomials e_0 .. e_n.
+Expand = Callable[[Sequence[int]], list[int]]
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
@@ -183,32 +192,41 @@ def _factorizations(
 ) -> list[tuple[int, ...]]:
     """Nondecreasing count-tuples over the allowed positive values with the
     given product (target >= 1)."""
-    results: list[tuple[int, ...]] = []
-    top = allowed[-1] if allowed else 0
-
-    def extend(start: int, remaining: int, chosen: list[int]) -> None:
-        left = count - len(chosen)
-        if left == 0:
-            if remaining == 1:
-                results.append(tuple(chosen))
-            return
-        # each of the left parts is at least v and at most top
-        if remaining > top**left:
-            return
-        for idx in range(start, len(allowed)):
-            v = allowed[idx]
-            if v**left > remaining:
-                break
-            if remaining % v == 0:
-                chosen.append(v)
-                extend(idx, remaining // v, chosen)
-                chosen.pop()
-
     if count == 0:
         return [()] if target == 1 else []
     if target < 1:
         return []
-    extend(0, target, [])
+    # every part divides the target, and the last part is what remains
+    parts = [v for v in allowed if target % v == 0]
+    members = set(parts)
+    if count == 1:
+        return [(target,)] if target in members else []
+    top = parts[-1] if parts else 0
+    results: list[tuple[int, ...]] = []
+
+    def extend(start: int, remaining: int, chosen: list[int]) -> None:
+        # each of the left parts is at least v, and the parts after v are at
+        # most top each
+        left = count - len(chosen)
+        cap = top ** (left - 1)
+        for idx in range(start, len(parts)):
+            v = parts[idx]
+            if v**left > remaining:
+                break
+            if remaining % v:
+                continue
+            rest = remaining // v
+            if left == 2:
+                # v * v <= remaining, so the last part rest is at least v
+                if rest in members:
+                    results.append((*chosen, v, rest))
+            elif rest <= cap:
+                chosen.append(v)
+                extend(idx, rest, chosen)
+                chosen.pop()
+
+    if target <= top**count:
+        extend(0, target, [])
     return results
 
 
@@ -229,13 +247,17 @@ def _allowed_weights(gaps: set[int], bound: int) -> tuple[int, ...]:
     return tuple(sorted(allowed))
 
 
-def _chern_key(option: tuple[int, ...], scale: int) -> tuple[int, ...]:
-    """e_1 .. e_{n-1} of the weights, times scale."""
-    return tuple(e * scale for e in elementary_symmetric(option)[1:-1])
+def _chern_key(
+    option: tuple[int, ...], scale: int, expand: Expand = elementary_symmetric
+) -> tuple[int, ...]:
+    """e_1 .. e_{n-1} of the weights, times scale; expand gives e_0 .. e_n."""
+    return tuple(e * scale for e in expand(option)[1:-1])
 
 
 def _keyed_join(
-    options: list[list[tuple[int, ...]]], scales: list[int]
+    options: list[list[tuple[int, ...]]],
+    scales: list[int],
+    expand: Expand = elementary_symmetric,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Every assignment whose Chern keys, _chern_key(option, scales[i]) at
     point i, sum to zero, by meeting in the middle: choices of one option per
@@ -244,10 +266,14 @@ def _keyed_join(
     Each key is packed into one int, in base 2B + 1 with B the sum over the
     points of the largest key entry in absolute value. Every entry of a sum
     of keys then lies in [-B, B], so sums of packed keys are the packed sums
-    of keys, and a packed sum is zero exactly when every entry is. Only the
-    upper half is held, in a dict from key sum to choices; the lower half is
-    streamed past it. Each half is counted before anything is built, and a
-    half of more than MAX_HALF_ASSIGNMENTS raises SearchTooLargeError.
+    of keys, and a packed sum is zero exactly when every entry is. Both
+    halves' key sums are formed as ints, the upper half's negated, and the
+    keys they share are found by set intersection before any choice is
+    built: without one the join returns at once, and otherwise only the upper
+    choices with a shared key are held, in a dict from key to choices, while
+    the lower half is streamed past it. Each half is counted before anything
+    is built, and a half of more than MAX_HALF_ASSIGNMENTS raises
+    SearchTooLargeError.
     """
     half = len(options) // 2
     for opts in (options[half:], options[:half]):
@@ -257,7 +283,9 @@ def _keyed_join(
                 f"the search would build {size} assignments for one half of "
                 f"the point list, more than the limit of {MAX_HALF_ASSIGNMENTS}"
             )
-    keys = [[_chern_key(o, s) for o in opts] for opts, s in zip(options, scales)]
+    keys = [
+        [_chern_key(o, s, expand) for o in opts] for opts, s in zip(options, scales)
+    ]
     bound = sum(max((abs(e) for k in ks for e in k), default=0) for ks in keys)
     base = 2 * bound + 1
 
@@ -276,25 +304,37 @@ def _keyed_join(
             sums = [a + b for a in sums for b in row]
         return sums
 
-    upper: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
-    for key, choice in zip(key_sums(packed[half:]), product(*options[half:])):
-        upper.setdefault(-key, []).append(choice)
+    lower = key_sums(packed[:half])
+    upper = key_sums([[-p for p in row] for row in packed[half:]])
+    shared = set(lower).intersection(upper)
+    if not shared:
+        return []
+    completions: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for key, choice in zip(upper, product(*options[half:])):
+        if key in shared:
+            completions.setdefault(key, []).append(choice)
     joined: list[tuple[tuple[int, ...], ...]] = []
-    for key, choice in zip(key_sums(packed[:half]), product(*options[:half])):
-        for completion in upper.get(key, ()):
-            joined.append(choice + completion)
+    for key, choice in zip(lower, product(*options[:half])):
+        if key in shared:
+            for completion in completions[key]:
+                joined.append(choice + completion)
     return joined
 
 
-def localization_consistent(data: FixedPointData) -> bool:
+def localization_consistent(
+    data: FixedPointData, table: list[list[int]] | None = None
+) -> bool:
     """Exact vanishing of every localization sum below the top degree.
 
     Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
     where u is the equivariant symplectic class and c_i the equivariant Chern
     classes, in order of degree, and stops at the first nonzero sum: it
-    proves the data comes from no manifold.
+    proves the data comes from no manifold. The points' elementary symmetric
+    polynomials come from ``table`` (``chern_table`` by default).
     """
-    sums = localization_sums(data, range(data.n), with_u=True, with_chern=True)
+    sums = localization_sums(
+        data, range(data.n), with_u=True, with_chern=True, table=table
+    )
     return not any(total for _, _, total in sums)
 
 
@@ -342,6 +382,9 @@ def enumerate_candidates(
         )
     # Points i and n + 1 - i of a symmetric profile pose the same problems.
     factorizations = cache(_factorizations)
+    # An option reaches many joins, and the survivors the final filter: each
+    # is expanded once per call.
+    expand = cache(elementary_symmetric)
     # At point i the negative product has the sign (-1)^pattern[i] and the
     # positive product is at least 1, so every option is pattern[i] negated
     # factors of |neg| and n - pattern[i] factors of pos.
@@ -352,7 +395,8 @@ def enumerate_candidates(
         pos_parts = factorizations(pos, n - pattern[i], allowed)
         point_options = []
         for parts in neg_parts:
-            negs = tuple(sorted(-v for v in parts))
+            # parts is nondecreasing, so its reversed negation is sorted
+            negs = tuple([-v for v in reversed(parts)])
             for p in pos_parts:
                 point_options.append(negs + p)
         options.append(sorted(point_options))
@@ -360,7 +404,7 @@ def enumerate_candidates(
         return []
 
     if n == 2:
-        found = _keyed_join(options, scales)
+        found = _keyed_join(options, scales, expand)
     else:
         # In dimension above 4 the second cohomology has rank one, so the
         # weight sums must be an affine function of the moment values (the
@@ -389,7 +433,7 @@ def enumerate_candidates(
                 if not filtered[-1]:
                     break
             else:
-                found += _keyed_join(filtered, scales)
+                found += _keyed_join(filtered, scales, expand)
 
     candidates = []
     for assignment in sorted(found):
@@ -397,7 +441,9 @@ def enumerate_candidates(
             n,
             tuple(FixedPoint(phi[i], assignment[i]) for i in range(m)),
         )
-        if validate(data).passed and localization_consistent(data):
+        if validate(data).passed and localization_consistent(
+            data, [expand(weights) for weights in assignment]
+        ):
             candidates.append(data)
     return candidates
 

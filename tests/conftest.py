@@ -26,12 +26,14 @@ def std4():
     return make_standard_g2([3, 2, 1])
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m hamfp`` with the given arguments in a child process."""
+def run_cli(*args: str, **extra_env: str) -> subprocess.CompletedProcess:
+    """Run ``python -m hamfp`` with the given arguments in a child process,
+    with extra_env added to its environment."""
     path = os.environ.get("PYTHONPATH")
     env = {
         **os.environ,
         "PYTHONPATH": PACKAGE_ROOT + (os.pathsep + path if path else ""),
+        **extra_env,
     }
     return subprocess.run(
         [sys.executable, "-m", "hamfp", *args],

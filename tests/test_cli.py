@@ -292,6 +292,27 @@ def test_classify_json_report(tmp_path):
     assert report["candidates"][0] == data_to_document(make_standard_g2([2, 1]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "profile-std8-13579.json", "--json"],
+        ["classify", "profile-sweep8.json", "--json"],
+        ["verify", "std16.json", "--basis", "--chern", "--pairing", "--json"],
+    ],
+    ids=["classify-std8-13579", "classify-sweep8", "verify-std16"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # the classifier's join meets keys in sets of ints, and the report must
+    # not follow their iteration order
+    command, name, *flags = argv
+    outputs = []
+    for seed in ("0", "1"):
+        result = run_cli(command, str(GOLDEN / name), *flags, PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_usage_error_exit_code():
     assert run_cli("verify").returncode == 2
     assert run_cli().returncode == 2

@@ -1,8 +1,10 @@
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamfp import (
     DataError,
@@ -197,3 +199,24 @@ def test_morse_pattern_values():
 @given(standard_data(ns=(2, 4, 6, 8)))
 def test_validate_full_pass_for_random_standard_data(data):
     assert validate(data).passed
+
+
+@SETTINGS
+@given(standard_data(ns=(2, 4, 6, 8)), st.data())
+def test_unit_localization_matches_a_fraction_sum(data, draws):
+    # one weight one magnitude up, same sign: never zero and the same Morse
+    # index, but the reciprocal weight products no longer cancel
+    point = draws.draw(st.integers(0, data.n + 1))
+    k = draws.draw(st.integers(0, data.n - 1))
+    weights = list(data.points[point].weights)
+    weights[k] += 1 if weights[k] > 0 else -1
+    for case in (data, replace_weights(data, point, weights)):
+        total = sum((Fraction(1, prod(p.weights)) for p in case.points), Fraction(0))
+        check = validate(case).check("localization-of-one")
+        assert check.passed == (total == 0)
+        if total:
+            assert check.detail == (
+                f"sum of reciprocal weight products is {total}, expected 0"
+            )
+        else:
+            assert check.detail == "sum of reciprocal weight products vanishes"

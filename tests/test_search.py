@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, product
 from math import lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
@@ -101,8 +101,22 @@ def join_scales(options):
     return [lcm(*products) // p for p in products]
 
 
-def assert_join_matches_fractions(n, options, scales):
-    expected = [
+@st.composite
+def unsolvable_option_lists(draw):
+    """option_lists with every option at one point scaled by a factor c > 1,
+    which multiplies the point's share of the integral of c_k by c^(k - n):
+    the other points' options rarely make up for that at every k."""
+    n, options = draw(option_lists())
+    point = draw(st.integers(0, len(options) - 1))
+    c = draw(st.integers(2, 5))
+    options[point] = [tuple(c * w for w in opt) for opt in options[point]]
+    return n, options
+
+
+def vanishing_choices(n, options):
+    """The choices of one option per point whose integrals of c_1..c_{n-1},
+    summed as fractions, all vanish."""
+    return [
         choice
         for choice in product(*options)
         if all(
@@ -110,6 +124,10 @@ def assert_join_matches_fractions(n, options, scales):
             for k in range(1, n)
         )
     ]
+
+
+def assert_join_matches_fractions(n, options, scales):
+    expected = vanishing_choices(n, options)
     assert expected
     assert sorted(_keyed_join(options, scales)) == sorted(expected)
 
@@ -119,6 +137,14 @@ def assert_join_matches_fractions(n, options, scales):
 def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
     n, options = case
     assert_join_matches_fractions(n, options, join_scales(options))
+
+
+@SETTINGS
+@given(unsolvable_option_lists())
+def test_keyed_join_without_vanishing_sums_is_empty(case):
+    n, options = case
+    assume(not vanishing_choices(n, options))
+    assert _keyed_join(options, join_scales(options)) == []
 
 
 @settings(SETTINGS, max_examples=25)
@@ -161,8 +187,16 @@ def test_keyed_join_with_large_keys_of_both_signs(case):
             [99202, 373, 28951],
             [],
         ),
+        # the standard data for exponents 2, 1 with P1 and P2 offered each
+        # other's weights has two solutions; with P0's weights doubled, the
+        # lower half's key sums 0 and 16 miss the upper half's 8 and 24
+        (
+            [[(2, 6)], [(-1, 3), (-3, 1)], [(-3, 1), (-1, 3)], [(-3, -1)]],
+            [1, -4, -4, 4],
+            [],
+        ),
     ],
-    ids=["twice-the-largest-entry-at-one-point", "fixed-1000003"],
+    ids=["twice-the-largest-entry-at-one-point", "fixed-1000003", "halves-never-meet"],
 )
 def test_keyed_join_packing_base_admits_no_false_zero(options, scales, solutions):
     # the first options' keys sum to a nonzero vector that a base too small

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamfp.localize
+import hamfp.solver
 from hamfp import (
     DataError,
     FixedPoint,
@@ -16,6 +18,7 @@ from hamfp import (
     MomentProfile,
     check_symmetry,
     classify,
+    elementary_symmetric,
     enumerate_candidates,
     localization_consistent,
     make_standard_g2,
@@ -148,6 +151,28 @@ def test_enumerate_soundness_and_default_bound(data):
 def test_enumerate_is_deterministic():
     profile = MomentProfile(4, (-3, -2, -1, 1, 2, 3))
     assert enumerate_candidates(profile, 6) == enumerate_candidates(profile, 6)
+
+
+def test_enumerate_expands_each_option_once_per_call(monkeypatch):
+    # the joins key each option, and the final filter localizes the survivor,
+    # from one expansion per option; a second call expands them again, so
+    # nothing is kept between calls
+    calls = Counter()
+
+    def counted(values):
+        calls[tuple(values)] += 1
+        return elementary_symmetric(values)
+
+    for module in (hamfp.solver, hamfp.localize):
+        monkeypatch.setattr(module, "elementary_symmetric", counted)
+    data = make_standard_g2([1, 3, 5, 7, 9])
+    assert enumerate_candidates(profile_of(data)) == [data]
+    first = dict(calls)
+    assert set(first.values()) == {1}
+    assert {p.weights for p in data.points} <= set(first)
+    calls.clear()
+    assert enumerate_candidates(profile_of(data)) == [data]
+    assert calls == first
 
 
 def test_products_and_closure_alone_are_insufficient():
