@@ -26,6 +26,7 @@ from .fpdata import (
     CheckResult,
     FixedPoint,
     FixedPointData,
+    MomentProfile,
     PointInvariants,
     ValidationReport,
     make_standard_g2,
@@ -52,6 +53,7 @@ from .localize import (
     chern_restriction,
     euler_characteristic,
     integrate,
+    localization_consistent,
     pairing_matrix,
     partitions,
     symplectic_class,
@@ -59,11 +61,9 @@ from .localize import (
 )
 from .solver import (
     ClassificationVerdict,
-    MomentProfile,
     check_symmetry,
     classify,
     enumerate_candidates,
-    localization_consistent,
     predicted_products,
 )
 

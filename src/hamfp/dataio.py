@@ -27,8 +27,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import DataError
-from .fpdata import FixedPoint, FixedPointData
-from .solver import MomentProfile
+from .fpdata import FixedPoint, FixedPointData, MomentProfile
 
 _DECIMAL = re.compile(r"-?[0-9]+\Z")
 

@@ -3,9 +3,10 @@
 A dataset records, for each of the n+2 fixed points of a Hamiltonian circle
 action on a compact 2n-dimensional symplectic manifold, its integer moment
 value and the multiset of n nonzero integer weights of the isotropy
-representation. The module provides the standard dataset carried by the
-oriented 2-plane Grassmannian, and a validator for the arithmetic conditions
-every genuine dataset must satisfy:
+representation; a moment profile, the classifier's input, records the moment
+values alone, under the same size and order rules. The module provides the
+standard dataset carried by the oriented 2-plane Grassmannian, and a
+validator for the arithmetic conditions every genuine dataset must satisfy:
 
 * moment values nondecreasing, strict except possibly at the middle pair;
 * Morse indices (twice the negative-weight count) follow the forced pattern
@@ -28,6 +29,27 @@ from typing import Sequence
 from .errors import DataError, InvalidGeneratorError
 from .exactnum import exact_int
 from .record import Record
+
+
+def _check_size(n: int, count: int, what: str) -> None:
+    """Datasets and profiles alike: n even and positive, n + 2 entries."""
+    if n < 2 or n % 2 != 0:
+        raise DataError(f"n must be even and positive, got {n}")
+    if count != n + 2:
+        raise DataError(f"expected {n + 2} {what}, got {count}")
+
+
+def _order_breaks(phis: Sequence[int]) -> list[tuple[int, int]]:
+    """Each step (i, strict) with phis[i + 1] < phis[i] + strict: every step
+    must rise (strict = 1) but the middle one, i = n/2, which may tie."""
+    half = len(phis) // 2 - 1
+    steps = [(i, int(i != half)) for i in range(len(phis) - 1)]
+    return [(i, strict) for i, strict in steps if phis[i + 1] < phis[i] + strict]
+
+
+def _describe_break(phis: Sequence[int], i: int, strict: int) -> str:
+    relation = ">=" if strict else ">"
+    return f"phi[{i}]={phis[i]} {relation} phi[{i + 1}]={phis[i + 1]}"
 
 
 class FixedPoint(Record):
@@ -68,12 +90,7 @@ class FixedPointData(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", exact_int(self.n, "FixedPointData.n"))
         object.__setattr__(self, "points", tuple(self.points))
-        if self.n < 2 or self.n % 2 != 0:
-            raise DataError(f"n must be even and positive, got {self.n}")
-        if len(self.points) != self.n + 2:
-            raise DataError(
-                f"expected {self.n + 2} fixed points, got {len(self.points)}"
-            )
+        _check_size(self.n, len(self.points), "fixed points")
         for p in self.points:
             if len(p.weights) != self.n:
                 raise DataError(
@@ -90,6 +107,30 @@ class FixedPointData(Record):
         for p in self.points:
             counts.update(p.weights)
         return counts
+
+
+class MomentProfile(Record):
+    """Integer moment values only: nondecreasing, strict except possibly at
+    the middle pair."""
+
+    __slots__ = ("n", "phi")
+    n: int
+    phi: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", exact_int(self.n, "MomentProfile.n"))
+        object.__setattr__(
+            self, "phi", tuple([exact_int(v, "MomentProfile.phi") for v in self.phi])
+        )
+        _check_size(self.n, len(self.phi), "moment values")
+        if breaks := _order_breaks(self.phi):
+            i, strict = breaks[0]
+            where = " away from the middle pair" if strict else ""
+            raise DataError(_describe_break(self.phi, i, strict) + where)
+
+    @property
+    def spread(self) -> int:
+        return self.phi[-1] - self.phi[0]
 
 
 class PointInvariants(Record):
@@ -192,15 +233,8 @@ def point_invariants(data: FixedPointData, i: int) -> PointInvariants:
 
 
 def _check_phi_order(data: FixedPointData) -> CheckResult:
-    half = data.n // 2
     phis = data.phis
-    bad = []
-    for i in range(len(phis) - 1):
-        if i == half:
-            if not phis[i] <= phis[i + 1]:
-                bad.append(f"phi[{i}]={phis[i]} > phi[{i + 1}]={phis[i + 1]}")
-        elif not phis[i] < phis[i + 1]:
-            bad.append(f"phi[{i}]={phis[i]} >= phi[{i + 1}]={phis[i + 1]}")
+    bad = [_describe_break(phis, i, strict) for i, strict in _order_breaks(phis)]
     if bad:
         return CheckResult("phi-order", False, "; ".join(bad))
     return CheckResult(

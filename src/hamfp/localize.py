@@ -15,6 +15,8 @@ it walks the partitions of each degree with parts in nondecreasing order,
 closing one monomial at every node, and yields each block in the order of
 ``partitions``. Its sums stay integers over lcm |Lambda_P| until each is
 divided once, and an exact quotient skips the gcd of a reduced Fraction.
+``localization_consistent``, the classifier's final test, asks it whether
+every sum below the top degree vanishes.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials once, and a caller may hand the table to the engine
 and to ``basis.express_chern``, which expands c_1..c_n from its integers.
@@ -103,17 +105,14 @@ def chern_table(data: FixedPointData) -> list[list[int]]:
     return [elementary_symmetric(p.weights) for p in data.points]
 
 
-def chern_classes(
-    data: FixedPointData, table: list[list[int]] | None = None
-) -> list[EquivClass]:
+def chern_classes(data: FixedPointData) -> list[EquivClass]:
     """The equivariant Chern classes c_1..c_n: c_i restricts at each point to
     the i-th elementary symmetric polynomial of its weights times t^i.
 
-    The entries come from ``table`` (``chern_table`` by default). c_n is the
-    equivariant Euler class of the normal bundle, the full weight product at
-    each point.
+    c_n is the equivariant Euler class of the normal bundle, the full weight
+    product at each point.
     """
-    esym = chern_table(data) if table is None else table
+    esym = chern_table(data)
     return [EquivClass(i, tuple(e[i] for e in esym)) for i in range(1, data.n + 1)]
 
 
@@ -156,14 +155,15 @@ def localization_sums(
 ) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
     """Stream (a, parts, integral of u^a * c_parts), u the symplectic class.
 
-    For each half-degree d (at most n) in the given order, a runs from d down
-    to 0 (only 0 without u, only d without Chern classes) and parts over the
-    partitions of d - a in the order of ``partitions``. Sums are exact, in
-    integers over L = lcm |Lambda_P|, and each is divided by L once with
-    divmod: an exact quotient q becomes Fraction(q), and only a fractional
-    sum builds a reduced Fraction. Pure powers of u need only the weight
-    products Lambda_P; Chern monomials read each point's e_k from ``table``
-    (``chern_table`` by default).
+    For each half-degree d (at most n with Chern classes) in the given order,
+    a runs from d down to 0 (only 0 without u, only d without Chern classes)
+    and parts over the partitions of d - a in the order of ``partitions``. A
+    negative d, or with Chern classes one above n, raises ValueError when the
+    stream reaches it. Sums are exact, in integers over L = lcm |Lambda_P|,
+    and each is divided by L once with divmod: an exact quotient q becomes
+    Fraction(q), and only a fractional sum builds a reduced Fraction. Pure
+    powers of u need only the weight products Lambda_P; Chern monomials read
+    each point's e_k from ``table`` (``chern_table`` by default).
 
     Each (d, a) block walks the partitions of d - a with parts in
     nondecreasing order. A node holds its parts' per-point product
@@ -206,6 +206,10 @@ def localization_sums(
             walk(extended, remaining - part, part, (part,) + parts, block)
 
     for d in degrees:
+        if d < 0:
+            raise ValueError(f"negative half-degree {d}")
+        if with_chern and d > n:
+            raise ValueError(f"half-degree {d} of a Chern monomial exceeds n={n}")
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
             powers = [h**a for h in heights]
             if a == d:
@@ -216,6 +220,23 @@ def localization_sums(
             block.sort(reverse=True)
             for parts, total in block:
                 yield a, parts, _over(total, common)
+
+
+def localization_consistent(
+    data: FixedPointData, table: list[list[int]] | None = None
+) -> bool:
+    """Exact vanishing of every localization sum below the top degree.
+
+    Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
+    where u is the equivariant symplectic class and c_i the equivariant Chern
+    classes, in order of degree, and stops at the first nonzero sum: it
+    proves the data comes from no manifold. The points' elementary symmetric
+    polynomials come from ``table`` (``chern_table`` by default).
+    """
+    sums = localization_sums(
+        data, range(data.n), with_u=True, with_chern=True, table=table
+    )
+    return not any(total for _, _, total in sums)
 
 
 # Fractions are immutable, so every vanishing sum may share one zero.
@@ -286,8 +307,11 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     D^2 * L, summed in integers and reduced once. Entries must be integers;
     the first fractional value in row-major order raises IntegralityError.
     The matrix is symmetric, so only i <= j is summed: the first fractional
-    entry in row-major order always lies there.
+    entry in row-major order always lies there. A basis built for another n
+    raises ValueError.
     """
+    if basis.n != data.n:
+        raise ValueError(f"basis has n={basis.n}, dataset has n={data.n}")
     m = data.n + 2
     rows = basis.numerators
     degrees = basis.half_degrees

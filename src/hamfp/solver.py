@@ -40,12 +40,14 @@ assignment compatible with
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
-  below the top degree. Products and negation closure alone are not
-  sufficient: there are assignments sharing all per-point products with the
-  true data that only the Chern-class sums reject.
+  below the top degree (``localize.localization_consistent``). Products and
+  negation closure alone are not sufficient: there are assignments sharing
+  all per-point products with the true data that only the Chern-class sums
+  reject.
 
 Search branches are independent, and results are merged in canonical
 (lexicographic) order, so the output does not depend on evaluation order.
+The input type ``MomentProfile`` lives in ``fpdata``, beside datasets.
 """
 
 from __future__ import annotations
@@ -61,15 +63,16 @@ from .exactnum import elementary_symmetric, exact_int
 from .fpdata import (
     FixedPoint,
     FixedPointData,
+    MomentProfile,
     morse_pattern,
     standard_weights,
     validate,
 )
-# Only localization_sums is used; perfbench/tracing.py wraps the others here.
+# Only localization_consistent is used; perfbench/tracing.py wraps the others here.
 from .localize import (  # noqa: F401
     chern_restriction,
     integrate,
-    localization_sums,
+    localization_consistent,
     symplectic_class,
 )
 from .record import Record
@@ -83,41 +86,6 @@ MAX_HALF_ASSIGNMENTS = 10**6
 # about 1.5 s in-process on a 2-core host. The standard n = 2 profile with
 # exponents (10^12, 1) needs 10,828,424.
 MAX_TRIAL_DIVISIONS = 2 * 10**7
-
-
-class MomentProfile(Record):
-    """Integer moment values only: nondecreasing, strict except possibly at
-    the middle pair."""
-
-    __slots__ = ("n", "phi")
-    n: int
-    phi: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", exact_int(self.n, "MomentProfile.n"))
-        object.__setattr__(
-            self, "phi", tuple([exact_int(v, "MomentProfile.phi") for v in self.phi])
-        )
-        if self.n < 2 or self.n % 2 != 0:
-            raise DataError(f"n must be even and positive, got {self.n}")
-        if len(self.phi) != self.n + 2:
-            raise DataError(
-                f"expected {self.n + 2} moment values, got {len(self.phi)}"
-            )
-        half = self.n // 2
-        for i in range(len(self.phi) - 1):
-            a, b = self.phi[i], self.phi[i + 1]
-            if i == half:
-                if not a <= b:
-                    raise DataError(f"phi[{i}]={a} > phi[{i + 1}]={b}")
-            elif not a < b:
-                raise DataError(
-                    f"phi[{i}]={a} >= phi[{i + 1}]={b} away from the middle pair"
-                )
-
-    @property
-    def spread(self) -> int:
-        return self.phi[-1] - self.phi[0]
 
 
 class ClassificationVerdict(Record):
@@ -319,23 +287,6 @@ def _keyed_join(
             for completion in completions[key]:
                 joined.append(choice + completion)
     return joined
-
-
-def localization_consistent(
-    data: FixedPointData, table: list[list[int]] | None = None
-) -> bool:
-    """Exact vanishing of every localization sum below the top degree.
-
-    Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
-    where u is the equivariant symplectic class and c_i the equivariant Chern
-    classes, in order of degree, and stops at the first nonzero sum: it
-    proves the data comes from no manifold. The points' elementary symmetric
-    polynomials come from ``table`` (``chern_table`` by default).
-    """
-    sums = localization_sums(
-        data, range(data.n), with_u=True, with_chern=True, table=table
-    )
-    return not any(total for _, _, total in sums)
 
 
 def enumerate_candidates(

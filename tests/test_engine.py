@@ -143,6 +143,30 @@ def test_engine_yields_fractions_equal_to_naive_sums(data):
     assert walked == naive_sums(data, degrees)
 
 
+@pytest.mark.parametrize(
+    "degree, with_chern, message",
+    [
+        (-1, False, "negative half-degree -1"),
+        (-1, True, "negative half-degree -1"),
+        (5, True, "half-degree 5 of a Chern monomial exceeds n=4"),
+    ],
+    ids=["negative-u", "negative-chern", "chern-above-n"],
+)
+def test_engine_refuses_half_degrees_out_of_range(std4, degree, with_chern, message):
+    # the degrees before the bad one are still yielded, and none of its own
+    sums = localization_sums(std4, [1, degree], with_u=True, with_chern=with_chern)
+    head = [next(sums) for _ in range(1 + with_chern)]
+    assert all(a + sum(parts) == 1 for a, parts, _ in head)
+    with pytest.raises(ValueError, match=message):
+        next(sums)
+
+
+def test_engine_pushes_forward_u_powers_above_the_top_degree(std4):
+    u = symplectic_class(std4)
+    pushed = list(localization_sums(std4, [5, 6], with_u=True, with_chern=False))
+    assert pushed == [(d, (), integrate(std4, u.power(d))) for d in (5, 6)]
+
+
 def test_engine_restricts_to_u_powers_or_chern_classes():
     data = products_and_closure_variant()
     full = list(localization_sums(data, range(5), with_u=True, with_chern=True))

@@ -1,9 +1,10 @@
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
@@ -11,6 +12,7 @@ from hamfp import (
     FixedPoint,
     FixedPointData,
     InvalidGeneratorError,
+    MomentProfile,
     make_standard_g2,
     morse_pattern,
     point_invariants,
@@ -134,6 +136,44 @@ def test_validate_detects_disorder(std2):
     points[0], points[3] = points[3], points[0]
     report = validate(FixedPointData(2, tuple(points)))
     assert not report.check("phi-order").passed
+
+
+def moment_values_and_weights():
+    """(n, phis, weights): phi steps from -2 to 8, so ties and falls occur at
+    the middle step and away from it, and nonzero weights at every point."""
+    nonzero = st.integers(-9, -1) | st.integers(1, 9)
+    return st.sampled_from((2, 4, 6)).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.tuples(st.integers(-5, 5), *[st.integers(-2, 8)] * (n + 1)),
+            st.tuples(*[st.tuples(*[nonzero] * n)] * (n + 2)),
+        )
+    ).map(lambda t: (t[0], tuple(accumulate(t[1])), t[2]))
+
+
+def first_index(message):
+    return int(re.match(r"phi\[(\d+)\]=", message).group(1))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(moment_values_and_weights())
+@example((2, (0, 1, 1, 2), [[1, 1]] * 4))  # tie at the middle step
+@example((4, (0, 1, 1, 2, 3, 4), [[1] * 4] * 6))  # tie away from it
+@example((4, (0, 1, 2, 1, 3, 4), [[-1] * 4] * 6))  # fall at the middle step
+@example((2, (0, 1, 2, 1), [[2, -3]] * 4))  # fall away from it
+def test_profile_refuses_exactly_the_phi_order_failures(case):
+    n, phis, weights = case
+    data = FixedPointData(n, tuple(map(FixedPoint, phis, weights)))
+    check = validate(data).check("phi-order")
+    try:
+        MomentProfile(n, phis)
+    except DataError as exc:
+        assert not check.passed
+        first = check.detail.split("; ")[0]
+        assert first_index(str(exc)) == first_index(first)
+        assert str(exc) in (first, first + " away from the middle pair")
+    else:
+        assert check.passed
 
 
 def test_point_invariants_examples(std2):

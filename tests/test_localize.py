@@ -117,6 +117,13 @@ def test_chern_numbers_are_integers(std4):
         assert value.denominator == 1
 
 
+@pytest.mark.parametrize("exponents", [[4, 3, 2, 1], [2, 1]], ids=["n6", "n2"])
+def test_pairing_matrix_refuses_a_basis_for_another_n(std4, exponents):
+    basis = build_basis(make_standard_g2(exponents))
+    with pytest.raises(ValueError, match=f"basis has n={basis.n}, dataset has n=4"):
+        pairing_matrix(std4, basis)
+
+
 def test_pairing_matrix_n2(std2):
     basis = build_basis(std2)
     matrix = pairing_matrix(std2, basis)
