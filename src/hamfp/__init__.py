@@ -51,13 +51,11 @@ from .localize import (
     EquivClass,
     chern_number,
     chern_restriction,
-    euler_characteristic,
     integrate,
     localization_consistent,
     pairing_matrix,
     partitions,
     symplectic_class,
-    unit_class,
 )
 from .solver import (
     ClassificationVerdict,
@@ -97,7 +95,6 @@ __all__ = [
     "classify",
     "elementary_symmetric",
     "enumerate_candidates",
-    "euler_characteristic",
     "express_in_basis",
     "integrate",
     "localization_consistent",
@@ -114,7 +111,6 @@ __all__ = [
     "ring_mul",
     "standard_weights",
     "symplectic_class",
-    "unit_class",
     "validate",
     "x_power",
 ]

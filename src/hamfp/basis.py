@@ -64,14 +64,6 @@ class BasisRestrictions(Record):
     def half_degrees(self) -> tuple[int, ...]:
         return morse_pattern(self.n)
 
-    @property
-    def rows(self) -> tuple[EquivClass, ...]:
-        """Each row as an EquivClass, built afresh from the numerators."""
-        return tuple(
-            EquivClass(degree, tuple(Fraction(a, self.denominator) for a in row))
-            for degree, row in zip(self.half_degrees, self.numerators)
-        )
-
 
 class Expansion(Record):
     """Coefficients of a class in the basis: one (rational, t-power) pair per

@@ -46,7 +46,6 @@ from .localize import (  # noqa: F401
     chern_number,
     chern_restriction,
     chern_table,
-    euler_characteristic,
     integrate,
     localization_sums,
     pairing_matrix,
@@ -97,21 +96,8 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
         )
         if total
     ]
-    euler = euler_characteristic(data)
-    return [
-        CheckResult(
-            "symplectic-class-vanishing",
-            not failures,
-            "; ".join(failures)
-            if failures
-            else f"powers 1..{data.n - 1} all integrate to 0",
-        ),
-        CheckResult(
-            "euler-characteristic",
-            euler == data.n + 2,
-            f"top Chern class integrates to {euler}, fixed points: {data.n + 2}",
-        ),
-    ]
+    detail = "; ".join(failures) or f"powers 1..{data.n - 1} all integrate to 0"
+    return [CheckResult("symplectic-class-vanishing", not failures, detail)]
 
 
 def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:

@@ -165,12 +165,6 @@ class ValidationReport(Record):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def morse_pattern(n: int) -> tuple[int, ...]:
     """Forced negative-weight counts: i for i <= n/2, i-1 above."""

@@ -20,8 +20,7 @@ every sum below the top degree vanishes.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials once, and a caller may hand the table to the engine
 and to ``basis.express_chern``, which expands c_1..c_n from its integers.
-``chern_number`` sums its one partition directly, and
-``euler_characteristic`` needs only the weight products. ``pairing_matrix``
+``chern_number`` sums its one partition directly. ``pairing_matrix``
 sums products of basis rows the same way, in integers over one common
 denominator; ``integrate`` remains the primitive for arbitrary classes.
 
@@ -52,8 +51,7 @@ class EquivClass(Record):
 
     def __post_init__(self) -> None:
         # operator.index raises TypeError on a float or string; a Fraction
-        # coefficient is kept as given, so products and powers of classes are
-        # not wrapped again
+        # coefficient is kept as given
         object.__setattr__(self, "degree_half", index(self.degree_half))
         if self.degree_half < 0:
             raise ValueError(f"negative degree {self.degree_half}")
@@ -61,26 +59,6 @@ class EquivClass(Record):
             c if isinstance(c, Fraction) else Fraction(index(c)) for c in self.coeffs
         ]
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __mul__(self, other: EquivClass) -> EquivClass:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("classes live over different fixed-point sets")
-        return EquivClass(
-            self.degree_half + other.degree_half,
-            tuple(a * b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def power(self, a: int) -> EquivClass:
-        if a < 0:
-            raise ValueError("negative power")
-        return EquivClass(
-            self.degree_half * a, tuple(c**a for c in self.coeffs)
-        )
-
-
-def unit_class(data: FixedPointData) -> EquivClass:
-    """The class 1: degree 0, every restriction 1."""
-    return EquivClass(0, (Fraction(1),) * (data.n + 2))
 
 
 def symplectic_class(data: FixedPointData) -> EquivClass:
@@ -105,22 +83,17 @@ def chern_table(data: FixedPointData) -> list[list[int]]:
     return [elementary_symmetric(p.weights) for p in data.points]
 
 
-def chern_classes(data: FixedPointData) -> list[EquivClass]:
-    """The equivariant Chern classes c_1..c_n: c_i restricts at each point to
-    the i-th elementary symmetric polynomial of its weights times t^i.
+def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
+    """The i-th equivariant Chern class, 1 <= i <= n: it restricts at each
+    point to the i-th elementary symmetric polynomial of its weights times
+    t^i, column i of ``chern_table``.
 
     c_n is the equivariant Euler class of the normal bundle, the full weight
     product at each point.
     """
-    esym = chern_table(data)
-    return [EquivClass(i, tuple(e[i] for e in esym)) for i in range(1, data.n + 1)]
-
-
-def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
-    """The i-th equivariant Chern class, 1 <= i <= n (see ``chern_classes``)."""
     if not 1 <= i <= data.n:
         raise ValueError(f"Chern index {i} out of range 1..{data.n}")
-    return chern_classes(data)[i - 1]
+    return EquivClass(i, tuple(e[i] for e in chern_table(data)))
 
 
 def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
@@ -163,7 +136,9 @@ def localization_sums(
     and each is divided by L once with divmod: an exact quotient q becomes
     Fraction(q), and only a fractional sum builds a reduced Fraction. Pure
     powers of u need only the weight products Lambda_P; Chern monomials read
-    each point's e_k from ``table`` (``chern_table`` by default).
+    each point's e_k from ``table`` (``chern_table`` by default). A table
+    without n + 2 rows of n + 1 entries, one made for another dataset, raises
+    ValueError before the first sum.
 
     Each (d, a) block walks the partitions of d - a with parts in
     nondecreasing order. A node holds its parts' per-point product
@@ -176,6 +151,11 @@ def localization_sums(
     n = data.n
     if with_chern:
         esym = chern_table(data) if table is None else table
+        if len(esym) != n + 2 or any(len(e) != n + 1 for e in esym):
+            raise ValueError(
+                f"table does not match the dataset: need {n + 2} rows of "
+                f"{n + 1} entries"
+            )
         lambdas = [e[n] for e in esym]
         columns = [[e[k] for e in esym] for k in range(n + 1)]
     else:
@@ -272,18 +252,6 @@ def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
         common // w * prod(e[k] for k in parts) for e, w in zip(esym, lambdas)
     )
     return Fraction(total, common)
-
-
-def euler_characteristic(data: FixedPointData) -> Fraction:
-    """Integral of the top Chern class; equals the number of fixed points.
-
-    c_n restricts at each point to its weight product Lambda_P, so the sum
-    needs only the products, not the points' other elementary symmetric
-    polynomials.
-    """
-    lambdas = [prod(p.weights) for p in data.points]
-    common = lcm(*lambdas)
-    return Fraction(sum(common // w * w for w in lambdas), common)
 
 
 def partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

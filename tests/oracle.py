@@ -1,0 +1,25 @@
+"""Products of equivariant classes one Fraction at a time, for oracles that
+check the integer engines against plain restriction tuples."""
+
+from fractions import Fraction
+
+from hamfp import EquivClass
+
+
+def multiply(a, b):
+    """The product class: restrictions multiply point by point."""
+    coeffs = tuple(x * y for x, y in zip(a.coeffs, b.coeffs, strict=True))
+    return EquivClass(a.degree_half + b.degree_half, coeffs)
+
+
+def power(cls, a):
+    """The a-th power of a class, a >= 0."""
+    return EquivClass(cls.degree_half * a, tuple(c**a for c in cls.coeffs))
+
+
+def basis_rows(basis):
+    """Each basis row as a class, its entries numerators / denominator."""
+    return tuple(
+        EquivClass(degree, tuple(Fraction(a, basis.denominator) for a in row))
+        for degree, row in zip(basis.half_degrees, basis.numerators)
+    )

@@ -41,6 +41,7 @@ from hamfp import (
     validate,
 )
 from conftest import exponent_lists, run_cli
+from oracle import basis_rows, power
 
 
 def run_examples(strategy, count, check):
@@ -83,7 +84,7 @@ def test_criterion_2_localization_vanishing():
     def check(data):
         u = symplectic_class(data)
         for a in range(data.n):
-            assert integrate(data, u.power(a)) == 0
+            assert integrate(data, power(u, a)) == 0
         assert integrate(data, chern_restriction(data, data.n)) == data.n + 2
 
     for n in (2, 4, 6, 8):
@@ -254,10 +255,11 @@ def test_criterion_8_property_suite():
             drawn.draw(st.integers(-9, 9)) if degrees[i] <= d else 0
             for i in range(n + 2)
         ]
+        rows = basis_rows(basis)
         coeffs = [Fraction(0)] * (n + 2)
         for i, c in enumerate(wanted):
             for k in range(n + 2):
-                coeffs[k] += c * basis.rows[i].coeffs[k]
+                coeffs[k] += c * rows[i].coeffs[k]
         recovered = express_in_basis(basis, EquivClass(d, tuple(coeffs)))
         assert list(recovered.coefficients) == wanted
 

@@ -74,7 +74,6 @@ def test_verify_standard_data(tmp_path):
     result = run_cli("verify", str(path), "--chern", "--basis", "--pairing")
     assert result.returncode == 0
     assert "[PASS] localization-of-one" in result.stdout
-    assert "[PASS] euler-characteristic" in result.stdout
     assert "[PASS] first-chern-coefficient" in result.stdout
     assert "middle pairing block [[2, 1], [1, 0]] determinant -1" in result.stdout
     assert "c_1 = 2*y + 2*z" in result.stdout
@@ -269,8 +268,7 @@ VERIFY_FLAGS = ["--basis", "--chern", "--pairing"]
 @pytest.mark.parametrize("name", ["std16", "frac6", "tampered4"])
 def test_verify_expands_each_point_at_most_once(monkeypatch, capsys, name, flags):
     # each point's elementary symmetric polynomials serve the Chern classes
-    # and the Chern numbers alike; powers of u and the Euler characteristic
-    # need only the weight products
+    # and the Chern numbers alike; powers of u need only the weight products
     path = GOLDEN / f"{name}.json"
     data = data_from_document(load_document(str(path)))
     calls = count_expansions(monkeypatch)

@@ -1,12 +1,18 @@
-"""Where the public names live, and what the I/O layer imports.
+"""Where the public names live, what the I/O layer imports, and that no
+module of the package keeps an import it does not use.
 
 ``MomentProfile`` lives in ``fpdata`` beside ``FixedPointData``, and
 ``localization_consistent`` in ``localize`` beside the engine it asks. Both
 names stay bound in ``solver``, which uses them, so ``hamfp.solver.X`` and a
 pickle made when they were defined there still resolve.
+
+A name that a module imports only so that the benchmark tracer
+(``perfbench/tracing.py``) can wrap it there counts as used when the
+tracer's ``SITES`` lists that module for it.
 """
 
 import ast
+import importlib.util
 import pickle
 from pathlib import Path
 
@@ -17,6 +23,8 @@ import hamfp.dataio
 import hamfp.fpdata
 import hamfp.localize
 import hamfp.solver
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -51,3 +59,26 @@ def test_dataio_imports_nothing_from_the_solver():
             imported += [alias.name for alias in node.names]
     assert "fpdata" in imported
     assert not [name for name in imported if "solver" in name.split(".")]
+
+
+def test_every_relative_import_is_used_or_traced():
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unused = []
+    for path in sorted(Path(hamfp.__file__).parent.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {
+            span.split(".")[1]
+            for span, sites in tracing.SITES.items()
+            if module in sites
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                bound = (alias.asname or alias.name for alias in node.names)
+                unused += [f"{module}.{name}" for name in bound if name not in names]
+    assert unused == []
