@@ -28,11 +28,11 @@ middle row n/2 is solved before row n/2+1, matching the declared order of
 the middle pair even when their moment values tie. The substitution runs in
 integers: the coefficients found so far are kept as numerators over one
 running common denominator, each residual is an integer sum against the
-basis numerators, and the new coefficient is reduced once with ``divmod``;
-only a fractional one builds a reduced ``Fraction``. ``express_in_basis``
-expands one ``EquivClass``. ``express_chern`` expands c_1..c_n straight from
-the integers of ``chern_table``, transposing the basis once for all of them
-and building no ``EquivClass``.
+basis numerators, and each new coefficient is one ``exact_fraction`` of
+``exactnum``, so only a fractional one builds a reduced ``Fraction``.
+``express_in_basis`` expands one ``EquivClass``; ``express_chern`` expands
+c_1..c_n straight from the integers of ``chern_table``, transposing the
+basis once for all of them and building no ``EquivClass``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import DegenerateGammaError, ExpansionError
+from .exactnum import exact_fraction, shares
 from .fpdata import FixedPointData, morse_pattern, point_invariants
 from .localize import EquivClass
 from .record import Record
@@ -146,8 +147,8 @@ def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
     if len(cls.coeffs) != n + 2:
         raise ValueError("class does not match the basis point count")
     # The class is targets[k] / scale at point k.
-    scale = lcm(*(c.denominator for c in cls.coeffs))
-    targets = [c.numerator * (scale // c.denominator) for c in cls.coeffs]
+    scale, lifts = shares([c.denominator for c in cls.coeffs])
+    targets = [c.numerator * x for c, x in zip(cls.coeffs, lifts)]
     columns = list(zip(*basis.numerators))
     return _substitute(basis, columns, d, targets, scale)
 
@@ -181,8 +182,8 @@ def _substitute(
 
     ``columns`` is the transpose of ``basis.numerators``. The coefficients
     found so far are found[i] / common and the basis entries numerators / D,
-    so each residual is one integer sum; a coefficient is reduced with
-    divmod, and only a fractional one builds a reduced Fraction.
+    so each residual is one integer sum, and each coefficient one
+    ``exact_fraction``.
     """
     degrees = basis.half_degrees
     numerators = basis.numerators
@@ -203,13 +204,7 @@ def _substitute(
             terms.append((Fraction(0), 0))
             found.append(0)
             continue
-        den = scale * common * numerators[k][k]
-        quotient, rest = divmod(top, den)
-        if not rest:
-            terms.append((Fraction(quotient), d - degrees[k]))
-            found.append(quotient * common)
-            continue
-        coeff = Fraction(top, den)
+        coeff = exact_fraction(top, scale * common * numerators[k][k])
         terms.append((coeff, d - degrees[k]))
         grow = coeff.denominator // gcd(common, coeff.denominator)
         if grow != 1:

@@ -49,6 +49,7 @@ from .localize import (  # noqa: F401
     integrate,
     localization_sums,
     pairing_matrix,
+    partition_count,
     symplectic_class,
 )
 from .solver import check_symmetry, classify
@@ -56,6 +57,10 @@ from .solver import check_symmetry, classify
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# verify --chern integrates one monomial per partition of n; p(48) = 147,273
+# stays below the cap and p(50) = 204,226 does not.
+MAX_CHERN_PARTITIONS = 200_000
 
 # A report section: its JSON payload and its checks.
 Section = tuple[dict[str, Any], list[CheckResult]]
@@ -246,6 +251,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     data = dataio.data_from_document(dataio.load_document(args.path))
+    if args.chern and (count := partition_count(data.n)) > MAX_CHERN_PARTITIONS:
+        raise DataError(
+            f"--chern at n={data.n} would compute p({data.n}) = {count} Chern "
+            f"numbers, more than the limit of {MAX_CHERN_PARTITIONS}"
+        )
     sections: dict[str, Section] = {
         "validation": ({}, list(validate(data).checks)),
         "localization": ({}, _localization_checks(data)),
@@ -378,15 +388,20 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command. A DataError, raised before the command prints
     anything, becomes a one-line message on stderr and exit code 2."""
     # Reports print integers of any size; Python 3.10.7+ otherwise refuses
-    # str() of an int above 4,300 digits.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # str() of an int above 4,300 digits. The caller's limit comes back when
+    # the command returns or exits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

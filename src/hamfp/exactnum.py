@@ -1,5 +1,6 @@
-"""Exact integer arithmetic: integer coercion and elementary symmetric
-polynomials.
+"""Exact integer arithmetic: integer coercion, elementary symmetric
+polynomials, and the common denominator and the one division of every
+localization sum (``shares``, ``exact_fraction``).
 
 All computation in this package is exact. Integers are Python ``int`` (which
 is already arbitrary-precision sign-magnitude) and rationals are
@@ -11,6 +12,8 @@ alongside it. Floating point is forbidden everywhere.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from operator import index
 from typing import Any, Sequence
 
@@ -39,3 +42,23 @@ def elementary_symmetric(values: Sequence[int]) -> list[int]:
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] += coeffs[k - 1] * v
     return coeffs
+
+
+def shares(products: Sequence[int]) -> tuple[int, list[int]]:
+    """L = lcm |p| of nonzero integers and each share L // p, signed like p:
+    the sum of x_P / p_P is the sum of x_P * (L // p_P), over L."""
+    common = lcm(*products)
+    return common, [common // p for p in products]
+
+
+# Fractions are immutable, so every vanishing quotient may share one zero.
+_ZERO = Fraction(0)
+
+
+def exact_fraction(num: int, den: int) -> Fraction:
+    """num / den for den != 0, reduced: a zero numerator builds no Fraction,
+    and an exact quotient skips the gcd."""
+    if not num:
+        return _ZERO
+    quotient, rest = divmod(num, den)
+    return Fraction(num, den) if rest else Fraction(quotient)

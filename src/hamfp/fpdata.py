@@ -22,12 +22,11 @@ safe to call concurrently.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .errors import DataError, InvalidGeneratorError
-from .exactnum import exact_int
+from .exactnum import exact_fraction, exact_int, shares
 from .record import Record
 
 
@@ -284,14 +283,12 @@ def _check_index_bound(data: FixedPointData) -> CheckResult:
 
 def _check_unit_localization(data: FixedPointData) -> CheckResult:
     # the sum of 1 / Lambda_P, in integers over L = lcm |Lambda_P|
-    lambdas = [prod(p.weights) for p in data.points]
-    common = lcm(*lambdas)
-    total = sum(common // w for w in lambdas)
-    if total:
+    common, scales = shares([prod(p.weights) for p in data.points])
+    if total := sum(scales):
         return CheckResult(
             "localization-of-one",
             False,
-            f"sum of reciprocal weight products is {Fraction(total, common)}, "
+            f"sum of reciprocal weight products is {exact_fraction(total, common)}, "
             "expected 0",
         )
     return CheckResult(

@@ -9,20 +9,22 @@ d < n the sum must vanish exactly; a nonzero value is reported as
 ``NotAManifoldError`` since no compact Hamiltonian circle manifold can
 produce it.
 
+Every sum here is an integer dot product with the shares L / Lambda_P of
+L = lcm |Lambda_P| (``exactnum.shares``), Lambda_P read from the dataset,
+and is divided by L once with ``exactnum.exact_fraction``.
+
 Monomials u^a * c_lambda in the symplectic class and the Chern classes are
 integrated by one engine, ``localization_sums``, without restriction tuples:
 it walks the partitions of each degree with parts in nondecreasing order,
 closing one monomial at every node, and yields each block in the order of
-``partitions``. Its sums stay integers over lcm |Lambda_P| until each is
-divided once, and an exact quotient skips the gcd of a reduced Fraction.
-``localization_consistent``, the classifier's final test, asks it whether
-every sum below the top degree vanishes.
+``partitions``. ``localization_consistent``, the classifier's final test,
+asks it whether every sum below the top degree vanishes.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials once, and a caller may hand the table to the engine
 and to ``basis.express_chern``, which expands c_1..c_n from its integers.
-``chern_number`` sums its one partition directly. ``pairing_matrix``
-sums products of basis rows the same way, in integers over one common
-denominator; ``integrate`` remains the primitive for arbitrary classes.
+``integrate`` is the primitive for arbitrary classes, and ``chern_number``
+integrates its one product of Chern classes through it. ``pairing_matrix``
+sums products of basis rows over the basis denominator squared times L.
 
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
@@ -31,13 +33,13 @@ are order-independent, so callers may parallelize freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
-from .exactnum import elementary_symmetric
-from .fpdata import FixedPointData, point_invariants
+from .exactnum import elementary_symmetric, exact_fraction, shares
+from .fpdata import FixedPointData
 from .record import Record
 
 
@@ -106,9 +108,10 @@ def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
     """
     if len(cls.coeffs) != data.n + 2:
         raise ValueError("class does not match the fixed-point set")
-    total = Fraction(0)
-    for i, c in enumerate(cls.coeffs):
-        total += c / point_invariants(data, i).lambda_full
+    scale, lifts = shares([c.denominator for c in cls.coeffs])
+    common, weights = shares([prod(p.weights) for p in data.points])
+    num = sum(c.numerator * x * w for c, x, w in zip(cls.coeffs, lifts, weights))
+    total = exact_fraction(num, scale * common)
     d = cls.degree_half
     if d < data.n and total != 0:
         raise NotAManifoldError(
@@ -132,13 +135,13 @@ def localization_sums(
     a runs from d down to 0 (only 0 without u, only d without Chern classes)
     and parts over the partitions of d - a in the order of ``partitions``. A
     negative d, or with Chern classes one above n, raises ValueError when the
-    stream reaches it. Sums are exact, in integers over L = lcm |Lambda_P|,
-    and each is divided by L once with divmod: an exact quotient q becomes
-    Fraction(q), and only a fractional sum builds a reduced Fraction. Pure
-    powers of u need only the weight products Lambda_P; Chern monomials read
-    each point's e_k from ``table`` (``chern_table`` by default). A table
-    without n + 2 rows of n + 1 entries, one made for another dataset, raises
-    ValueError before the first sum.
+    stream reaches it. Sums are exact, in integers over L = lcm |Lambda_P|
+    with Lambda_P the dataset's weight products, and each is divided by L
+    once with ``exact_fraction``. Pure powers of u need only the weight
+    products; Chern monomials read each point's e_k from ``table``
+    (``chern_table`` by default). A table without n + 2 rows of n + 1
+    entries whose e_n column is the weight products, one made for another
+    dataset, raises ValueError before the first sum.
 
     Each (d, a) block walks the partitions of d - a with parts in
     nondecreasing order. A node holds its parts' per-point product
@@ -149,20 +152,19 @@ def localization_sums(
     yielded sorted as ``partitions`` lists it.
     """
     n = data.n
+    lambdas = [prod(p.weights) for p in data.points]
     if with_chern:
         esym = chern_table(data) if table is None else table
-        if len(esym) != n + 2 or any(len(e) != n + 1 for e in esym):
+        # n + 2 rows of n + 1 entries, each ending in its point's Lambda_P
+        if [list(e[n:]) for e in esym] != [[w] for w in lambdas]:
             raise ValueError(
                 f"table does not match the dataset: need {n + 2} rows of "
-                f"{n + 1} entries"
+                f"{n + 1} entries ending in the weight products"
             )
-        lambdas = [e[n] for e in esym]
         columns = [[e[k] for e in esym] for k in range(n + 1)]
     else:
-        lambdas = [prod(p.weights) for p in data.points]
         columns = [[1] * (n + 2)]  # e_0 only
-    common = lcm(*lambdas)
-    scales = [common // w for w in lambdas]
+    common, scales = shares(lambdas)
     # closing[k][P]: the last factor e_k(P) of a monomial times its point's
     # share L / Lambda_P of the common denominator
     closing = [[x * s for x, s in zip(col, scales)] for col in columns]
@@ -193,13 +195,13 @@ def localization_sums(
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
             powers = [h**a for h in heights]
             if a == d:
-                yield a, (), _over(sum(map(mul, powers, closing[0])), common)
+                yield a, (), exact_fraction(sum(map(mul, powers, closing[0])), common)
                 continue
             block: list[tuple[tuple[int, ...], int]] = []
             walk(powers, d - a, 1, (), block)
             block.sort(reverse=True)
             for parts, total in block:
-                yield a, parts, _over(total, common)
+                yield a, parts, exact_fraction(total, common)
 
 
 def localization_consistent(
@@ -219,39 +221,21 @@ def localization_consistent(
     return not any(total for _, _, total in sums)
 
 
-# Fractions are immutable, so every vanishing sum may share one zero.
-_ZERO = Fraction(0)
-
-
-def _over(total: int, common: int) -> Fraction:
-    """total / common for common > 0: an exact quotient skips the gcd of a
-    reduced Fraction, and a zero total builds none."""
-    if not total:
-        return _ZERO
-    quotient, rest = divmod(total, common)
-    return Fraction(total, common) if rest else Fraction(quotient)
-
-
 def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
     """Integral of the product of Chern classes indexed by the partition.
 
     The partition must sum to n; the result is an integer (as a Fraction)
     for data coming from an actual manifold. Only this partition is summed:
-    prod_k e_(lambda_k)(P) / Lambda_P over the points, in integers over
-    lcm |Lambda_P|.
+    the class restricting to prod_k e_(lambda_k)(P) at each point P goes to
+    ``integrate``.
     """
     parts = list(partition)
     if not parts or any(not 1 <= p <= data.n for p in parts):
         raise ValueError(f"partition entries must lie in 1..{data.n}: {parts}")
     if sum(parts) != data.n:
         raise ValueError(f"partition {parts} does not sum to n={data.n}")
-    esym = chern_table(data)
-    lambdas = [e[data.n] for e in esym]
-    common = lcm(*lambdas)
-    total = sum(
-        common // w * prod(e[k] for k in parts) for e, w in zip(esym, lambdas)
-    )
-    return Fraction(total, common)
+    restrictions = (prod(e[k] for k in parts) for e in chern_table(data))
+    return integrate(data, EquivClass(data.n, tuple(restrictions)))
 
 
 def partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -266,6 +250,16 @@ def partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
+def partition_count(total: int) -> int:
+    """p(total), the number of partitions, by the recurrence over the
+    largest allowed part; no partition is built."""
+    counts = [1] + [0] * total
+    for part in range(1, total + 1):
+        for k in range(part, total + 1):
+            counts[k] += counts[k - part]
+    return counts[total]
+
+
 def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     """Intersection pairing of the basis rows, via localization.
 
@@ -275,17 +269,19 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     D^2 * L, summed in integers and reduced once. Entries must be integers;
     the first fractional value in row-major order raises IntegralityError.
     The matrix is symmetric, so only i <= j is summed: the first fractional
-    entry in row-major order always lies there. A basis built for another n
-    raises ValueError.
+    entry in row-major order always lies there. A basis built for another
+    dataset raises ValueError: for another n, or with a diagonal entry that
+    is not the product of the point's negative weights.
     """
     if basis.n != data.n:
         raise ValueError(f"basis has n={basis.n}, dataset has n={data.n}")
     m = data.n + 2
     rows = basis.numerators
+    for i, p in enumerate(data.points):
+        if rows[i][i] != prod(w for w in p.weights if w < 0) * basis.denominator:
+            raise ValueError(f"basis entry ({i},{i}) does not match the dataset")
     degrees = basis.half_degrees
-    products = [prod(p.weights) for p in data.points]
-    common = lcm(*products)
-    scales = [common // w for w in products]
+    common, scales = shares([prod(p.weights) for p in data.points])
     den = basis.denominator**2 * common
     out = [[0] * m for _ in range(m)]
     for i in range(m):

@@ -54,12 +54,12 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from typing import Callable, Sequence
 
 from .errors import DataError, InconsistentProfileError
 from .errors import SearchTooLargeError
-from .exactnum import elementary_symmetric, exact_int
+from .exactnum import elementary_symmetric, exact_int, shares
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -320,8 +320,7 @@ def enumerate_candidates(
     pattern = morse_pattern(n)
     # Over L = lcm |L_i|, L_i = neg * pos, an option at point i adds
     # e_k * (L / L_i) to the numerator of the integral of c_k.
-    common = lcm(*(neg * pos for neg, pos in products))
-    scales = [common // (neg * pos) for neg, pos in products]
+    _, scales = shares([neg * pos for neg, pos in products])
     gap_sets = [
         {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]} for i in range(m)
     ]

@@ -19,6 +19,7 @@ from hamfp import (
     FixedPoint,
     FixedPointData,
     MomentProfile,
+    NotAManifoldError,
     basis_images,
     betti,
     build_basis,
@@ -41,7 +42,7 @@ from hamfp import (
     validate,
 )
 from conftest import exponent_lists, run_cli
-from oracle import basis_rows, power
+from oracle import basis_rows, multiply, power
 
 
 def run_examples(strategy, count, check):
@@ -82,15 +83,27 @@ def test_criterion_2_localization_vanishing():
     start = time.monotonic()
 
     def check(data):
+        # every u^a and u^a * c_k (k >= 1) below the top degree integrates to 0
         u = symplectic_class(data)
         for a in range(data.n):
             assert integrate(data, power(u, a)) == 0
-        assert integrate(data, chern_restriction(data, data.n)) == data.n + 2
+            for k in range(1, data.n - a):
+                monomial = multiply(power(u, a), chern_restriction(data, k))
+                assert integrate(data, monomial) == 0
 
     for n in (2, 4, 6, 8):
         run_examples(standard(n), 20, check)
+    # weights (1, 2, 4, 5) at P0 of the n = 4 data made (1, 1, 8, 5): every
+    # weight product, so every power of u, is unchanged, but c_1 is not
+    std4 = make_standard_g2([3, 2, 1])
+    tampered = FixedPointData(4, (FixedPoint(-3, (1, 1, 8, 5)),) + std4.points[1:])
+    try:
+        check(tampered)
+        caught = False
+    except NotAManifoldError as exc:
+        caught = "degree-2 class is 3/40" in str(exc)
     elapsed = time.monotonic() - start
-    report(2, "localization vanishing", elapsed < 10.0, 10, elapsed)
+    report(2, "localization vanishing", caught and elapsed < 10.0, 10, elapsed)
 
 
 def test_criterion_3_first_chern_identity():

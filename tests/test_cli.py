@@ -7,8 +7,9 @@ from time import perf_counter
 
 import pytest
 
+import hamfp.cli
 from hamfp import elementary_symmetric, make_standard_g2
-from hamfp.cli import main
+from hamfp.cli import MAX_CHERN_PARTITIONS, main
 from hamfp.dataio import (
     data_from_document,
     data_to_document,
@@ -16,6 +17,7 @@ from hamfp.dataio import (
     load_document,
     profile_to_document,
 )
+from hamfp.localize import partition_count
 from hamfp.solver import MAX_TRIAL_DIVISIONS, MomentProfile
 from conftest import PACKAGE_ROOT, run_cli
 
@@ -143,6 +145,47 @@ def test_integers_past_4300_digits_are_reported(tmp_path):
     result = run_cli("verify", str(path))
     assert result.returncode == 0, result.stderr
     assert "result: PASS" in result.stdout
+
+
+def test_verify_refuses_a_chern_grid_past_the_partition_cap(
+    tmp_path, monkeypatch, capsys
+):
+    assert partition_count(48) <= MAX_CHERN_PARTITIONS < partition_count(50)
+    path = tmp_path / "n50.json"
+    dump_document(data_to_document(make_standard_g2(range(1, 27))), str(path))
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("summed before the refusal")
+
+    monkeypatch.setattr(hamfp.cli, "validate", no_sums)
+    monkeypatch.setattr(hamfp.cli, "localization_sums", no_sums)
+    assert main(["verify", str(path), "--basis", "--chern"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --chern at n=50 would compute p(50) = 204226 ")
+    assert f"limit of {MAX_CHERN_PARTITIONS}" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--b", "2,1"], ["generate", "--b", "1,1"], ["verify"]],
+    ids=["ok", "data-error", "usage-error"],
+)
+def test_main_restores_the_digit_limit(argv, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    finally:
+        after = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
+    assert after == 5000
 
 
 def test_verify_json_report_is_deterministic(tmp_path):

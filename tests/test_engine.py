@@ -177,10 +177,14 @@ def test_engine_restricts_to_u_powers_or_chern_classes():
     assert top == [m for m in full if m[0] == 0 and sum(m[1]) == 4]
 
 
-@pytest.mark.parametrize("exponents", [[4, 3, 2, 1], [2, 1]], ids=["n6", "n2"])
+@pytest.mark.parametrize(
+    "exponents", [[4, 3, 2, 1], [2, 1], [5, 2, 1]], ids=["n6", "n2", "same-n"]
+)
 def test_engine_refuses_a_table_for_another_dataset(std4, exponents):
     # an n = 6 table once gave the integral of c_3 c_1 on std4 as
-    # 679042368/20464345 instead of 48, and made std4 look inconsistent
+    # 679042368/20464345 instead of 48, and made std4 look inconsistent; a
+    # table of the same shape from other data did the latter, and its e_n
+    # column is not std4's weight products
     table = chern_table(make_standard_g2(exponents))
     message = "table does not match the dataset: need 6 rows of 5 entries"
     with pytest.raises(ValueError, match=message):

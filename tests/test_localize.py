@@ -18,7 +18,7 @@ from hamfp import (
     build_basis,
     symplectic_class,
 )
-from hamfp.localize import chern_table
+from hamfp.localize import chern_table, partition_count, partitions
 from conftest import standard_data, swapped_weights
 from oracle import power
 
@@ -129,6 +129,21 @@ def test_pairing_matrix_refuses_a_basis_for_another_n(std4, exponents):
     basis = build_basis(make_standard_g2(exponents))
     with pytest.raises(ValueError, match=f"basis has n={basis.n}, dataset has n=4"):
         pairing_matrix(std4, basis)
+
+
+def test_pairing_matrix_refuses_a_basis_for_another_dataset_of_the_same_n(std4):
+    # it once reported "pairing (0,5) is 63/5" as if std4 were not integral
+    basis = build_basis(make_standard_g2([5, 2, 1]))
+    with pytest.raises(ValueError, match=r"basis entry \(1,1\) does not match"):
+        pairing_matrix(std4, basis)
+
+
+def test_partition_count_by_recurrence():
+    assert [partition_count(k) for k in range(16)] == [
+        len(list(partitions(k))) for k in range(16)
+    ]
+    # far past anything that could be enumerated
+    assert partition_count(100) == 190_569_292
 
 
 def test_pairing_matrix_n2(std2):
