@@ -31,8 +31,8 @@ running common denominator, each residual is an integer sum against the
 basis numerators, and each new coefficient is one ``exact_fraction`` of
 ``exactnum``, so only a fractional one builds a reduced ``Fraction``.
 ``express_in_basis`` expands one ``EquivClass``; ``express_chern`` expands
-c_1..c_n straight from the integers of ``chern_table``, transposing the
-basis once for all of them and building no ``EquivClass``.
+c_1..c_n of a dataset straight from the integers of its ``chern_table``,
+transposing the basis once for all of them and building no ``EquivClass``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterator
 from .errors import DegenerateGammaError, ExpansionError
 from .exactnum import exact_fraction, shares
 from .fpdata import FixedPointData, morse_pattern, point_invariants
-from .localize import EquivClass
+from .localize import EquivClass, Expand, chern_table
 from .record import Record
 
 
@@ -64,6 +64,17 @@ class BasisRestrictions(Record):
     @property
     def half_degrees(self) -> tuple[int, ...]:
         return morse_pattern(self.n)
+
+    def check_dataset(self, data: FixedPointData) -> None:
+        """Raise ValueError unless this basis was built for the dataset: it
+        must have the dataset's n, and each diagonal entry must be the
+        product of its point's negative weights."""
+        if self.n != data.n:
+            raise ValueError(f"basis has n={self.n}, dataset has n={data.n}")
+        for i, p in enumerate(data.points):
+            lower = prod(w for w in p.weights if w < 0)
+            if self.numerators[i][i] != lower * self.denominator:
+                raise ValueError(f"basis entry ({i},{i}) does not match the dataset")
 
 
 class Expansion(Record):
@@ -154,19 +165,19 @@ def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
 
 
 def express_chern(
-    basis: BasisRestrictions, table: list[list[int]]
+    basis: BasisRestrictions, data: FixedPointData, expand: Expand | None = None
 ) -> Iterator[Expansion]:
-    """Expansions of the Chern classes c_1..c_n, read from ``chern_table``.
+    """Expansions of the dataset's Chern classes c_1..c_n in its basis.
 
-    Entry table[P][i] is the restriction of c_i to point P over t^i, an
-    integer, so each class is expanded with scale 1 and no EquivClass is
-    built. The basis is transposed once for all n classes. The expansions
-    come one at a time: an ExpansionError at c_i leaves c_1..c_(i-1) with
-    the caller.
+    Entry [P][i] of ``chern_table(data, expand)`` is the restriction of c_i
+    to point P over t^i, an integer, so each class is expanded with scale 1
+    and no EquivClass is built. The basis is transposed once for all n
+    classes, after ``check_dataset``. The expansions come one at a time: an
+    ExpansionError at c_i leaves c_1..c_(i-1) with the caller.
     """
-    if len(table) != basis.n + 2:
-        raise ValueError("table does not match the basis point count")
+    basis.check_dataset(data)
     columns = list(zip(*basis.numerators))
+    table = chern_table(data, expand)
     for i in range(1, basis.n + 1):
         yield _substitute(basis, columns, i, [e[i] for e in table], 1)
 

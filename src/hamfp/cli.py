@@ -45,7 +45,7 @@ from .grassring import (  # noqa: F401
 from .localize import (  # noqa: F401
     chern_number,
     chern_restriction,
-    chern_table,
+    expansion_memo,
     integrate,
     localization_sums,
     pairing_matrix,
@@ -130,9 +130,10 @@ def _chern_section(
 ) -> Section:
     expansions = {}
     expanded = []
-    esym = chern_table(data)
+    # the Chern classes and the Chern numbers read each point's expansion
+    expand = expansion_memo()
     try:
-        for i, expansion in enumerate(express_chern(basis, esym), 1):
+        for i, expansion in enumerate(express_chern(basis, data, expand), 1):
             expansions[f"c_{i}"] = [
                 {"coefficient": str(c), "t_power": p} for c, p in expansion.terms
             ]
@@ -145,7 +146,7 @@ def _chern_section(
     numbers = {
         "{" + ",".join(map(str, parts)) + "}": value
         for _, parts, value in localization_sums(
-            data, [data.n], with_u=False, with_chern=True, table=esym
+            data, [data.n], with_u=False, with_chern=True, expand=expand
         )
     }
     numbers_integral = all(v.denominator == 1 for v in numbers.values())
@@ -228,12 +229,7 @@ def _pairing_section(
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        exponents = [int(part) for part in args.b.split(",") if part.strip() != ""]
-    except ValueError:
-        raise DataError(
-            f"--b expects comma-separated integers, got {args.b!r}"
-        ) from None
+    exponents = [dataio.parse_int(b.strip(), "--b entry") for b in args.b.split(",")]
     data = make_standard_g2(exponents)
     doc = dataio.data_to_document(data)
     if args.out:
@@ -316,17 +312,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    if args.bound is not None and args.bound < 1:
-        raise DataError(f"--bound must be at least 1, got {args.bound}")
+    bound = None if args.bound is None else dataio.parse_int(args.bound, "--bound")
+    if bound is not None and bound < 1:
+        raise DataError(f"--bound must be at least 1, got {bound}")
     profile = dataio.profile_from_document(dataio.load_document(args.path))
-    verdict = classify(profile, args.bound)
+    verdict = classify(profile, bound)
     symmetric = check_symmetry(profile)
     if args.json:
         doc = {
             "command": "classify",
             "n": profile.n,
             "phi": [str(v) for v in profile.phi],
-            "bound": profile.spread if args.bound is None else args.bound,
+            "bound": profile.spread if bound is None else bound,
             "candidates": [
                 dataio.data_to_document(c) for c in verdict.candidates
             ],
@@ -376,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="enumerate weight data for a profile")
     cls.add_argument("path", help="profile JSON file (no weights)")
-    cls.add_argument(
-        "--bound", type=int, default=None, help="weight magnitude bound, at least 1"
-    )
+    cls.add_argument("--bound", help="weight magnitude bound, at least 1")
     cls.add_argument("--json", action="store_true", help="machine-readable report")
     cls.set_defaults(func=cmd_classify)
     return parser

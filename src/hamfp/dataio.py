@@ -32,7 +32,9 @@ from .fpdata import FixedPoint, FixedPointData, MomentProfile
 _DECIMAL = re.compile(r"-?[0-9]+\Z")
 
 
-def _parse_int(value: Any, context: str) -> int:
+def parse_int(value: Any, context: str) -> int:
+    """The integer a decimal string -?[0-9]+ spells; anything else, a command
+    line option included, raises DataError naming ``context``."""
     if not isinstance(value, str) or not _DECIMAL.match(value):
         raise DataError(f"{context} must be a decimal string, got {value!r}")
     try:
@@ -72,7 +74,7 @@ def data_from_document(doc: Any) -> FixedPointData:
     n, points = _parse_points(doc)
     parsed = []
     for k, p in enumerate(points):
-        phi = _parse_int(p.get("phi"), f"point {k} phi")
+        phi = parse_int(p.get("phi"), f"point {k} phi")
         weights = p.get("weights")
         if not isinstance(weights, list):
             raise DataError(f"point {k} is missing its weights")
@@ -84,7 +86,7 @@ def data_from_document(doc: Any) -> FixedPointData:
             FixedPoint(
                 phi,
                 tuple(
-                    _parse_int(w, f"point {k} weight {idx}")
+                    parse_int(w, f"point {k} weight {idx}")
                     for idx, w in enumerate(weights)
                 ),
             )
@@ -104,7 +106,7 @@ def profile_from_document(doc: Any) -> MomentProfile:
                 f"point {k} carries weights; a profile document must omit them"
             )
     phis = tuple(
-        _parse_int(p.get("phi"), f"point {k} phi") for k, p in enumerate(points)
+        parse_int(p.get("phi"), f"point {k} phi") for k, p in enumerate(points)
     )
     return MomentProfile(n, phis)
 

@@ -38,7 +38,7 @@ from .basis import (  # noqa: F401
 )
 from .errors import IntegralityError
 from .fpdata import FixedPointData
-from .localize import chern_restriction, chern_table  # noqa: F401
+from .localize import chern_restriction  # noqa: F401
 from .record import Record
 
 
@@ -117,9 +117,6 @@ class RingTable(Record):
         coeffs[index] = 1
         return RingElement(self.n, tuple(coeffs))
 
-    def zero(self) -> RingElement:
-        return RingElement(self.n, (0,) * (self.n + 2))
-
 
 def _index_y(n: int) -> int:
     return n // 2
@@ -150,10 +147,10 @@ def x_power(table: RingTable, k: int) -> RingElement:
     """The element x^k expanded over the basis labels (0 for k > n)."""
     if k < 0:
         raise ValueError("negative power")
-    out = table.zero()
+    coeffs = [0] * (table.n + 2)
     for index, coeff in _x_power_terms(table.n, k):
-        out = out + coeff * table.element(index)
-    return out
+        coeffs[index] = coeff
+    return RingElement(table.n, tuple(coeffs))
 
 
 def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
@@ -249,7 +246,7 @@ def ordinary_chern(
     """
     if table.n != data.n:
         raise ValueError("ring and dataset have different n")
-    expansions = list(express_chern(basis, chern_table(data)))
+    expansions = list(express_chern(basis, data))
     return ordinary_from_expansions(table, basis_images(table), expansions)
 
 

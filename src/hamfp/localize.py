@@ -20,8 +20,8 @@ closing one monomial at every node, and yields each block in the order of
 ``partitions``. ``localization_consistent``, the classifier's final test,
 asks it whether every sum below the top degree vanishes.
 ``chern_table`` expands each point's weights into their elementary
-symmetric polynomials once, and a caller may hand the table to the engine
-and to ``basis.express_chern``, which expands c_1..c_n from its integers.
+symmetric polynomials; the engine and ``basis.express_chern`` build it from
+their dataset, and callers share expansions through an ``expansion_memo``.
 ``integrate`` is the primitive for arbitrary classes, and ``chern_number``
 integrates its one product of Chern classes through it. ``pairing_matrix``
 sums products of basis rows over the basis denominator squared times L.
@@ -33,9 +33,10 @@ are order-independent, so callers may parallelize freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 from operator import index, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
 from .exactnum import elementary_symmetric, exact_fraction, shares
@@ -74,15 +75,25 @@ def symplectic_class(data: FixedPointData) -> EquivClass:
     return EquivClass(1, tuple(Fraction(phi0 - p.phi) for p in data.points))
 
 
-def chern_table(data: FixedPointData) -> list[list[int]]:
+# Expands weights into their elementary symmetric polynomials e_0 .. e_n.
+Expand = Callable[[Sequence[int]], list[int]]
+
+
+def expansion_memo() -> Expand:
+    """A fresh memo of ``elementary_symmetric``, made here, where
+    perfbench/tracing.py counts expansions. A caller that reads one dataset's
+    Chern table twice passes it as ``expand`` to both readers."""
+    return cache(elementary_symmetric)
+
+
+def chern_table(data: FixedPointData, expand: Expand | None = None) -> list[list[int]]:
     """Each point's elementary symmetric polynomials e_0..e_n of its weights.
 
     Entry [P][k] is the restriction of c_k to P over t^k: c_0 = 1, and c_n is
-    the weight product Lambda_P. A caller that needs the Chern classes and
-    their numbers passes one table to ``basis.express_chern`` and
-    ``localization_sums``, so each point is expanded once.
+    the weight product Lambda_P. ``expand`` defaults to elementary_symmetric.
     """
-    return [elementary_symmetric(p.weights) for p in data.points]
+    expand = expand or elementary_symmetric
+    return [expand(p.weights) for p in data.points]
 
 
 def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
@@ -127,7 +138,7 @@ def localization_sums(
     *,
     with_u: bool,
     with_chern: bool,
-    table: list[list[int]] | None = None,
+    expand: Expand | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
     """Stream (a, parts, integral of u^a * c_parts), u the symplectic class.
 
@@ -135,13 +146,11 @@ def localization_sums(
     a runs from d down to 0 (only 0 without u, only d without Chern classes)
     and parts over the partitions of d - a in the order of ``partitions``. A
     negative d, or with Chern classes one above n, raises ValueError when the
-    stream reaches it. Sums are exact, in integers over L = lcm |Lambda_P|
-    with Lambda_P the dataset's weight products, and each is divided by L
-    once with ``exact_fraction``. Pure powers of u need only the weight
-    products; Chern monomials read each point's e_k from ``table``
-    (``chern_table`` by default). A table without n + 2 rows of n + 1
-    entries whose e_n column is the weight products, one made for another
-    dataset, raises ValueError before the first sum.
+    stream reaches it, and so at once does asking for neither u nor Chern
+    classes. Sums are exact, in integers over L = lcm |Lambda_P| with
+    Lambda_P the dataset's weight products, and each is divided by L once
+    with ``exact_fraction``. Pure powers of u need only the weight products;
+    Chern monomials read each point's e_k from ``chern_table(data, expand)``.
 
     Each (d, a) block walks the partitions of d - a with parts in
     nondecreasing order. A node holds its parts' per-point product
@@ -152,19 +161,13 @@ def localization_sums(
     yielded sorted as ``partitions`` lists it.
     """
     n = data.n
-    lambdas = [prod(p.weights) for p in data.points]
+    if not (with_u or with_chern):
+        raise ValueError("nothing to integrate: need u, Chern classes or both")
     if with_chern:
-        esym = chern_table(data) if table is None else table
-        # n + 2 rows of n + 1 entries, each ending in its point's Lambda_P
-        if [list(e[n:]) for e in esym] != [[w] for w in lambdas]:
-            raise ValueError(
-                f"table does not match the dataset: need {n + 2} rows of "
-                f"{n + 1} entries ending in the weight products"
-            )
-        columns = [[e[k] for e in esym] for k in range(n + 1)]
+        columns = list(zip(*chern_table(data, expand)))
     else:
         columns = [[1] * (n + 2)]  # e_0 only
-    common, scales = shares(lambdas)
+    common, scales = shares([prod(p.weights) for p in data.points])
     # closing[k][P]: the last factor e_k(P) of a monomial times its point's
     # share L / Lambda_P of the common denominator
     closing = [[x * s for x, s in zip(col, scales)] for col in columns]
@@ -204,19 +207,17 @@ def localization_sums(
                 yield a, parts, exact_fraction(total, common)
 
 
-def localization_consistent(
-    data: FixedPointData, table: list[list[int]] | None = None
-) -> bool:
+def localization_consistent(data: FixedPointData, expand: Expand | None = None) -> bool:
     """Exact vanishing of every localization sum below the top degree.
 
     Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
     where u is the equivariant symplectic class and c_i the equivariant Chern
     classes, in order of degree, and stops at the first nonzero sum: it
-    proves the data comes from no manifold. The points' elementary symmetric
-    polynomials come from ``table`` (``chern_table`` by default).
+    proves the data comes from no manifold. ``expand`` is as in
+    ``chern_table``.
     """
     sums = localization_sums(
-        data, range(data.n), with_u=True, with_chern=True, table=table
+        data, range(data.n), with_u=True, with_chern=True, expand=expand
     )
     return not any(total for _, _, total in sums)
 
@@ -270,16 +271,11 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     the first fractional value in row-major order raises IntegralityError.
     The matrix is symmetric, so only i <= j is summed: the first fractional
     entry in row-major order always lies there. A basis built for another
-    dataset raises ValueError: for another n, or with a diagonal entry that
-    is not the product of the point's negative weights.
+    dataset raises ValueError (``BasisRestrictions.check_dataset``).
     """
-    if basis.n != data.n:
-        raise ValueError(f"basis has n={basis.n}, dataset has n={data.n}")
+    basis.check_dataset(data)
     m = data.n + 2
     rows = basis.numerators
-    for i, p in enumerate(data.points):
-        if rows[i][i] != prod(w for w in p.weights if w < 0) * basis.denominator:
-            raise ValueError(f"basis entry ({i},{i}) does not match the dataset")
     degrees = basis.half_degrees
     common, scales = shares([prod(p.weights) for p in data.points])
     den = basis.denominator**2 * common

@@ -40,10 +40,10 @@ assignment compatible with
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
-  below the top degree (``localize.localization_consistent``). Products and
-  negation closure alone are not sufficient: there are assignments sharing
-  all per-point products with the true data that only the Chern-class sums
-  reject.
+  below the top degree (``localize.localization_consistent``, through the
+  search's memoized expansions). Products and negation closure alone are
+  not sufficient: there are assignments sharing all per-point products with
+  the true data that only the Chern-class sums reject.
 
 Search branches are independent, and results are merged in canonical
 (lexicographic) order, so the output does not depend on evaluation order.
@@ -55,7 +55,6 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import isqrt, prod
-from typing import Callable, Sequence
 
 from .errors import DataError, InconsistentProfileError
 from .errors import SearchTooLargeError
@@ -68,17 +67,16 @@ from .fpdata import (
     standard_weights,
     validate,
 )
-# Only localization_consistent is used; perfbench/tracing.py wraps the others here.
+# chern_restriction, integrate and symplectic_class are unused here;
+# perfbench/tracing.py wraps them at this module.
 from .localize import (  # noqa: F401
+    Expand,
     chern_restriction,
     integrate,
     localization_consistent,
     symplectic_class,
 )
 from .record import Record
-
-# Expands weights into their elementary symmetric polynomials e_0 .. e_n.
-Expand = Callable[[Sequence[int]], list[int]]
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
@@ -215,9 +213,7 @@ def _allowed_weights(gaps: set[int], bound: int) -> tuple[int, ...]:
     return tuple(sorted(allowed))
 
 
-def _chern_key(
-    option: tuple[int, ...], scale: int, expand: Expand = elementary_symmetric
-) -> tuple[int, ...]:
+def _chern_key(option: tuple[int, ...], scale: int, expand: Expand) -> tuple[int, ...]:
     """e_1 .. e_{n-1} of the weights, times scale; expand gives e_0 .. e_n."""
     return tuple(e * scale for e in expand(option)[1:-1])
 
@@ -225,11 +221,11 @@ def _chern_key(
 def _keyed_join(
     options: list[list[tuple[int, ...]]],
     scales: list[int],
-    expand: Expand = elementary_symmetric,
+    expand: Expand,
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Every assignment whose Chern keys, _chern_key(option, scales[i]) at
-    point i, sum to zero, by meeting in the middle: choices of one option per
-    point in the two halves of the point list join on opposite key sums.
+    """Every assignment whose Chern keys, _chern_key(option, scales[i],
+    expand) at point i, sum to zero, by meeting in the middle: choices of
+    one option per point in the two halves join on opposite key sums.
 
     Each key is packed into one int, in base 2B + 1 with B the sum over the
     points of the largest key entry in absolute value. Every entry of a sum
@@ -391,9 +387,7 @@ def enumerate_candidates(
             n,
             tuple(FixedPoint(phi[i], assignment[i]) for i in range(m)),
         )
-        if validate(data).passed and localization_consistent(
-            data, [expand(weights) for weights in assignment]
-        ):
+        if validate(data).passed and localization_consistent(data, expand):
             candidates.append(data)
     return candidates
 

@@ -31,13 +31,14 @@ from hamfp import (
     integrate,
     make_standard_g2,
     morse_pattern,
+    ordinary_chern,
     pairing_matrix,
     point_invariants,
+    ring_make,
     symplectic_class,
 )
 from hamfp.basis import express_chern
 from hamfp.dataio import data_from_document, load_document
-from hamfp.localize import chern_table
 
 from conftest import standard_data, swapped_weights
 from oracle import basis_rows, multiply, power
@@ -339,7 +340,7 @@ def expansions_batched(basis, data):
     """The same from express_chern, read lazily as the CLI reads it."""
     expansions = []
     try:
-        for expansion in express_chern(basis, chern_table(data)):
+        for expansion in express_chern(basis, data):
             expansions.append(expansion.terms)
     except ExpansionError as exc:
         return expansions, str(exc)
@@ -365,3 +366,21 @@ def test_express_chern_fails_at_the_same_class_on_frac6():
     expansions, message = expansions_batched(basis, data)
     assert message is not None and 0 < len(expansions) < data.n
     assert (expansions, message) == expansions_one_by_one(basis, data)
+
+
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ([5, 2, 1], r"basis entry \(1,1\) does not match the dataset"),
+        ([4, 3, 2, 1], "basis has n=6, dataset has n=4"),
+    ],
+    ids=["same-n", "other-n"],
+)
+def test_chern_expansions_refuse_a_basis_for_other_data(exponents, message):
+    # the same-n basis once gave "ExpansionError: ... outside the basis span"
+    data = make_standard_g2([3, 2, 1])
+    basis = build_basis(make_standard_g2(exponents))
+    with pytest.raises(ValueError, match=message):
+        next(express_chern(basis, data))
+    with pytest.raises(ValueError, match=message):
+        ordinary_chern(data, basis, ring_make(4))

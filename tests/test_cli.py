@@ -70,6 +70,47 @@ def test_generate_rejects_garbage():
     assert run_cli("generate", "--b", "1,x").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["generate", "--b", "1_0,2"], "--b entry must be a decimal string, got '1_0'"),
+        (
+            ["generate", "--b", "\u0663,2"],
+            "--b entry must be a decimal string, got '\u0663'",
+        ),
+        (["generate", "--b", "+3,2"], "--b entry must be a decimal string, got '+3'"),
+        (["generate", "--b", "3,,2"], "--b entry must be a decimal string, got ''"),
+        (
+            ["classify", str(GOLDEN / "profile4.json"), "--bound", "1_0"],
+            "--bound must be a decimal string, got '1_0'",
+        ),
+        (
+            ["classify", str(GOLDEN / "profile4.json"), "--bound", "abc"],
+            "--bound must be a decimal string, got 'abc'",
+        ),
+    ],
+    ids=[
+        "b-underscore",
+        "b-arabic-digit",
+        "b-plus",
+        "b-empty-entry",
+        "bound-underscore",
+        "bound-word",
+    ],
+)
+def test_integer_options_follow_the_decimal_rule(argv, bad, capsys):
+    # int() once read 1_0 as 10 and the Arabic-Indic digit three as 3, and an
+    # empty entry was skipped
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}\n")
+
+
+def test_generate_reads_entries_with_spaces_around_them(capsys):
+    assert main(["generate", "--b", " 3, 2,1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == data_to_document(make_standard_g2([3, 2, 1]))
+
+
 def test_verify_standard_data(tmp_path):
     path = tmp_path / "d.json"
     dump_document(data_to_document(make_standard_g2([2, 1])), str(path))

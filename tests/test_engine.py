@@ -28,7 +28,7 @@ from hamfp import (
     symplectic_class,
     validate,
 )
-from hamfp.localize import chern_table, localization_sums
+from hamfp.localize import localization_sums
 
 from conftest import quadric_chern_coefficients, standard_data, swapped_weights
 from oracle import multiply, power
@@ -162,6 +162,14 @@ def test_engine_refuses_half_degrees_out_of_range(std4, degree, with_chern, mess
         next(sums)
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_engine_refuses_to_integrate_neither_u_nor_chern_classes(std4, degree):
+    # it once yielded the integral of 1 at degree 0 and nothing above it
+    sums = localization_sums(std4, [degree], with_u=False, with_chern=False)
+    with pytest.raises(ValueError, match="nothing to integrate"):
+        next(sums)
+
+
 def test_engine_pushes_forward_u_powers_above_the_top_degree(std4):
     u = symplectic_class(std4)
     pushed = list(localization_sums(std4, [5, 6], with_u=True, with_chern=False))
@@ -175,20 +183,3 @@ def test_engine_restricts_to_u_powers_or_chern_classes():
     assert pure_u == [m for m in full if m[1] == () and 1 <= m[0] <= 3]
     top = list(localization_sums(data, [4], with_u=False, with_chern=True))
     assert top == [m for m in full if m[0] == 0 and sum(m[1]) == 4]
-
-
-@pytest.mark.parametrize(
-    "exponents", [[4, 3, 2, 1], [2, 1], [5, 2, 1]], ids=["n6", "n2", "same-n"]
-)
-def test_engine_refuses_a_table_for_another_dataset(std4, exponents):
-    # an n = 6 table once gave the integral of c_3 c_1 on std4 as
-    # 679042368/20464345 instead of 48, and made std4 look inconsistent; a
-    # table of the same shape from other data did the latter, and its e_n
-    # column is not std4's weight products
-    table = chern_table(make_standard_g2(exponents))
-    message = "table does not match the dataset: need 6 rows of 5 entries"
-    with pytest.raises(ValueError, match=message):
-        next(localization_sums(std4, [4], with_u=False, with_chern=True, table=table))
-    with pytest.raises(ValueError, match=message):
-        localization_consistent(std4, table)
-    assert localization_consistent(std4, chern_table(std4))

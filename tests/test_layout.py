@@ -6,6 +6,10 @@ module of the package keeps an import it does not use.
 names stay bound in ``solver``, which uses them, so ``hamfp.solver.X`` and a
 pickle made when they were defined there still resolve.
 
+Only ``localize``, which builds Chern tables, and ``basis``, which expands
+the Chern classes from one, name ``chern_table``: every other module hands
+over the dataset, so a table made for other data cannot reach the engine.
+
 A name that a module imports only so that the benchmark tracer
 (``perfbench/tracing.py``) can wrap it there counts as used when the
 tracer's ``SITES`` lists that module for it.
@@ -82,3 +86,20 @@ def test_every_relative_import_is_used_or_traced():
                 bound = (alias.asname or alias.name for alias in node.names)
                 unused += [f"{module}.{name}" for name in bound if name not in names]
     assert unused == []
+
+
+def test_only_localize_and_basis_name_chern_table():
+    naming = []
+    for path in sorted(Path(hamfp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        if "chern_table" in names:
+            naming.append(path.stem)
+    assert naming == ["basis", "localize"]

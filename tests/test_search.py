@@ -129,7 +129,8 @@ def vanishing_choices(n, options):
 def assert_join_matches_fractions(n, options, scales):
     expected = vanishing_choices(n, options)
     assert expected
-    assert sorted(_keyed_join(options, scales)) == sorted(expected)
+    found = _keyed_join(options, scales, elementary_symmetric)
+    assert sorted(found) == sorted(expected)
 
 
 @SETTINGS
@@ -144,7 +145,7 @@ def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
 def test_keyed_join_without_vanishing_sums_is_empty(case):
     n, options = case
     assume(not vanishing_choices(n, options))
-    assert _keyed_join(options, join_scales(options)) == []
+    assert _keyed_join(options, join_scales(options), elementary_symmetric) == []
 
 
 @settings(SETTINGS, max_examples=25)
@@ -158,7 +159,7 @@ def test_keyed_join_with_large_keys_of_both_signs(case):
         e
         for opts, scale in zip(options, scales)
         for opt in opts
-        for e in _chern_key(opt, scale)
+        for e in _chern_key(opt, scale, elementary_symmetric)
     ]
     assert max(entries) > 10**6 and min(entries) < -(10**6)
     assert_join_matches_fractions(n, options, scales)
@@ -202,10 +203,11 @@ def test_keyed_join_packing_base_admits_no_false_zero(options, scales, solutions
     # the first options' keys sum to a nonzero vector that a base too small
     # for the sum of the points' largest entries would pack to 0
     def key_sum(choice):
-        return [sum(e) for e in zip(*map(_chern_key, choice, scales))]
+        keys = [_chern_key(o, s, elementary_symmetric) for o, s in zip(choice, scales)]
+        return [sum(e) for e in zip(*keys)]
 
     assert [c for c in product(*options) if not any(key_sum(c))] == solutions
-    assert sorted(_keyed_join(options, scales)) == solutions
+    assert sorted(_keyed_join(options, scales, elementary_symmetric)) == solutions
 
 
 def test_oversized_join_is_refused_before_it_is_built():
