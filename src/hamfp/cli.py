@@ -9,8 +9,10 @@ a machine-readable report with all large integers as decimal strings.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from . import dataio
@@ -228,24 +230,22 @@ def _pairing_section(
     return {"matrix": matrix, "middle_block": block, "determinant": det}, checks
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> tuple[int, str]:
     exponents = [dataio.parse_int(b.strip(), "--b entry") for b in args.b.split(",")]
     data = make_standard_g2(exponents)
     doc = dataio.data_to_document(data)
     if args.out:
         dataio.dump_document(doc, args.out)
     if args.json:
-        print(dataio.format_document(doc))
-    else:
-        print(f"standard fixed-point data: n={data.n}, {data.n + 2} fixed points")
-        for line in _point_lines(_point_json(data)):
-            print(line)
-        if args.out:
-            print(f"written to {args.out}")
-    return EXIT_OK
+        return EXIT_OK, dataio.format_document(doc)
+    lines = [f"standard fixed-point data: n={data.n}, {data.n + 2} fixed points"]
+    lines += _point_lines(_point_json(data))
+    if args.out:
+        lines.append(f"written to {args.out}")
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     data = dataio.data_from_document(dataio.load_document(args.path))
     if args.chern and (count := partition_count(data.n)) > MAX_CHERN_PARTITIONS:
         raise DataError(
@@ -274,6 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 sections["pairing"] = _pairing_section(data, basis, table, images)
     checks = [c for _, section_checks in sections.values() for c in section_checks]
     passed = all(c.passed for c in checks)
+    code = EXIT_OK if passed else EXIT_CHECK_FAILED
     points = _point_json(data)
 
     if args.json:
@@ -286,32 +287,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for c in section_checks
                 ],
             }
-        print(dataio.format_document(report))
-    else:
-        lines = [f"fixed-point data: n={data.n}, {data.n + 2} fixed points"]
-        lines += _point_lines(points)
-        lines.append("checks:")
-        lines += [
-            f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in checks
-        ]
-        pairing = sections["pairing"][0] if "pairing" in sections else {}
-        if "middle_block" in pairing:
-            lines.append(
-                f"middle pairing block {pairing['middle_block']} "
-                f"determinant {pairing['determinant']}"
-            )
-        chern = sections["chern"][0] if "chern" in sections else {}
-        if "ordinary" in chern:
-            lines.append(
-                "ordinary Chern classes: "
-                + "; ".join(f"{k} = {v}" for k, v in chern["ordinary"].items())
-            )
-        lines.append("result: " + ("PASS" if passed else "FAIL"))
-        print("\n".join(lines))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        return code, dataio.format_document(report)
+    lines = [f"fixed-point data: n={data.n}, {data.n + 2} fixed points"]
+    lines += _point_lines(points)
+    lines.append("checks:")
+    lines += [
+        f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in checks
+    ]
+    pairing = sections["pairing"][0] if "pairing" in sections else {}
+    if "middle_block" in pairing:
+        lines.append(
+            f"middle pairing block {pairing['middle_block']} "
+            f"determinant {pairing['determinant']}"
+        )
+    chern = sections["chern"][0] if "chern" in sections else {}
+    if "ordinary" in chern:
+        lines.append(
+            "ordinary Chern classes: "
+            + "; ".join(f"{k} = {v}" for k, v in chern["ordinary"].items())
+        )
+    lines.append("result: " + ("PASS" if passed else "FAIL"))
+    return code, "\n".join(lines)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     bound = None if args.bound is None else dataio.parse_int(args.bound, "--bound")
     if bound is not None and bound < 1:
         raise DataError(f"--bound must be at least 1, got {bound}")
@@ -331,20 +330,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "unique_standard": verdict.is_unique_standard,
             "symmetric": symmetric,
         }
-        print(dataio.format_document(doc))
-    else:
-        phis = ", ".join(str(v) for v in profile.phi)
-        print(f"profile: n={profile.n}, phi=({phis})")
-        print(f"symmetric about the middle pair: {'yes' if symmetric else 'no'}")
-        print(f"{len(verdict.candidates)} candidate(s)")
-        for k, cand in enumerate(verdict.candidates):
-            print(f"candidate {k}:")
-            for line in _point_lines(_point_json(cand)):
-                print(line)
-        print(f"unique standard data: {'yes' if verdict.is_unique_standard else 'no'}")
-    return EXIT_OK
+        return EXIT_OK, dataio.format_document(doc)
+    yes_no = {True: "yes", False: "no"}
+    lines = [
+        f"profile: n={profile.n}, phi=({', '.join(map(str, profile.phi))})",
+        f"symmetric about the middle pair: {yes_no[symmetric]}",
+        f"{len(verdict.candidates)} candidate(s)",
+    ]
+    for k, cand in enumerate(verdict.candidates):
+        lines += [f"candidate {k}:", *_point_lines(_point_json(cand))]
+    lines.append(f"unique standard data: {yes_no[verdict.is_unique_standard]}")
+    return EXIT_OK, "\n".join(lines)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamfp",
@@ -380,8 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. A DataError, raised before the command prints
-    anything, becomes a one-line message on stderr and exit code 2."""
+    """Run one command and write its report to stdout. A DataError, raised
+    before the command returns, becomes a one-line message on stderr and
+    exit code 2. A reader that closes early ends the write quietly, and the
+    command's exit code stands."""
     # Reports print integers of any size; Python 3.10.7+ otherwise refuses
     # str() of an int above 4,300 digits. The caller's limit comes back when
     # the command returns or exits.
@@ -390,13 +391,24 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, report = args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush neither fails nor prints a warning.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

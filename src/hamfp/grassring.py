@@ -56,20 +56,6 @@ class RingElement(Record):
         if len(self.coeffs) != self.n + 2:
             raise ValueError("coefficient vector does not match the basis size")
 
-    def __add__(self, other: RingElement) -> RingElement:
-        if self.n != other.n:
-            raise ValueError("elements of different rings")
-        return RingElement(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rmul__(self, scalar: int) -> RingElement:
-        return RingElement(self.n, tuple(scalar * c for c in self.coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __str__(self) -> str:
         labels = ring_labels(self.n)
         terms = []
@@ -107,10 +93,6 @@ class RingTable(Record):
         object.__setattr__(self, "n", index(self.n))
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be even and positive, got {self.n}")
-
-    @property
-    def one(self) -> RingElement:
-        return self.element(0)
 
     def element(self, index: int) -> RingElement:
         coeffs = [0] * (self.n + 2)

@@ -160,8 +160,6 @@ def _factorizations(
     given product (target >= 1)."""
     if count == 0:
         return [()] if target == 1 else []
-    if target < 1:
-        return []
     # every part divides the target, and the last part is what remains
     parts = [v for v in allowed if target % v == 0]
     members = set(parts)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -398,3 +399,44 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
 def test_usage_error_exit_code():
     assert run_cli("verify").returncode == 2
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--b", "3,2,1"], 0),
+        (["verify", str(GOLDEN / "tampered4.json")], 1),
+        (["verify", str(GOLDEN / "std4.json"), "--json"], 0),
+    ],
+    ids=["generate", "verify-fail", "verify-json"],
+)
+def test_a_closed_pipe_keeps_the_exit_code_and_stays_quiet(argv, code):
+    # stdout is a pipe whose reader is gone, as after `| head -c 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hamfp", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (code, "")
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("verify", "[]"),
+        ("verify", '{"n": 2, "points": {}}'),
+        ("classify", '{"n": 2, "points": ["P0", "P1", "P2", "P3"]}'),
+    ],
+    ids=["not-an-object", "points-not-a-list", "point-not-an-object"],
+)
+def test_documents_of_the_wrong_shape_exit_2(tmp_path, command, document):
+    path = tmp_path / "shape.json"
+    path.write_text(document)
+    _assert_usage_error(run_cli(command, str(path)))

@@ -77,6 +77,17 @@ def test_integers_survive_as_strings():
     assert data_from_document(doc) == data
 
 
+# Documents of the wrong shape, for data and profile documents alike: a
+# mutation returns a document to read in place of the one it was given.
+# Without the shape guards each would raise a TypeError or AttributeError.
+SHAPE_ERRORS = [
+    lambda doc: [],
+    lambda doc: "x",
+    lambda doc: doc.update(points=None),
+    lambda doc: doc["points"].__setitem__(0, "P0"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -88,13 +99,22 @@ def test_integers_survive_as_strings():
         lambda doc: doc["points"][0]["weights"].__setitem__(0, "1.5"),
         lambda doc: doc["points"][0]["weights"].__setitem__(0, "0"),
         lambda doc: doc.update(n=3),
+        *SHAPE_ERRORS,
     ],
 )
 def test_malformed_data_documents(std2, mutate):
     doc = data_to_document(std2)
-    mutate(doc)
+    replaced = mutate(doc)
     with pytest.raises(DataError):
-        data_from_document(doc)
+        data_from_document(doc if replaced is None else replaced)
+
+
+@pytest.mark.parametrize("mutate", SHAPE_ERRORS)
+def test_malformed_profile_documents(mutate):
+    doc = profile_to_document(MomentProfile(2, (-2, -1, 1, 2)))
+    replaced = mutate(doc)
+    with pytest.raises(DataError):
+        profile_from_document(doc if replaced is None else replaced)
 
 
 @pytest.mark.skipif(
