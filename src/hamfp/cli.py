@@ -331,19 +331,19 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
             "symmetric": symmetric,
         }
         return EXIT_OK, dataio.format_document(doc)
-    yes_no = {True: "yes", False: "no"}
+    phis = ", ".join(str(v) for v in profile.phi)
     lines = [
-        f"profile: n={profile.n}, phi=({', '.join(map(str, profile.phi))})",
-        f"symmetric about the middle pair: {yes_no[symmetric]}",
+        f"profile: n={profile.n}, phi=({phis})",
+        f"symmetric about the middle pair: {'yes' if symmetric else 'no'}",
         f"{len(verdict.candidates)} candidate(s)",
     ]
     for k, cand in enumerate(verdict.candidates):
-        lines += [f"candidate {k}:", *_point_lines(_point_json(cand))]
-    lines.append(f"unique standard data: {yes_no[verdict.is_unique_standard]}")
+        lines.append(f"candidate {k}:")
+        lines += _point_lines(_point_json(cand))
+    lines.append(f"unique standard data: {'yes' if verdict.is_unique_standard else 'no'}")
     return EXIT_OK, "\n".join(lines)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamfp",
@@ -378,11 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's own parser, built once per interpreter; build_parser stays fresh.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its report to stdout. A DataError, raised
     before the command returns, becomes a one-line message on stderr and
     exit code 2. A reader that closes early ends the write quietly, and the
-    command's exit code stands."""
+    command's exit code stands; if that stdout is the process's own, its
+    descriptor then points at devnull for the rest of the process."""
     # Reports print integers of any size; Python 3.10.7+ otherwise refuses
     # str() of an int above 4,300 digits. The caller's limit comes back when
     # the command returns or exits.
@@ -390,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code, report = args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -403,10 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; point it at devnull
         # so that flush neither fails nor prints a warning.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-        finally:
             os.close(devnull)
     return code
 

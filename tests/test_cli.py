@@ -167,7 +167,13 @@ def test_unreadable_files_exit_2(tmp_path, command):
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    for path in (not_utf8, deep):
+    # documents of the wrong shape: not an object, "points" not a list, and
+    # a point that is not an object
+    shapes = [tmp_path / f"shape{k}.json" for k in range(3)]
+    shapes[0].write_text("[]")
+    shapes[1].write_text('{"n": 2, "points": {}}')
+    shapes[2].write_text('{"n": 2, "points": ["P0", "P1", "P2", "P3"]}')
+    for path in (not_utf8, deep, *shapes):
         _assert_usage_error(run_cli(command, str(path)))
 
 
@@ -425,18 +431,3 @@ def test_a_closed_pipe_keeps_the_exit_code_and_stays_quiet(argv, code):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (code, "")
-
-
-@pytest.mark.parametrize(
-    "command, document",
-    [
-        ("verify", "[]"),
-        ("verify", '{"n": 2, "points": {}}'),
-        ("classify", '{"n": 2, "points": ["P0", "P1", "P2", "P3"]}'),
-    ],
-    ids=["not-an-object", "points-not-a-list", "point-not-an-object"],
-)
-def test_documents_of_the_wrong_shape_exit_2(tmp_path, command, document):
-    path = tmp_path / "shape.json"
-    path.write_text(document)
-    _assert_usage_error(run_cli(command, str(path)))
