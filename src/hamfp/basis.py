@@ -31,8 +31,7 @@ running common denominator, each residual is an integer sum against the
 basis numerators, and each new coefficient is one ``exact_fraction`` of
 ``exactnum``, so only a fractional one builds a reduced ``Fraction``.
 ``express_in_basis`` expands one ``EquivClass``; ``express_chern`` expands
-c_1..c_n of a dataset straight from the integers of its ``chern_table``,
-transposing the basis once for all of them and building no ``EquivClass``.
+c_1..c_n of the basis's own dataset from the integers of its ``chern_table``.
 """
 
 from __future__ import annotations
@@ -50,31 +49,37 @@ from .record import Record
 
 
 class BasisRestrictions(Record):
-    """Rows are the basis classes, columns the fixed points.
+    """The basis for ``data``: rows are the basis classes, columns the points.
 
     Entry (i, k) is numerators[i][k] / denominator. Row i has half degree i
-    in the lower half and i-1 in the upper half (``half_degrees``).
+    in the lower half and i-1 in the upper half (``half_degrees``). ValueError
+    refuses a denominator below 1, numerators that are not n + 2 rows of n + 2,
+    and a diagonal entry other than its point's negative weight product.
     """
 
-    __slots__ = ("n", "numerators", "denominator")
-    n: int
+    __slots__ = ("data", "numerators", "denominator")
+    data: FixedPointData
     numerators: tuple[tuple[int, ...], ...]
     denominator: int
+
+    def __post_init__(self) -> None:
+        if self.denominator < 1:
+            raise ValueError(f"denominator must be positive, got {self.denominator}")
+        m = self.n + 2
+        if len(self.numerators) != m or any(len(row) != m for row in self.numerators):
+            raise ValueError(f"numerators are not n + 2 = {m} rows of {m} entries")
+        for i, p in enumerate(self.data.points):
+            lower = prod(w for w in p.weights if w < 0)
+            if self.numerators[i][i] != lower * self.denominator:
+                raise ValueError(f"basis entry ({i},{i}) does not match the dataset")
+
+    @property
+    def n(self) -> int:
+        return self.data.n
 
     @property
     def half_degrees(self) -> tuple[int, ...]:
         return morse_pattern(self.n)
-
-    def check_dataset(self, data: FixedPointData) -> None:
-        """Raise ValueError unless this basis was built for the dataset: it
-        must have the dataset's n, and each diagonal entry must be the
-        product of its point's negative weights."""
-        if self.n != data.n:
-            raise ValueError(f"basis has n={self.n}, dataset has n={data.n}")
-        for i, p in enumerate(data.points):
-            lower = prod(w for w in p.weights if w < 0)
-            if self.numerators[i][i] != lower * self.denominator:
-                raise ValueError(f"basis entry ({i},{i}) does not match the dataset")
 
 
 class Expansion(Record):
@@ -141,7 +146,7 @@ def build_basis(data: FixedPointData) -> BasisRestrictions:
         tuple(c.numerator * (denominator // c.denominator) for c in row)
         for row in entries
     )
-    return BasisRestrictions(n, numerators, denominator)
+    return BasisRestrictions(data, numerators, denominator)
 
 
 def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
@@ -165,19 +170,18 @@ def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:
 
 
 def express_chern(
-    basis: BasisRestrictions, data: FixedPointData, expand: Expand | None = None
+    basis: BasisRestrictions, expand: Expand | None = None
 ) -> Iterator[Expansion]:
-    """Expansions of the dataset's Chern classes c_1..c_n in its basis.
+    """Expansions of the Chern classes c_1..c_n of the basis's dataset.
 
-    Entry [P][i] of ``chern_table(data, expand)`` is the restriction of c_i
-    to point P over t^i, an integer, so each class is expanded with scale 1
-    and no EquivClass is built. The basis is transposed once for all n
-    classes, after ``check_dataset``. The expansions come one at a time: an
-    ExpansionError at c_i leaves c_1..c_(i-1) with the caller.
+    Entry [P][i] of ``chern_table(basis.data, expand)`` is the restriction
+    of c_i to point P over t^i, an integer, so each class is expanded with
+    scale 1 and no EquivClass is built. The basis is transposed once for all
+    n classes. The expansions come one at a time: an ExpansionError at c_i
+    leaves c_1..c_(i-1) with the caller.
     """
-    basis.check_dataset(data)
     columns = list(zip(*basis.numerators))
-    table = chern_table(data, expand)
+    table = chern_table(basis.data, expand)
     for i in range(1, basis.n + 1):
         yield _substitute(basis, columns, i, [e[i] for e in table], 1)
 

@@ -1,9 +1,10 @@
 """Command-line interface: generate, verify, classify.
 
 Exit codes form a stable scripting contract: 0 when every check passes, 1
-when some check fails, 2 for malformed input or usage errors. Reports are
-deterministic (byte-identical for identical inputs and flags); --json emits
-a machine-readable report with all large integers as decimal strings.
+when some check fails, 2 for malformed input, usage errors or a report that
+cannot be written. Reports are deterministic (byte-identical for identical
+inputs and flags); --json emits a machine-readable report with all large
+integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .fpdata import (
 )
 from .grassring import (  # noqa: F401
     RingElement,
-    RingTable,
     basis_images,
     betti,
     ordinary_chern,
@@ -107,7 +107,7 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
     return [CheckResult("symplectic-class-vanishing", not failures, detail)]
 
 
-def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
+def _basis_section(basis: BasisRestrictions) -> Section:
     den = basis.denominator
     integral = den == 1
     if integral:
@@ -125,17 +125,14 @@ def _basis_section(data: FixedPointData, basis: BasisRestrictions) -> Section:
 
 
 def _chern_section(
-    data: FixedPointData,
-    basis: BasisRestrictions,
-    table: RingTable,
-    images: tuple[RingElement, ...],
+    basis: BasisRestrictions, images: tuple[RingElement, ...]
 ) -> Section:
     expansions = {}
     expanded = []
     # the Chern classes and the Chern numbers read each point's expansion
     expand = expansion_memo()
     try:
-        for i, expansion in enumerate(express_chern(basis, data, expand), 1):
+        for i, expansion in enumerate(express_chern(basis, expand), 1):
             expansions[f"c_{i}"] = [
                 {"coefficient": str(c), "t_power": p} for c, p in expansion.terms
             ]
@@ -148,7 +145,7 @@ def _chern_section(
     numbers = {
         "{" + ",".join(map(str, parts)) + "}": value
         for _, parts, value in localization_sums(
-            data, [data.n], with_u=False, with_chern=True, expand=expand
+            basis.data, [basis.n], with_u=False, with_chern=True, expand=expand
         )
     }
     numbers_integral = all(v.denominator == 1 for v in numbers.values())
@@ -162,8 +159,8 @@ def _chern_section(
         ),
         CheckResult(
             "first-chern-coefficient",
-            first_coeff == data.n,
-            f"coefficient of the degree-2 basis row is {first_coeff}, n is {data.n}",
+            first_coeff == basis.n,
+            f"coefficient of the degree-2 basis row is {first_coeff}, n is {basis.n}",
         ),
         CheckResult(
             "chern-numbers-integral",
@@ -178,23 +175,21 @@ def _chern_section(
         "numbers": {k: str(v) for k, v in numbers.items()},
     }
     if all_integral:
-        classes = ordinary_from_expansions(table, images, expanded)
+        classes = ordinary_from_expansions(images, expanded)
         payload["ordinary"] = {
             f"c_{i + 1}": str(elem) for i, elem in enumerate(classes)
         }
-        payload["betti"] = betti(data.n)
+        payload["betti"] = betti(basis.n)
     return payload, checks
 
 
 def _pairing_section(
-    data: FixedPointData,
-    basis: BasisRestrictions,
-    table: RingTable,
-    images: tuple[RingElement, ...],
+    basis: BasisRestrictions, images: tuple[RingElement, ...]
 ) -> Section:
-    half = data.n // 2
+    n = basis.n
+    half = n // 2
     try:
-        matrix = pairing_matrix(data, basis)
+        matrix = pairing_matrix(basis)
     except IntegralityError as exc:
         return {}, [CheckResult("pairing-integrality", False, str(exc))]
     checks = [CheckResult("pairing-integrality", True, "all pairings are integers")]
@@ -212,11 +207,10 @@ def _pairing_section(
     )
     degrees = basis.half_degrees
     ring_matches = all(
-        matrix[i][j]
-        == ring_integral(table, ring_mul(table, images[i], images[j]))
-        for i in range(data.n + 2)
-        for j in range(data.n + 2)
-        if degrees[i] + degrees[j] == data.n
+        matrix[i][j] == ring_integral(ring_mul(images[i], images[j]))
+        for i in range(n + 2)
+        for j in range(n + 2)
+        if degrees[i] + degrees[j] == n
     )
     checks.append(
         CheckResult(
@@ -264,14 +258,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             sections["basis"] = {}, [fail]
         else:
             if args.basis:
-                sections["basis"] = _basis_section(data, basis)
+                sections["basis"] = _basis_section(basis)
             if args.chern or args.pairing:
-                table = ring_make(data.n)
-                images = basis_images(table)
+                images = basis_images(ring_make(data.n))
             if args.chern:
-                sections["chern"] = _chern_section(data, basis, table, images)
+                sections["chern"] = _chern_section(basis, images)
             if args.pairing:
-                sections["pairing"] = _pairing_section(data, basis, table, images)
+                sections["pairing"] = _pairing_section(basis, images)
     checks = [c for _, section_checks in sections.values() for c in section_checks]
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -383,11 +376,11 @@ _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and write its report to stdout. A DataError, raised
-    before the command returns, becomes a one-line message on stderr and
-    exit code 2. A reader that closes early ends the write quietly, and the
-    command's exit code stands; if that stdout is the process's own, its
-    descriptor then points at devnull for the rest of the process."""
+    """Run one command and write its report to stdout. A DataError raised by
+    the command, or a report that cannot be written, becomes one ``error:``
+    line on stderr and exit code 2; a reader that closes early ends the write
+    quietly with the command's own code. After a failed write to the process's
+    own stdout, its descriptor points at devnull for the rest of the process."""
     # Reports print integers of any size; Python 3.10.7+ otherwise refuses
     # str() of an int above 4,300 digits. The caller's limit comes back when
     # the command returns or exits.
@@ -405,13 +398,16 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
     try:
         print(report, flush=True)
-    except BrokenPipeError:
+    except OSError as exc:
         # The interpreter flushes stdout again at exit; point it at devnull
         # so that flush neither fails nor prints a warning.
         if sys.stdout is sys.__stdout__:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

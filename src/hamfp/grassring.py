@@ -14,7 +14,8 @@ not basis labels; they expand as x^(n/2) = y + z and x^(n/2+k) = 2 g_k.
 No multiplication table is stored. Each basis label is x^a * s with s one
 of 1, y or z (g_a is x^a * y), and since x*y = x*z = g_1 the product of two
 labels depends only on the exponent sum and the two factors s: one rule
-(``_label_product``) gives it, and ``ring_mul`` extends it bilinearly.
+(``_label_product``) gives it, and ``ring_mul`` extends it bilinearly. Each
+``RingElement`` carries its n, so no function takes a ring beside elements.
 
 The module also maps each localization basis row to its ordinary image in
 this ring (rows of the lower half land on powers of x, the two middle rows
@@ -37,7 +38,6 @@ from .basis import (  # noqa: F401
     express_in_basis,
 )
 from .errors import IntegralityError
-from .fpdata import FixedPointData
 from .localize import chern_restriction  # noqa: F401
 from .record import Record
 
@@ -50,8 +50,8 @@ class RingElement(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # operator.index raises TypeError on a float, Fraction or string
-        object.__setattr__(self, "n", index(self.n))
+        # RingTable refuses an n that is not an even positive integer
+        object.__setattr__(self, "n", RingTable(self.n).n)
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.n + 2:
             raise ValueError("coefficient vector does not match the basis size")
@@ -171,25 +171,27 @@ def ring_make(n: int) -> RingTable:
     return RingTable(n)
 
 
-def ring_mul(table: RingTable, a: RingElement, b: RingElement) -> RingElement:
-    """Bilinear extension of the label product; degrees above 2n vanish."""
-    if a.n != table.n or b.n != table.n:
-        raise ValueError("elements do not belong to this ring")
-    out = [0] * (table.n + 2)
+def ring_mul(a: RingElement, b: RingElement) -> RingElement:
+    """Bilinear extension of the label product; degrees above 2n vanish.
+    Elements of the rings for different n raise ValueError."""
+    n = a.n
+    if b.n != n:
+        raise ValueError(f"cannot multiply elements of the rings for n={n} and n={b.n}")
+    out = [0] * (n + 2)
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
         for j, cb in enumerate(b.coeffs):
             if cb == 0:
                 continue
-            for idx, c in _label_product(table.n, i, j):
+            for idx, c in _label_product(n, i, j):
                 out[idx] += ca * cb * c
-    return RingElement(table.n, tuple(out))
+    return RingElement(n, tuple(out))
 
 
-def ring_integral(table: RingTable, elem: RingElement) -> int:
+def ring_integral(elem: RingElement) -> int:
     """Coefficient of the top class g_{n/2}: the integral over the manifold."""
-    return elem.coeffs[_index_g(table.n, table.n // 2)]
+    return elem.coeffs[_index_g(elem.n, elem.n // 2)]
 
 
 def betti(n: int) -> list[int]:
@@ -218,31 +220,27 @@ def basis_images(table: RingTable) -> tuple[RingElement, ...]:
     return tuple(images)
 
 
-def ordinary_chern(
-    data: FixedPointData, basis: BasisRestrictions, table: RingTable
-) -> list[RingElement]:
-    """Ordinary Chern classes c_1(M)..c_n(M) in the ring basis.
+def ordinary_chern(basis: BasisRestrictions) -> list[RingElement]:
+    """Ordinary Chern classes c_1(M)..c_n(M) of the basis's dataset.
 
     Each equivariant Chern class is expanded in the localization basis and
     mapped by ``ordinary_from_expansions``.
     """
-    if table.n != data.n:
-        raise ValueError("ring and dataset have different n")
-    expansions = list(express_chern(basis, data))
-    return ordinary_from_expansions(table, basis_images(table), expansions)
+    images = basis_images(ring_make(basis.n))
+    return ordinary_from_expansions(images, list(express_chern(basis)))
 
 
 def ordinary_from_expansions(
-    table: RingTable,
-    images: Sequence[RingElement],
-    expansions: Sequence[Expansion],
+    images: Sequence[RingElement], expansions: Sequence[Expansion]
 ) -> list[RingElement]:
     """Ordinary classes of c_1..c_n from their expansions in the basis.
 
     Each expansion must be integral (IntegralityError otherwise). Setting t
     to 0 keeps only the terms of t-power zero, which are then mapped through
     ``images``, the ordinary images of the basis rows (``basis_images``).
+    An expansion and the images must have one term per row (ValueError).
     """
+    n = images[0].n
     out = []
     for i, expansion in enumerate(expansions, 1):
         if not expansion.integral:
@@ -250,11 +248,11 @@ def ordinary_from_expansions(
                 f"Chern class {i} has a non-integral expansion: "
                 f"{expansion.coefficients}"
             )
-        coeffs = [0] * (table.n + 2)
-        for (coeff, power), image in zip(expansion.terms, images):
+        coeffs = [0] * (n + 2)
+        for (coeff, power), image in zip(expansion.terms, images, strict=True):
             if power == 0 and coeff != 0:
                 scalar = int(coeff)
                 for k, c in enumerate(image.coeffs):
                     coeffs[k] += scalar * c
-        out.append(RingElement(table.n, tuple(coeffs)))
+        out.append(RingElement(n, tuple(coeffs)))
     return out

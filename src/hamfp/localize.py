@@ -24,7 +24,8 @@ symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and callers share expansions through an ``expansion_memo``.
 ``integrate`` is the primitive for arbitrary classes, and ``chern_number``
 integrates its one product of Chern classes through it. ``pairing_matrix``
-sums products of basis rows over the basis denominator squared times L.
+sums products of basis rows over the basis denominator squared times L, on
+the dataset that the basis holds.
 
 Everything is a pure function of immutable inputs; sums of exact rationals
 are order-independent, so callers may parallelize freely.
@@ -261,8 +262,8 @@ def partition_count(total: int) -> int:
     return counts[total]
 
 
-def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
-    """Intersection pairing of the basis rows, via localization.
+def pairing_matrix(basis) -> list[list[int]]:
+    """Intersection pairing of the basis rows, via localization on its data.
 
     Entry (i, j) is the integral of row_i * row_j when the degrees are
     complementary (sum 2n) and 0 otherwise. With the basis entries N / D and
@@ -270,10 +271,9 @@ def pairing_matrix(data: FixedPointData, basis) -> list[list[int]]:
     D^2 * L, summed in integers and reduced once. Entries must be integers;
     the first fractional value in row-major order raises IntegralityError.
     The matrix is symmetric, so only i <= j is summed: the first fractional
-    entry in row-major order always lies there. A basis built for another
-    dataset raises ValueError (``BasisRestrictions.check_dataset``).
+    entry in row-major order always lies there.
     """
-    basis.check_dataset(data)
+    data = basis.data
     m = data.n + 2
     rows = basis.numerators
     degrees = basis.half_degrees

@@ -58,7 +58,7 @@ from math import isqrt, prod
 
 from .errors import DataError, InconsistentProfileError
 from .errors import SearchTooLargeError
-from .exactnum import elementary_symmetric, exact_int, shares
+from .exactnum import exact_int, shares
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -72,6 +72,7 @@ from .fpdata import (
 from .localize import (  # noqa: F401
     Expand,
     chern_restriction,
+    expansion_memo,
     integrate,
     localization_consistent,
     symplectic_class,
@@ -328,7 +329,7 @@ def enumerate_candidates(
     factorizations = cache(_factorizations)
     # An option reaches many joins, and the survivors the final filter: each
     # is expanded once per call.
-    expand = cache(elementary_symmetric)
+    expand = expansion_memo()
     # At point i the negative product has the sign (-1)^pattern[i] and the
     # positive product is at least 1, so every option is pattern[i] negated
     # factors of |neg| and n - pattern[i] factors of pos.

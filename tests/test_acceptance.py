@@ -169,21 +169,21 @@ def test_criterion_6_ring_correctness():
         table = ring_make(n)
         elements = [table.element(i) for i in range(n + 2)]
         for a, b, c in product(elements, repeat=3):
-            lhs = ring_mul(table, ring_mul(table, a, b), c)
-            rhs = ring_mul(table, a, ring_mul(table, b, c))
+            lhs = ring_mul(ring_mul(a, b), c)
+            rhs = ring_mul(a, ring_mul(b, c))
             ok = ok and lhs == rhs
         half = n // 2
         y, z = table.element(half), table.element(half + 1)
         top = table.element(half + 1 + half)
         zero = RingElement(n, (0,) * (n + 2))
         if n % 4 == 2:
-            ok = ok and ring_mul(table, y, y) == zero
-            ok = ok and ring_mul(table, z, z) == zero
-            ok = ok and ring_mul(table, y, z) == top
+            ok = ok and ring_mul(y, y) == zero
+            ok = ok and ring_mul(z, z) == zero
+            ok = ok and ring_mul(y, z) == top
         else:
-            ok = ok and ring_mul(table, y, y) == top
-            ok = ok and ring_mul(table, z, z) == top
-            ok = ok and ring_mul(table, y, z) == zero
+            ok = ok and ring_mul(y, y) == top
+            ok = ok and ring_mul(z, z) == top
+            ok = ok and ring_mul(y, z) == zero
         pattern = [1] * (n + 1)
         pattern[half] = 2
         ok = ok and betti(n) == pattern
@@ -201,7 +201,7 @@ def test_criterion_7_integrality_and_unimodularity():
             ok = ok and express_in_basis(basis, chern_restriction(data, i)).integral
         for parts in partitions(n):
             ok = ok and chern_number(data, parts).denominator == 1
-        matrix = pairing_matrix(data, basis)
+        matrix = pairing_matrix(basis)
         half = n // 2
         block = [
             [matrix[half][half], matrix[half][half + 1]],
@@ -213,7 +213,7 @@ def test_criterion_7_integrality_and_unimodularity():
         images = basis_images(table)
         def ring_block_for(pair):
             return [
-                [ring_integral(table, ring_mul(table, a, b)) for b in pair]
+                [ring_integral(ring_mul(a, b)) for b in pair]
                 for a in pair
             ]
 

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
+    BasisRestrictions,
     DegenerateGammaError,
     EquivClass,
     ExpansionError,
@@ -34,7 +35,6 @@ from hamfp import (
     ordinary_chern,
     pairing_matrix,
     point_invariants,
-    ring_make,
     symplectic_class,
 )
 from hamfp.basis import express_chern
@@ -229,6 +229,8 @@ def test_express_rejects_tuple_outside_span(std2):
         express_in_basis(basis, EquivClass(1, (0, 0, 0, 1)))
     with pytest.raises(ValueError):
         express_in_basis(basis, EquivClass(4, (0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="does not match the basis point count"):
+        express_in_basis(basis, EquivClass(1, (0, 0, 0)))
 
 
 @SETTINGS
@@ -318,7 +320,7 @@ def test_express_in_basis_matches_fraction_substitution(case, draw):
 @given(weight_data())
 def test_pairing_matrix_matches_integrate(case):
     data, basis = case
-    assert outcome(pairing_matrix, data, basis) == outcome(
+    assert outcome(pairing_matrix, basis) == outcome(
         reference_pairing, data, basis
     )
 
@@ -340,7 +342,7 @@ def expansions_batched(basis, data):
     """The same from express_chern, read lazily as the CLI reads it."""
     expansions = []
     try:
-        for expansion in express_chern(basis, data):
+        for expansion in express_chern(basis):
             expansions.append(expansion.terms)
     except ExpansionError as exc:
         return expansions, str(exc)
@@ -372,15 +374,16 @@ def test_express_chern_fails_at_the_same_class_on_frac6():
     "exponents, message",
     [
         ([5, 2, 1], r"basis entry \(1,1\) does not match the dataset"),
-        ([4, 3, 2, 1], "basis has n=6, dataset has n=4"),
+        ([4, 3, 2, 1], r"numerators are not n \+ 2 = 6 rows of 6 entries"),
     ],
     ids=["same-n", "other-n"],
 )
 def test_chern_expansions_refuse_a_basis_for_other_data(exponents, message):
-    # the same-n basis once gave "ExpansionError: ... outside the basis span"
+    # the same-n basis once gave "ExpansionError: ... outside the basis span";
+    # a basis now carries its dataset, so the mismatch is refused when it is
+    # built, before express_chern or ordinary_chern can see it
     data = make_standard_g2([3, 2, 1])
-    basis = build_basis(make_standard_g2(exponents))
-    with pytest.raises(ValueError, match=message):
-        next(express_chern(basis, data))
-    with pytest.raises(ValueError, match=message):
-        ordinary_chern(data, basis, ring_make(4))
+    other = build_basis(make_standard_g2(exponents))
+    for chern in (lambda basis: next(express_chern(basis)), ordinary_chern):
+        with pytest.raises(ValueError, match=message):
+            chern(BasisRestrictions(data, other.numerators, other.denominator))

@@ -431,3 +431,24 @@ def test_a_closed_pipe_keeps_the_exit_code_and_stays_quiet(argv, code):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--b", "3,2,1"], ["verify", str(GOLDEN / "tampered4.json")]],
+    ids=["generate", "verify-fail"],
+)
+def test_a_report_that_cannot_be_written_exits_2(argv):
+    # every write to /dev/full fails with "No space left on device"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "hamfp", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+    lines = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), lines

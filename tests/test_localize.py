@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
+    BasisRestrictions,
     EquivClass,
     FixedPoint,
     FixedPointData,
@@ -83,6 +84,11 @@ def test_integrate_unit_vanishes(std2, std4):
     assert integrate(std4, EquivClass(0, (1,) * (std4.n + 2))) == 0
 
 
+def test_integrate_refuses_a_class_of_another_length(std2):
+    with pytest.raises(ValueError, match="does not match the fixed-point set"):
+        integrate(std2, EquivClass(2, (1, 2, 3)))
+
+
 def test_integrate_symplectic_square(std2):
     u = symplectic_class(std2)
     assert integrate(std2, power(u, 2)) == 2
@@ -126,16 +132,17 @@ def test_chern_numbers_are_integers(std4):
 
 @pytest.mark.parametrize("exponents", [[4, 3, 2, 1], [2, 1]], ids=["n6", "n2"])
 def test_pairing_matrix_refuses_a_basis_for_another_n(std4, exponents):
-    basis = build_basis(make_standard_g2(exponents))
-    with pytest.raises(ValueError, match=f"basis has n={basis.n}, dataset has n=4"):
-        pairing_matrix(std4, basis)
+    # a basis carries its dataset, so the mismatch is refused when it is built
+    other = build_basis(make_standard_g2(exponents))
+    with pytest.raises(ValueError, match=r"numerators are not n \+ 2 = 6 rows"):
+        pairing_matrix(BasisRestrictions(std4, other.numerators, other.denominator))
 
 
 def test_pairing_matrix_refuses_a_basis_for_another_dataset_of_the_same_n(std4):
     # it once reported "pairing (0,5) is 63/5" as if std4 were not integral
-    basis = build_basis(make_standard_g2([5, 2, 1]))
+    other = build_basis(make_standard_g2([5, 2, 1]))
     with pytest.raises(ValueError, match=r"basis entry \(1,1\) does not match"):
-        pairing_matrix(std4, basis)
+        pairing_matrix(BasisRestrictions(std4, other.numerators, other.denominator))
 
 
 def test_partition_count_by_recurrence():
@@ -148,7 +155,7 @@ def test_partition_count_by_recurrence():
 
 def test_pairing_matrix_n2(std2):
     basis = build_basis(std2)
-    matrix = pairing_matrix(std2, basis)
+    matrix = pairing_matrix(basis)
     assert matrix[0][3] == 1
     assert [row[1:3] for row in matrix[1:3]] == [[2, 1], [1, 0]]
     det = matrix[1][1] * matrix[2][2] - matrix[1][2] * matrix[2][1]
@@ -158,7 +165,7 @@ def test_pairing_matrix_n2(std2):
 @SETTINGS
 @given(standard_data())
 def test_middle_block_is_unimodular(data):
-    matrix = pairing_matrix(data, build_basis(data))
+    matrix = pairing_matrix(build_basis(data))
     half = data.n // 2
     det = (
         matrix[half][half] * matrix[half + 1][half + 1]

@@ -49,8 +49,14 @@ SAMPLES = [
      "ValidationReport(checks=(CheckResult(name='a', passed=False, detail='x'),))"),
     (EquivClass, {"degree_half": 1, "coeffs": (Fraction(1, 2), 3)},
      "EquivClass(degree_half=1, coeffs=(Fraction(1, 2), Fraction(3, 1)))"),
-    (BasisRestrictions, {"n": 2, "numerators": ((1, 2), (3, 4)), "denominator": 5},
-     "BasisRestrictions(n=2, numerators=((1, 2), (3, 4)), denominator=5)"),
+    (BasisRestrictions,
+     {"data": FixedPointData(2, POINTS),
+      "numerators": ((1, 1, 1, 1), (0, -1, -1, -2), (0, 0, -1, -2), (0, 0, 0, 2)),
+      "denominator": 1},
+     "BasisRestrictions(data=FixedPointData(n=2, points=(FixedPoint(phi=-2, "
+     "weights=(1, 2)), FixedPoint(phi=-1, weights=(-1, 1)), FixedPoint(phi=1, "
+     "weights=(-1, 1)), FixedPoint(phi=2, weights=(-1, -2)))), numerators=((1, 1, "
+     "1, 1), (0, -1, -1, -2), (0, 0, -1, -2), (0, 0, 0, 2)), denominator=1)"),
     (Expansion, {"terms": ((Fraction(1, 3), 0), (Fraction(2), 1))},
      "Expansion(terms=((Fraction(1, 3), 0), (Fraction(2, 1), 1)))"),
     (RingElement, {"n": 2, "coeffs": (1, 0, -2, 5)},
@@ -134,6 +140,11 @@ def test_construction_checks_still_run():
         EquivClass(-1, (1, 2))
     with pytest.raises(ValueError, match="basis size"):
         RingElement(2, (1, 0, 0))
+    with pytest.raises(ValueError, match="n must be even and positive, got 3"):
+        RingElement(3, (1, 0, 0, 0, 0))
+    # a zero denominator would pass every diagonal test and expand c_1 as 0
+    with pytest.raises(ValueError, match="denominator must be positive, got 0"):
+        BasisRestrictions(FixedPointData(2, POINTS), ((0,) * 4,) * 4, 0)
     with pytest.raises(ValueError, match="n must be even and positive, got 3"):
         RingTable(3)
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamfp.localize
-import hamfp.solver
 from hamfp import (
     DataError,
     FixedPoint,
@@ -163,8 +162,7 @@ def test_enumerate_expands_each_option_once_per_call(monkeypatch):
         calls[tuple(values)] += 1
         return elementary_symmetric(values)
 
-    for module in (hamfp.solver, hamfp.localize):
-        monkeypatch.setattr(module, "elementary_symmetric", counted)
+    monkeypatch.setattr(hamfp.localize, "elementary_symmetric", counted)
     data = make_standard_g2([1, 3, 5, 7, 9])
     assert enumerate_candidates(profile_of(data)) == [data]
     first = dict(calls)
