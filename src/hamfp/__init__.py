@@ -54,7 +54,6 @@ from .localize import (
     integrate,
     localization_consistent,
     pairing_matrix,
-    partitions,
     symplectic_class,
 )
 from .solver import (
@@ -102,7 +101,6 @@ __all__ = [
     "morse_pattern",
     "ordinary_chern",
     "pairing_matrix",
-    "partitions",
     "point_invariants",
     "predicted_products",
     "ring_integral",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterator
 
 from .errors import DegenerateGammaError, ExpansionError
@@ -52,9 +52,10 @@ class BasisRestrictions(Record):
     """The basis for ``data``: rows are the basis classes, columns the points.
 
     Entry (i, k) is numerators[i][k] / denominator. Row i has half degree i
-    in the lower half and i-1 in the upper half (``half_degrees``). ValueError
-    refuses a denominator below 1, numerators that are not n + 2 rows of n + 2,
-    and a diagonal entry other than its point's negative weight product.
+    in the lower half and i-1 in the upper half (``half_degrees``). TypeError
+    refuses a denominator or numerator that is not an integer, and ValueError
+    a denominator below 1, numerators that are not n + 2 rows of n + 2, and a
+    diagonal entry other than its point's negative weight product.
     """
 
     __slots__ = ("data", "numerators", "denominator")
@@ -63,6 +64,11 @@ class BasisRestrictions(Record):
     denominator: int
 
     def __post_init__(self) -> None:
+        # operator.index raises TypeError on a float, Fraction or string, as
+        # RingElement's coefficients do
+        object.__setattr__(self, "denominator", index(self.denominator))
+        rows = tuple(tuple(map(index, row)) for row in self.numerators)
+        object.__setattr__(self, "numerators", rows)
         if self.denominator < 1:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
         m = self.n + 2

@@ -15,10 +15,12 @@ and is divided by L once with ``exactnum.exact_fraction``.
 
 Monomials u^a * c_lambda in the symplectic class and the Chern classes are
 integrated by one engine, ``localization_sums``, without restriction tuples:
-it walks the partitions of each degree with parts in nondecreasing order,
-closing one monomial at every node, and yields each block in the order of
-``partitions``. ``localization_consistent``, the classifier's final test,
-asks it whether every sum below the top degree vanishes.
+one loop per degree and u-power pops partitions off a stack, parts in
+nondecreasing order, and yields one monomial for every node as it pops it,
+so the order of the partitions within a block is unspecified; the report
+writers impose any order a reader sees. ``localization_consistent``, the
+classifier's final test, asks it whether every sum below the top degree
+vanishes, and stops at the first that does not.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and callers share expansions through an ``expansion_memo``.
@@ -145,21 +147,24 @@ def localization_sums(
 
     For each half-degree d (at most n with Chern classes) in the given order,
     a runs from d down to 0 (only 0 without u, only d without Chern classes)
-    and parts over the partitions of d - a in the order of ``partitions``. A
-    negative d, or with Chern classes one above n, raises ValueError when the
-    stream reaches it, and so at once does asking for neither u nor Chern
-    classes. Sums are exact, in integers over L = lcm |Lambda_P| with
-    Lambda_P the dataset's weight products, and each is divided by L once
-    with ``exact_fraction``. Pure powers of u need only the weight products;
-    Chern monomials read each point's e_k from ``chern_table(data, expand)``.
+    and parts over the partitions of d - a, each written largest part first,
+    in an unspecified order within the (d, a) block. A negative d, or with
+    Chern classes one above n, raises ValueError when the stream reaches it,
+    and so at once does asking for neither u nor Chern classes. Sums are
+    exact, in integers over L = lcm |Lambda_P| with Lambda_P the dataset's
+    weight products, and each is divided by L once with ``exact_fraction``.
+    Pure powers of u need only the weight products; Chern monomials read each
+    point's e_k from ``chern_table(data, expand)``.
 
-    Each (d, a) block walks the partitions of d - a with parts in
-    nondecreasing order. A node holds its parts' per-point product
-    u(P)^a * e_p1(P) * ...; it closes one leaf by taking the whole remainder
-    r as its last part, the dot product of its products with the column
-    e_r(P) * (L / Lambda_P), and its children extend the products by one
-    part from its last part up to half the remainder. The block is then
-    yielded sorted as ``partitions`` lists it.
+    Each (d, a) block is one loop over a stack of nodes (products, remainder
+    r, smallest next part, parts), with parts chosen in nondecreasing order.
+    A node's products are u(P)^a * e_p1(P) * ... at each point P. Popping a
+    node yields its leaf at once: the whole remainder r taken as the last
+    part, the dot product of its products with the column e_r(P) * (L /
+    Lambda_P). Then its children are pushed, each extending the products by
+    one part from the smallest next part up to half the remainder, so that
+    the remainder left can still close it. The root of a block with a = d
+    has remainder 0 and closes with e_0, the monomial u^d with parts ().
     """
     n = data.n
     if not (with_u or with_chern):
@@ -174,38 +179,22 @@ def localization_sums(
     closing = [[x * s for x, s in zip(col, scales)] for col in columns]
     phi0 = data.points[0].phi
     heights = [phi0 - p.phi for p in data.points]
-
-    def walk(
-        products: list[int],
-        remaining: int,
-        smallest: int,
-        parts: tuple[int, ...],
-        block: list[tuple[tuple[int, ...], int]],
-    ) -> None:
-        # parts holds the chosen parts largest first; every later part is at
-        # least the last one chosen, and a child keeps a remainder at least
-        # as large as its own part so that the remainder can close it
-        total = sum(map(mul, products, closing[remaining]))
-        block.append(((remaining,) + parts, total))
-        for part in range(smallest, remaining // 2 + 1):
-            extended = list(map(mul, products, columns[part]))
-            walk(extended, remaining - part, part, (part,) + parts, block)
-
     for d in degrees:
         if d < 0:
             raise ValueError(f"negative half-degree {d}")
         if with_chern and d > n:
             raise ValueError(f"half-degree {d} of a Chern monomial exceeds n={n}")
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
-            powers = [h**a for h in heights]
-            if a == d:
-                yield a, (), exact_fraction(sum(map(mul, powers, closing[0])), common)
-                continue
-            block: list[tuple[tuple[int, ...], int]] = []
-            walk(powers, d - a, 1, (), block)
-            block.sort(reverse=True)
-            for parts, total in block:
-                yield a, parts, exact_fraction(total, common)
+            # parts holds the chosen parts largest first
+            stack = [([h**a for h in heights], d - a, 1, ())]
+            while stack:
+                products, remaining, smallest, parts = stack.pop()
+                total = sum(map(mul, products, closing[remaining]))
+                leaf = (remaining,) + parts if remaining else parts
+                yield a, leaf, exact_fraction(total, common)
+                for part in range(smallest, remaining // 2 + 1):
+                    extended = list(map(mul, products, columns[part]))
+                    stack.append((extended, remaining - part, part, (part,) + parts))
 
 
 def localization_consistent(data: FixedPointData, expand: Expand | None = None) -> bool:
@@ -238,18 +227,6 @@ def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
         raise ValueError(f"partition {parts} does not sum to n={data.n}")
     restrictions = (prod(e[k] for k in parts) for e in chern_table(data))
     return integrate(data, EquivClass(data.n, tuple(restrictions)))
-
-
-def partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of total into parts 1..largest, nonincreasing."""
-    if largest is None:
-        largest = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
 
 
 def partition_count(total: int) -> int:

@@ -4,8 +4,14 @@ Under the hypothesis that the manifold has the cohomology ring of the
 oriented 2-plane Grassmannian, the product of the negative (and of the
 positive) weights at every fixed point is a closed-form expression in the
 moment values (``predicted_products``); that hypothesis enters the solver
-exclusively through these formulas. The search then enumerates every weight
-assignment compatible with
+exclusively through these formulas. At n = 2 the four-gap products of the
+4-dimensional case also fix the moment gaps, so they fix the class of the
+symplectic form as well as the ring: the Hirzebruch surface Sigma_2 has the
+ring of the oriented Grassmannian of 2-planes in R^4, yet its circle action
+with moment values (0, 3, 3, 4) and weights (1, 3), (-1, 1), (-3, 1),
+(-1, -1) gets no candidate, since the gaps predict the product 9 at P0 and
+its weights give 3.
+The search then enumerates every weight assignment compatible with
 
 * a magnitude bound (default: the full moment spread, which no weight can
   exceed, since each weight divides the moment gap it climbs along);
@@ -45,8 +51,9 @@ assignment compatible with
   not sufficient: there are assignments sharing all per-point products with
   the true data that only the Chern-class sums reject.
 
-Search branches are independent, and results are merged in canonical
-(lexicographic) order, so the output does not depend on evaluation order.
+Search branches are independent, and no stage orders its options: the
+survivors are sorted once, lexicographically by their per-point weight
+tuples, so the output does not depend on evaluation order.
 The input type ``MomentProfile`` lives in ``fpdata``, beside datasets.
 """
 
@@ -289,12 +296,15 @@ def enumerate_candidates(
 ) -> list[FixedPointData]:
     """Exhaustively list the weight assignments passing every filter.
 
-    The output is deterministic (lexicographic in the per-point sorted weight
-    tuples) and may be empty. A profile whose predicted products are
-    fractional admits no integer weights at all and yields the empty list.
-    One whose allowed-weight scan would make more than MAX_TRIAL_DIVISIONS
-    trial divisions raises SearchTooLargeError before the scan starts. A
-    weight_bound below 1, which no weight could meet, raises DataError.
+    The output may be empty. Its one order guarantee: candidates are sorted
+    lexicographically by their per-point weight tuples, each tuple sorted.
+    The options of a point, the buckets, pairs and joins of each stage have
+    no order; the candidates are sorted once, before the final filter. A
+    profile whose predicted products are fractional admits no integer
+    weights at all and yields the empty list. One whose allowed-weight scan
+    would make more than MAX_TRIAL_DIVISIONS trial divisions raises
+    SearchTooLargeError before the scan starts. A weight_bound below 1,
+    which no weight could meet, raises DataError.
     """
     n = profile.n
     m = n + 2
@@ -344,7 +354,7 @@ def enumerate_candidates(
             negs = tuple([-v for v in reversed(parts)])
             for p in pos_parts:
                 point_options.append(negs + p)
-        options.append(sorted(point_options))
+        options.append(point_options)
     if any(not opts for opts in options):
         return []
 

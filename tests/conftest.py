@@ -26,6 +26,21 @@ def std4():
     return make_standard_g2([3, 2, 1])
 
 
+@pytest.fixture
+def sigma2():
+    """A circle action on the Hirzebruch surface Sigma_2: genuine, with the
+    ring of the oriented Grassmannian of 2-planes in R^4, and not standard."""
+    return FixedPointData(
+        2,
+        (
+            FixedPoint(0, (1, 3)),
+            FixedPoint(3, (-1, 1)),
+            FixedPoint(3, (-3, 1)),
+            FixedPoint(4, (-1, -1)),
+        ),
+    )
+
+
 def run_cli(*args: str, **extra_env: str) -> subprocess.CompletedProcess:
     """Run ``python -m hamfp`` with the given arguments in a child process,
     with extra_env added to its environment."""

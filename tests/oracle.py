@@ -1,5 +1,6 @@
-"""Products of equivariant classes one Fraction at a time, for oracles that
-check the integer engines against plain restriction tuples."""
+"""Products of equivariant classes one Fraction at a time, and partitions
+listed one by one, for oracles that check the integer engines against plain
+restriction tuples."""
 
 from fractions import Fraction
 
@@ -23,3 +24,16 @@ def basis_rows(basis):
         EquivClass(degree, tuple(Fraction(a, basis.denominator) for a in row))
         for degree, row in zip(basis.half_degrees, basis.numerators)
     )
+
+
+def partitions(total, largest=None):
+    """All partitions of total into parts 1..largest, each nonincreasing, in
+    reverse lexicographic order."""
+    if largest is None:
+        largest = total
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest

@@ -32,7 +32,6 @@ from hamfp import (
     integrate,
     make_standard_g2,
     pairing_matrix,
-    partitions,
     point_invariants,
     predicted_products,
     ring_integral,
@@ -43,7 +42,7 @@ from hamfp import (
     validate,
 )
 from conftest import exponent_lists, run_cli
-from oracle import basis_rows, multiply, power
+from oracle import basis_rows, multiply, partitions, power
 
 
 def run_examples(strategy, count, check):

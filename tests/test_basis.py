@@ -387,3 +387,17 @@ def test_chern_expansions_refuse_a_basis_for_other_data(exponents, message):
     for chern in (lambda basis: next(express_chern(basis)), ordinary_chern):
         with pytest.raises(ValueError, match=message):
             chern(BasisRestrictions(data, other.numerators, other.denominator))
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+def test_basis_refuses_entries_that_are_not_integers(std4, bad):
+    # a float entry was once accepted, and pairing_matrix then failed with
+    # "TypeError: both arguments should be Rational instances"; a whole
+    # denominator of another type is refused too, not truncated
+    basis = build_basis(std4)
+    rows = [list(row) for row in basis.numerators]
+    rows[0][5] += bad
+    with pytest.raises(TypeError):
+        BasisRestrictions(std4, rows, basis.denominator)
+    with pytest.raises(TypeError):
+        BasisRestrictions(std4, basis.numerators, type(bad)(basis.denominator))

@@ -135,6 +135,19 @@ def test_verify_tampered_data_fails(tmp_path):
     assert "result: FAIL" in result.stdout
 
 
+def test_verify_fails_sigma2_only_on_its_basis(tmp_path, sigma2, capsys):
+    # a genuine action with the ring of the oriented Grassmannian of 2-planes
+    # in R^4, whose weight sums tie in the upper half
+    path = tmp_path / "sigma2.json"
+    dump_document(data_to_document(sigma2), str(path))
+    assert main(["verify", str(path), "--basis", "--chern", "--pairing"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] basis-construction: points 2 and 3 share weight sum -2 "
+        "in the upper half"
+    ]
+
+
 def test_verify_tampered_data_with_all_sections(tmp_path):
     # the optional sections must degrade to FAIL entries, never crash
     doc = data_to_document(make_standard_g2([3, 2, 1]))

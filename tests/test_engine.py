@@ -8,6 +8,7 @@ swaps are drawn with ``hypothesis``.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,15 +24,14 @@ from hamfp import (
     integrate,
     localization_consistent,
     make_standard_g2,
-    partitions,
     point_invariants,
     symplectic_class,
     validate,
 )
-from hamfp.localize import localization_sums
+from hamfp.localize import localization_sums, partition_count
 
 from conftest import quadric_chern_coefficients, standard_data, swapped_weights
-from oracle import multiply, power
+from oracle import multiply, partitions, power
 
 SETTINGS = settings(derandomize=True, max_examples=5, deadline=None)
 
@@ -62,8 +62,8 @@ def test_chern_numbers_match_the_quadric(n, drawn):
 
 
 def naive_sums(data, degrees):
-    """(a, parts, integral) from restriction tuples, in the engine's order:
-    degree ascending, u-power descending, partitions as listed."""
+    """(a, parts, integral) from restriction tuples, degree ascending and
+    u-power descending as the engine yields them, partitions as listed."""
     u = symplectic_class(data)
     chern = {i: chern_restriction(data, i) for i in range(1, data.n + 1)}
     out = []
@@ -84,6 +84,33 @@ def naive_sums(data, degrees):
                     assert integrate(data, cls) == total
                 out.append((a, parts, Fraction(total)))
     return out
+
+
+def blocks(stream):
+    """The (d, a) block of every monomial, in stream order."""
+    return [(a + sum(parts), a) for a, parts, _ in stream]
+
+
+def assert_same_stream(walked, reference):
+    """Equal as multisets, with the (d, a) blocks in the same order: the
+    order of the partitions within a block is unspecified."""
+    assert Counter(walked) == Counter(reference)
+    assert blocks(walked) == blocks(reference)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_engine_covers_every_partition_once_per_block(n):
+    data = make_standard_g2(list(range(n // 2 + 1, 0, -1)))
+    degrees = range(n + 1)
+    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
+    by_block = {}
+    for (d, a), (_, parts, _) in zip(blocks(walked), walked):
+        assert list(parts) == sorted(parts, reverse=True)
+        assert all(p >= 1 for p in parts)
+        by_block.setdefault((d, a), []).append(parts)
+    for (d, a), block in by_block.items():
+        assert len(set(block)) == len(block) == partition_count(d - a)
+    assert_same_stream(walked, naive_sums(data, degrees))
 
 
 def products_and_closure_variant():
@@ -108,7 +135,7 @@ def assert_engine_matches_naive_sums(data):
     degrees = range(data.n + 1)
     walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
     reference = naive_sums(data, degrees)
-    assert walked == reference
+    assert_same_stream(walked, reference)
     below_top = [total for a, parts, total in reference if a + sum(parts) < data.n]
     consistent = not any(below_top)
     assert localization_consistent(data) == consistent
@@ -141,7 +168,7 @@ def test_engine_yields_fractions_equal_to_naive_sums(data):
     degrees = range(data.n + 1)
     walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
     assert all(type(total) is Fraction for _, _, total in walked)
-    assert walked == naive_sums(data, degrees)
+    assert_same_stream(walked, naive_sums(data, degrees))
 
 
 @pytest.mark.parametrize(
@@ -182,4 +209,4 @@ def test_engine_restricts_to_u_powers_or_chern_classes():
     pure_u = list(localization_sums(data, range(1, 4), with_u=True, with_chern=False))
     assert pure_u == [m for m in full if m[1] == () and 1 <= m[0] <= 3]
     top = list(localization_sums(data, [4], with_u=False, with_chern=True))
-    assert top == [m for m in full if m[0] == 0 and sum(m[1]) == 4]
+    assert Counter(top) == Counter(m for m in full if m[0] == 0 and sum(m[1]) == 4)

@@ -19,9 +19,9 @@ from hamfp import (
     build_basis,
     symplectic_class,
 )
-from hamfp.localize import chern_table, partition_count, partitions
+from hamfp.localize import chern_table, partition_count
 from conftest import standard_data, swapped_weights
-from oracle import power
+from oracle import partitions, power
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 

@@ -235,6 +235,18 @@ def test_classify_minimal_n8_profile_is_unique_standard():
     assert verdict.is_unique_standard
 
 
+def test_sigma2_passes_every_necessary_check_and_gets_no_candidate(sigma2):
+    # at n = 2 the four-gap products fix the moment gaps as well as the ring:
+    # they predict 9 for the positive product at P0, where the weights give 3
+    assert validate(sigma2).passed
+    assert localization_consistent(sigma2)
+    profile = profile_of(sigma2)
+    assert profile.phi == (0, 3, 3, 4)
+    assert predicted_products(profile)[0] == (1, 9)
+    assert prod(sigma2.points[0].weights) == 3
+    assert classify(profile).candidates == ()
+
+
 def test_middle_tie_profile_keeps_both_survivors():
     # With a tied middle pair the dimension-4 filters cannot separate the
     # standard weights {2,2}/{-2,-2} at the extremes from {1,4}/{-4,-1}:
