@@ -304,18 +304,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
-    bound = None if args.bound is None else dataio.parse_int(args.bound, "--bound")
-    if bound is not None and bound < 1:
-        raise DataError(f"--bound must be at least 1, got {bound}")
     profile = dataio.profile_from_document(dataio.load_document(args.path))
-    verdict = classify(profile, bound)
+    verdict = classify(profile)
     symmetric = check_symmetry(profile)
     if args.json:
         doc = {
             "command": "classify",
             "n": profile.n,
             "phi": [str(v) for v in profile.phi],
-            "bound": profile.spread if bound is None else bound,
+            # the search covers every weight up to the spread
+            "bound": profile.spread,
             "candidates": [
                 dataio.data_to_document(c) for c in verdict.candidates
             ],
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="enumerate weight data for a profile")
     cls.add_argument("path", help="profile JSON file (no weights)")
-    cls.add_argument("--bound", help="weight magnitude bound, at least 1")
     cls.add_argument("--json", action="store_true", help="machine-readable report")
     cls.set_defaults(func=cmd_classify)
     return parser

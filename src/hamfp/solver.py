@@ -13,21 +13,22 @@ with moment values (0, 3, 3, 4) and weights (1, 3), (-1, 1), (-3, 1),
 its weights give 3.
 The search then enumerates every weight assignment compatible with
 
-* a magnitude bound (default: the full moment spread, which no weight can
-  exceed, since each weight divides the moment gap it climbs along);
 * divisibility: each weight at a point divides some nonzero moment gap from
   that point (the arithmetic consequence of isotropy spheres), so the
   allowed weights are the divisors of the gaps, found by trial division,
-  and a profile whose scan would pass MAX_TRIAL_DIVISIONS is refused;
+  and a profile whose scan would pass MAX_TRIAL_DIVISIONS is refused. No
+  divisor exceeds the moment spread, so the gaps are the only bound;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations over the
   allowed values that divide the product, which cut a branch once the
   product still to place exceeds top**left or falls below v**left (left
   parts to choose, v the next part, top the largest such value) and take
-  the last part as the product still to place, if it is allowed.
-  A profile symmetric about the middle pair poses the same problems at
-  points i and n + 1 - i, so each distinct problem is solved once per
-  ``enumerate_candidates`` call, and nothing is kept between calls;
+  the last part as the product still to place, if it is allowed. A
+  factorization search that would visit more than MAX_FACTORIZATION_NODES
+  nodes is refused. A profile symmetric about the middle pair poses the
+  same problems at points i and n + 1 - i, so each distinct problem is
+  solved once per ``enumerate_candidates`` call, and nothing is kept between
+  calls;
 * in dimension above 4, where the second cohomology has rank one, affinity
   of the weight sums in the moment values (the pairwise difference ratio
   that expresses the first Chern class);
@@ -63,9 +64,8 @@ from functools import cache
 from itertools import product
 from math import isqrt, prod
 
-from .errors import DataError, InconsistentProfileError
-from .errors import SearchTooLargeError
-from .exactnum import exact_int, shares
+from .errors import InconsistentProfileError, SearchTooLargeError
+from .exactnum import shares
 from .fpdata import (
     FixedPoint,
     FixedPointData,
@@ -88,6 +88,10 @@ from .record import Record
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
+# Most nodes one factorization search may visit. One search on the
+# classify-std and classify-sweep profiles at n = 8 visits at most 18,743;
+# the minimal profile at n = 20 passes the limit after about 1 s in-process.
+MAX_FACTORIZATION_NODES = 10**6
 # Most trial divisions the allowed-weight scan may make over all points:
 # about 1.5 s in-process on a 2-core host. The standard n = 2 profile with
 # exponents (10^12, 1) needs 10,828,424.
@@ -165,7 +169,8 @@ def _factorizations(
     target: int, count: int, allowed: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """Nondecreasing count-tuples over the allowed positive values with the
-    given product (target >= 1)."""
+    given product (target >= 1). A search that would visit more than
+    MAX_FACTORIZATION_NODES nodes raises SearchTooLargeError."""
     if count == 0:
         return [()] if target == 1 else []
     # every part divides the target, and the last part is what remains
@@ -175,8 +180,16 @@ def _factorizations(
         return [(target,)] if target in members else []
     top = parts[-1] if parts else 0
     results: list[tuple[int, ...]] = []
+    nodes = 0
 
     def extend(start: int, remaining: int, chosen: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_FACTORIZATION_NODES:
+            raise SearchTooLargeError(
+                f"the factorization of {target} into {count} weights would "
+                f"visit more than the limit of {MAX_FACTORIZATION_NODES} nodes"
+            )
         # each of the left parts is at least v, and the parts after v are at
         # most top each
         left = count - len(chosen)
@@ -202,20 +215,16 @@ def _factorizations(
     return results
 
 
-def _allowed_weights(gaps: set[int], bound: int) -> tuple[int, ...]:
-    """The weights up to bound that divide one of the positive gaps.
-
-    Trial division runs up to min(sqrt(g), bound) for each gap g: a divisor
-    above sqrt(g) is the cofactor of one below it, and when bound < sqrt(g)
-    no divisor above the bound is wanted.
+def _allowed_weights(gaps: set[int]) -> tuple[int, ...]:
+    """The divisors of the positive gaps. Trial division runs up to sqrt(g)
+    for each gap g: a divisor above sqrt(g) is the cofactor of one below it.
     """
     allowed: set[int] = set()
     for g in gaps:
-        for d in range(1, min(isqrt(g), bound) + 1):
+        for d in range(1, isqrt(g) + 1):
             if g % d == 0:
                 allowed.add(d)
-                if g // d <= bound:
-                    allowed.add(g // d)
+                allowed.add(g // d)
     return tuple(sorted(allowed))
 
 
@@ -291,9 +300,7 @@ def _keyed_join(
     return joined
 
 
-def enumerate_candidates(
-    profile: MomentProfile, weight_bound: int | None = None
-) -> list[FixedPointData]:
+def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     """Exhaustively list the weight assignments passing every filter.
 
     The output may be empty. Its one order guarantee: candidates are sorted
@@ -303,20 +310,13 @@ def enumerate_candidates(
     profile whose predicted products are fractional admits no integer
     weights at all and yields the empty list. One whose allowed-weight scan
     would make more than MAX_TRIAL_DIVISIONS trial divisions raises
-    SearchTooLargeError before the scan starts. A weight_bound below 1,
-    which no weight could meet, raises DataError.
+    SearchTooLargeError before the scan starts, and so does one whose
+    factorization search or join passes its limit. Every weight the moment
+    gaps allow is searched: each divides a gap, so none exceeds the spread.
     """
     n = profile.n
     m = n + 2
     phi = profile.phi
-    # No weight above the spread divides a moment gap, so a larger bound
-    # admits nothing more.
-    bound = profile.spread
-    if weight_bound is not None:
-        weight_bound = exact_int(weight_bound, "weight_bound")
-        if weight_bound < 1:
-            raise DataError(f"weight_bound must be at least 1, got {weight_bound}")
-        bound = min(bound, weight_bound)
     try:
         products = predicted_products(profile)
     except InconsistentProfileError:
@@ -329,7 +329,7 @@ def enumerate_candidates(
     gap_sets = [
         {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]} for i in range(m)
     ]
-    divisions = sum(min(isqrt(g), bound) for gaps in gap_sets for g in gaps)
+    divisions = sum(isqrt(g) for gaps in gap_sets for g in gaps)
     if divisions > MAX_TRIAL_DIVISIONS:
         raise SearchTooLargeError(
             f"the allowed-weight scan would make {divisions} trial divisions, "
@@ -345,7 +345,7 @@ def enumerate_candidates(
     # factors of |neg| and n - pattern[i] factors of pos.
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
-        allowed = _allowed_weights(gap_sets[i], bound)
+        allowed = _allowed_weights(gap_sets[i])
         neg_parts = factorizations(abs(neg), pattern[i], allowed)
         pos_parts = factorizations(pos, n - pattern[i], allowed)
         point_options = []
@@ -401,13 +401,11 @@ def enumerate_candidates(
     return candidates
 
 
-def classify(
-    profile: MomentProfile, weight_bound: int | None = None
-) -> ClassificationVerdict:
+def classify(profile: MomentProfile) -> ClassificationVerdict:
     """Wrap the enumeration with the standard-data test: the verdict is
     unique-standard iff exactly one assignment survives and its weights are
     the standard moment gaps at every point."""
-    candidates = tuple(enumerate_candidates(profile, weight_bound))
+    candidates = tuple(enumerate_candidates(profile))
     unique = False
     if len(candidates) == 1:
         expected = [

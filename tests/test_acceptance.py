@@ -143,10 +143,10 @@ def test_criterion_4_weight_product_formulas():
 def test_criterion_5_desk_scale_uniqueness():
     start = time.monotonic()
     ok = True
-    for phis, bound in (((-2, -1, 1, 2), 4), ((-3, -2, -1, 1, 2, 3), 6)):
+    for phis in ((-2, -1, 1, 2), (-3, -2, -1, 1, 2, 3)):
         n = len(phis) - 2
         profile = MomentProfile(n, phis)
-        verdict = classify(profile, bound)
+        verdict = classify(profile)
         ok = ok and len(verdict.candidates) == 1 and verdict.is_unique_standard
         ok = ok and check_symmetry(profile)
         if verdict.candidates:

@@ -19,7 +19,7 @@ from hamfp.dataio import (
     profile_to_document,
 )
 from hamfp.localize import partition_count
-from hamfp.solver import MAX_TRIAL_DIVISIONS, MomentProfile
+from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISIONS, MomentProfile
 from conftest import PACKAGE_ROOT, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,23 +81,8 @@ def test_generate_rejects_garbage():
         ),
         (["generate", "--b", "+3,2"], "--b entry must be a decimal string, got '+3'"),
         (["generate", "--b", "3,,2"], "--b entry must be a decimal string, got ''"),
-        (
-            ["classify", str(GOLDEN / "profile4.json"), "--bound", "1_0"],
-            "--bound must be a decimal string, got '1_0'",
-        ),
-        (
-            ["classify", str(GOLDEN / "profile4.json"), "--bound", "abc"],
-            "--bound must be a decimal string, got 'abc'",
-        ),
     ],
-    ids=[
-        "b-underscore",
-        "b-arabic-digit",
-        "b-plus",
-        "b-empty-entry",
-        "bound-underscore",
-        "bound-word",
-    ],
+    ids=["b-underscore", "b-arabic-digit", "b-plus", "b-empty-entry"],
 )
 def test_integer_options_follow_the_decimal_rule(argv, bad, capsys):
     # int() once read 1_0 as 10 and the Arabic-Indic digit three as 3, and an
@@ -265,7 +250,7 @@ def test_verify_json_report_is_deterministic(tmp_path):
 def test_classify_standard_profile(tmp_path):
     path = tmp_path / "p.json"
     dump_document(profile_to_document(MomentProfile(2, (-2, -1, 1, 2))), str(path))
-    result = run_cli("classify", str(path), "--bound", "4")
+    result = run_cli("classify", str(path))
     assert result.returncode == 0
     assert "1 candidate(s)" in result.stdout
     assert "unique standard data: yes" in result.stdout
@@ -282,24 +267,21 @@ def test_classify_empty_profile(tmp_path):
     assert "symmetric about the middle pair: no" in result.stdout
 
 
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_classify_rejects_bound_below_one(tmp_path, bound):
-    path = tmp_path / "p.json"
-    dump_document(profile_to_document(MomentProfile(2, (-2, -1, 1, 2))), str(path))
-    result = run_cli("classify", str(path), f"--bound={bound}")
+@pytest.mark.parametrize("bound", ["2", "0", "-3", "1_0", "abc"])
+def test_classify_refuses_every_bound(bound):
+    # a bound below the spread cuts the search short: at 2 or 3 the tied
+    # profile would show one candidate, "unique standard data: yes", where
+    # the full search finds two
+    result = run_cli("classify", str(GOLDEN / "profile-tie2.json"), "--bound", bound)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert f"--bound must be at least 1, got {bound}" in result.stderr
+    assert "unrecognized arguments: --bound" in result.stderr
 
 
-def test_classify_bound_above_the_spread_changes_nothing():
-    path = str(GOLDEN / "profile4.json")
-    plain = run_cli("classify", path)
-    huge = run_cli("classify", path, "--bound", "1000000000000")
-    assert huge.returncode == plain.returncode == 0
-    assert huge.stdout == plain.stdout
-    report = run_cli("classify", path, "--bound", "1000000000000", "--json")
-    assert json.loads(report.stdout)["bound"] == 10**12
+def test_classify_json_bound_is_the_spread():
+    # profile4.json holds the moment values -3..3
+    result = run_cli("classify", str(GOLDEN / "profile4.json"), "--json")
+    assert json.loads(result.stdout)["bound"] == 6
 
 
 def test_classify_rejects_data_file(tmp_path):
@@ -316,6 +298,23 @@ def test_classify_refuses_an_oversized_search(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: the search would build 3696000 assignments")
+
+
+def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path):
+    # without a cap on one factorization search, the minimal profile at
+    # n = 20 builds every point's options, for half a minute and about
+    # 500 MB, before its join is counted and refused
+    path = tmp_path / "p.json"
+    data = make_standard_g2(range(11, 0, -1))
+    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    start = perf_counter()
+    result = run_cli("classify", str(path))
+    elapsed = perf_counter() - start
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: the factorization of ")
+    assert f"limit of {MAX_FACTORIZATION_NODES} nodes" in result.stderr
+    assert elapsed < 5
 
 
 def test_classify_refuses_a_trial_division_scan_past_the_cap(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hamfp.solver
 from hamfp import (
     DataError,
     MomentProfile,
@@ -36,15 +37,14 @@ SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     st.integers(2, 6).flatmap(
         lambda m: st.lists(st.integers(-30, 30), min_size=m, max_size=m, unique=True)
-    ),
-    st.integers(0, 70),
+    )
 )
-def test_allowed_weights_are_the_divisors_of_the_gaps(phi, bound):
+def test_allowed_weights_are_the_divisors_of_the_gaps(phi):
     gaps = {abs(p - phi[0]) for p in phi[1:]}
     expected = tuple(
-        w for w in range(1, bound + 1) if any(g % w == 0 for g in gaps)
+        w for w in range(1, max(gaps) + 1) if any(g % w == 0 for g in gaps)
     )
-    assert _allowed_weights(gaps, bound) == expected
+    assert _allowed_weights(gaps) == expected
 
 
 @st.composite
@@ -69,6 +69,15 @@ def test_factorizations_match_brute_force(case):
         c for c in combinations_with_replacement(allowed, count) if prod(c) == target
     ]
     assert _factorizations(target, count, allowed) == expected
+
+
+def test_factorization_search_past_the_cap_is_refused(monkeypatch):
+    case = (14_515_200, 8, tuple(range(1, 15)))
+    assert _factorizations(*case)
+    monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", 10)
+    with pytest.raises(SearchTooLargeError, match="limit of 10 nodes") as info:
+        _factorizations(*case)
+    assert isinstance(info.value, DataError)
 
 
 @st.composite

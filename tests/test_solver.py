@@ -1,6 +1,4 @@
-import re
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
@@ -104,34 +102,8 @@ def test_standard_profiles_are_symmetric(data):
 
 def test_enumerate_unique_standard_n2():
     profile = MomentProfile(2, (-2, -1, 1, 2))
-    candidates = enumerate_candidates(profile, 4)
+    candidates = enumerate_candidates(profile)
     assert candidates == [make_standard_g2([2, 1])]
-
-
-@pytest.mark.parametrize(
-    "bad", [1.9, 3.0, Fraction(7, 2), Fraction(3), "3"],
-    ids=["float", "whole-float", "fraction", "whole-fraction", "str"],
-)
-def test_weight_bound_refuses_non_integers(bad):
-    # truncated to 1, the bound 1.9 would admit no candidate where bound 3
-    # admits the standard one
-    profile = MomentProfile(2, (-2, -1, 1, 2))
-    assert len(enumerate_candidates(profile, 3)) == 1
-    message = re.escape(f"weight_bound: {bad!r} is not an integer")
-    with pytest.raises(DataError, match=message):
-        enumerate_candidates(profile, bad)
-
-
-@pytest.mark.parametrize("bad", [0, -1])
-def test_weight_bound_below_one_is_refused(bad):
-    # a bound below 1 admits no weight; it must not pass for a profile with
-    # no solutions
-    profile = MomentProfile(2, (-2, -1, 1, 2))
-    message = re.escape(f"weight_bound must be at least 1, got {bad}")
-    with pytest.raises(DataError, match=message):
-        enumerate_candidates(profile, bad)
-    with pytest.raises(DataError, match=message):
-        classify(profile, bad)
 
 
 def test_enumerate_empty_for_asymmetric_profile():
@@ -149,7 +121,7 @@ def test_enumerate_soundness_and_default_bound(data):
 
 def test_enumerate_is_deterministic():
     profile = MomentProfile(4, (-3, -2, -1, 1, 2, 3))
-    assert enumerate_candidates(profile, 6) == enumerate_candidates(profile, 6)
+    assert enumerate_candidates(profile) == enumerate_candidates(profile)
 
 
 def test_enumerate_expands_each_option_once_per_call(monkeypatch):
@@ -201,7 +173,7 @@ def test_products_and_closure_alone_are_insufficient():
 
 
 def test_classify_verdicts():
-    verdict = classify(MomentProfile(2, (-2, -1, 1, 2)), 4)
+    verdict = classify(MomentProfile(2, (-2, -1, 1, 2)))
     assert len(verdict.candidates) == 1
     assert verdict.is_unique_standard
     empty = classify(MomentProfile(2, (-2, -1, 0, 3)))
@@ -314,10 +286,9 @@ def test_brute_force_agrees_on_standard_profiles():
     for n in (2, 4):
         for exponents in combinations(range(1, 6), n // 2 + 1):
             profile = profile_of(make_standard_g2(exponents))
-            for bound in (min(profile.spread, 8), 3):
-                expected = brute_force_candidates(profile, bound)
-                assert enumerate_candidates(profile, bound) == expected
-                nonempty += bool(expected)
+            expected = brute_force_candidates(profile, profile.spread)
+            assert enumerate_candidates(profile) == expected
+            nonempty += bool(expected)
     assert nonempty >= 10
 
 
@@ -337,17 +308,16 @@ def small_profiles(draw):
 @settings(SETTINGS, max_examples=300)
 @given(small_profiles())
 def test_brute_force_agrees_on_random_profiles(profile):
-    for bound in (min(profile.spread, 8), 3):
-        expected = brute_force_candidates(profile, bound)
-        assert enumerate_candidates(profile, bound) == expected
+    expected = brute_force_candidates(profile, profile.spread)
+    assert enumerate_candidates(profile) == expected
 
 
 def test_brute_force_needs_the_divisibility_check():
     # weight 6 at P0 divides none of its moment gaps 3, 4 and 7, so only the
     # divisibility hypothesis rules this assignment out
     profile = MomentProfile(2, (-1, 2, 3, 6))
-    with_check = brute_force_candidates(profile, 6)
-    without = brute_force_candidates(profile, 6, divisibility=False)
+    with_check = brute_force_candidates(profile, profile.spread)
+    without = brute_force_candidates(profile, profile.spread, divisibility=False)
     extra = [[p.weights for p in d.points] for d in without if d not in with_check]
     assert extra == [[(2, 6), (-3, 4), (-4, 3), (-6, -2)]]
-    assert enumerate_candidates(profile, 6) == with_check
+    assert enumerate_candidates(profile) == with_check
