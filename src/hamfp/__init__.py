@@ -37,7 +37,6 @@ from .fpdata import (
 )
 from .grassring import (
     RingElement,
-    RingTable,
     basis_images,
     betti,
     ordinary_chern,
@@ -82,7 +81,6 @@ __all__ = [
     "NotAManifoldError",
     "PointInvariants",
     "RingElement",
-    "RingTable",
     "SearchTooLargeError",
     "ValidationReport",
     "basis_images",

@@ -3,8 +3,12 @@
 Exit codes form a stable scripting contract: 0 when every check passes, 1
 when some check fails, 2 for malformed input, usage errors or a report that
 cannot be written. Reports are deterministic (byte-identical for identical
-inputs and flags); --json emits a machine-readable report with all large
-integers as decimal strings.
+inputs and flags). --json emits a machine-readable report in which moment
+values, weights, point invariants, basis entries, expansion coefficients and
+Chern numbers are decimal strings, while these fields are JSON numbers: n
+(also each classify candidate's), each expansion term's t_power,
+basis.half_degrees, chern.betti, pairing.matrix, pairing.middle_block and
+pairing.determinant, and classify's bound and candidate_count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Any
+from typing import Any, NoReturn
 
 from . import dataio
 # chern_number, chern_restriction, express_in_basis, integrate,
@@ -35,7 +39,6 @@ from .fpdata import (
     validate,
 )
 from .grassring import (  # noqa: F401
-    RingElement,
     basis_images,
     betti,
     ordinary_chern,
@@ -124,9 +127,7 @@ def _basis_section(basis: BasisRestrictions) -> Section:
     return {"matrix": matrix, "half_degrees": list(basis.half_degrees)}, [check]
 
 
-def _chern_section(
-    basis: BasisRestrictions, images: tuple[RingElement, ...]
-) -> Section:
+def _chern_section(basis: BasisRestrictions) -> Section:
     expansions = {}
     expanded = []
     # the Chern classes and the Chern numbers read each point's expansion
@@ -175,7 +176,7 @@ def _chern_section(
         "numbers": {k: str(v) for k, v in numbers.items()},
     }
     if all_integral:
-        classes = ordinary_from_expansions(images, expanded)
+        classes = ordinary_from_expansions(expanded)
         payload["ordinary"] = {
             f"c_{i + 1}": str(elem) for i, elem in enumerate(classes)
         }
@@ -183,9 +184,7 @@ def _chern_section(
     return payload, checks
 
 
-def _pairing_section(
-    basis: BasisRestrictions, images: tuple[RingElement, ...]
-) -> Section:
+def _pairing_section(basis: BasisRestrictions) -> Section:
     n = basis.n
     half = n // 2
     try:
@@ -206,6 +205,7 @@ def _pairing_section(
         )
     )
     degrees = basis.half_degrees
+    images = basis_images(ring_make(n))
     ring_matches = all(
         matrix[i][j] == ring_integral(ring_mul(images[i], images[j]))
         for i in range(n + 2)
@@ -259,12 +259,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         else:
             if args.basis:
                 sections["basis"] = _basis_section(basis)
-            if args.chern or args.pairing:
-                images = basis_images(ring_make(data.n))
             if args.chern:
-                sections["chern"] = _chern_section(basis, images)
+                sections["chern"] = _chern_section(basis)
             if args.pairing:
-                sections["pairing"] = _pairing_section(basis, images)
+                sections["pairing"] = _pairing_section(basis)
     checks = [c for _, section_checks in sections.values() for c in section_checks]
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -335,8 +333,16 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a DataError, which main reports like any other;
+    add_subparsers gives every subcommand this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise DataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamfp",
         description=(
             "Exact verification and classification of fixed-point data of "

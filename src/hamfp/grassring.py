@@ -11,16 +11,15 @@ degree 2), y and z in the middle degree n, and g_k = x^k y for 1 <= k <= n/2
 and every product of degree above 2n vanishes. Powers of x above n/2-1 are
 not basis labels; they expand as x^(n/2) = y + z and x^(n/2+k) = 2 g_k.
 
-No multiplication table is stored. Each basis label is x^a * s with s one
-of 1, y or z (g_a is x^a * y), and since x*y = x*z = g_1 the product of two
-labels depends only on the exponent sum and the two factors s: one rule
-(``_label_product``) gives it, and ``ring_mul`` extends it bilinearly. Each
-``RingElement`` carries its n, so no function takes a ring beside elements.
+No multiplication table is stored: the ring is its n + 2 basis elements
+(``ring_make``). Each label is x^a * s with s one of 1, y or z (g_a is
+x^a * y), and since x*y = x*z = g_1 the product of two labels depends only
+on the exponent sum and the two factors s: one rule (``_label_product``)
+gives it, and ``ring_mul`` extends it bilinearly. Each ``RingElement``
+carries its n; every other function takes n itself.
 
-The module also maps each localization basis row to its ordinary image in
-this ring (rows of the lower half land on powers of x, the two middle rows
-on x^(n/2) = y+z and z, the upper rows on the g_k), which turns equivariant
-Chern expansions into ordinary Chern classes.
+The module also maps the localization basis rows to their ordinary images,
+which turns equivariant Chern expansions into ordinary Chern classes.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ class RingElement(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # RingTable refuses an n that is not an even positive integer
-        object.__setattr__(self, "n", RingTable(self.n).n)
+        object.__setattr__(self, "n", _ring_n(self.n))
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.n + 2:
             raise ValueError("coefficient vector does not match the basis size")
@@ -73,39 +71,28 @@ class RingElement(Record):
         return " + ".join(terms) if terms else "0"
 
 
-@cache
+def _ring_n(n: int) -> int:
+    """n as an int: TypeError unless operator.index takes it, ValueError
+    unless it is even and positive."""
+    n = index(n)
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be even and positive, got {n}")
+    return n
+
+
 def ring_labels(n: int) -> tuple[str, ...]:
+    """The n + 2 graded basis labels of the ring for n, one tuple per n."""
+    return _labels(_ring_n(n))
+
+
+@cache
+def _labels(n: int) -> tuple[str, ...]:
     half = n // 2
     labels = ["1"]
     labels += ["x" if k == 1 else f"x^{k}" for k in range(1, half)]
     labels += ["y", "z"]
     labels += [f"g_{k}" for k in range(1, half + 1)]
     return tuple(labels)
-
-
-class RingTable(Record):
-    """The ring for one even n; its graded basis labels are ring_labels(n)."""
-
-    __slots__ = ("n",)
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", index(self.n))
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and positive, got {self.n}")
-
-    def element(self, index: int) -> RingElement:
-        coeffs = [0] * (self.n + 2)
-        coeffs[index] = 1
-        return RingElement(self.n, tuple(coeffs))
-
-
-def _index_y(n: int) -> int:
-    return n // 2
-
-
-def _index_z(n: int) -> int:
-    return n // 2 + 1
 
 
 def _index_g(n: int, k: int) -> int:
@@ -119,20 +106,21 @@ def _x_power_terms(n: int, k: int) -> list[tuple[int, int]]:
     if k < half:
         return [(k, 1)]
     if k == half:
-        return [(_index_y(n), 1), (_index_z(n), 1)]
+        return [(half, 1), (half + 1, 1)]
     if k <= n:
         return [(_index_g(n, k - half), 2)]
     return []
 
 
-def x_power(table: RingTable, k: int) -> RingElement:
-    """The element x^k expanded over the basis labels (0 for k > n)."""
+def x_power(n: int, k: int) -> RingElement:
+    """The element x^k of the ring for n over the basis labels (0 for k > n)."""
+    n = _ring_n(n)
     if k < 0:
         raise ValueError("negative power")
-    coeffs = [0] * (table.n + 2)
-    for index, coeff in _x_power_terms(table.n, k):
+    coeffs = [0] * (n + 2)
+    for index, coeff in _x_power_terms(n, k):
         coeffs[index] = coeff
-    return RingElement(table.n, tuple(coeffs))
+    return RingElement(n, tuple(coeffs))
 
 
 def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
@@ -141,8 +129,7 @@ def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
     Each label is x^a * s, with s the index of its factor 1 (index 0), y or z:
     x^a below n/2 is (a, 0), y and z are (0, y) and (0, z), and g_a is (a, y).
     """
-    half = n // 2
-    y = _index_y(n)
+    half = y = n // 2
 
     def split(k: int) -> tuple[int, int]:
         if k < y:
@@ -166,9 +153,13 @@ def _label_product(n: int, i: int, j: int) -> list[tuple[int, int]]:
     return []
 
 
-def ring_make(n: int) -> RingTable:
-    """The ring for even n >= 2."""
-    return RingTable(n)
+def ring_make(n: int) -> tuple[RingElement, ...]:
+    """The ring for even n >= 2 as its n + 2 basis elements: element i has
+    coefficient 1 at label i of ``ring_labels(n)``."""
+    n = _ring_n(n)
+    return tuple(
+        RingElement(n, tuple(int(i == j) for j in range(n + 2))) for i in range(n + 2)
+    )
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -199,25 +190,27 @@ def betti(n: int) -> list[int]:
 
     All ranks are 1 except rank 2 in the middle degree n; odd degrees vanish.
     """
-    n = RingTable(n).n
+    n = _ring_n(n)
     ranks = [1] * (n + 1)
     ranks[n // 2] = 2
     return ranks
 
 
-def basis_images(table: RingTable) -> tuple[RingElement, ...]:
-    """Ordinary image of each localization basis row.
+def _row_image(coeffs: Sequence[int]) -> RingElement:
+    """Ordinary image of the basis rows with these coefficients. Row j lands
+    on label j (x^j, z, or g_(j-1-n/2) = (1/2) x^(j-1)) except the middle row
+    n/2, whose image x^(n/2) = y + z adds its coefficient to z; the y/z choice
+    is immaterial, as every relation is symmetric in y and z."""
+    out = list(coeffs)
+    half = _ring_n(len(out) - 2) // 2
+    out[half + 1] += out[half]
+    return RingElement(2 * half, tuple(out))
 
-    Row j restricts to x^j for j < n/2; the middle rows, of degree n, land on
-    x^(n/2) = y + z and on z (the y/z choice is immaterial: every relation is
-    symmetric in y and z); row j >= n/2+2 lands on (1/2) x^(j-1) = g_(j-1-n/2).
-    """
-    n = table.n
-    half = n // 2
-    images = [x_power(table, j) for j in range(half + 1)]
-    images.append(table.element(_index_z(n)))
-    images += [table.element(_index_g(n, j - 1 - half)) for j in range(half + 2, n + 2)]
-    return tuple(images)
+
+def basis_images(ring: Sequence[RingElement]) -> tuple[RingElement, ...]:
+    """Ordinary image of each localization basis row, given the ring's basis
+    ``ring_make(n)``."""
+    return tuple(_row_image(e.coeffs) for e in ring)
 
 
 def ordinary_chern(basis: BasisRestrictions) -> list[RingElement]:
@@ -226,21 +219,16 @@ def ordinary_chern(basis: BasisRestrictions) -> list[RingElement]:
     Each equivariant Chern class is expanded in the localization basis and
     mapped by ``ordinary_from_expansions``.
     """
-    images = basis_images(ring_make(basis.n))
-    return ordinary_from_expansions(images, list(express_chern(basis)))
+    return ordinary_from_expansions(list(express_chern(basis)))
 
 
-def ordinary_from_expansions(
-    images: Sequence[RingElement], expansions: Sequence[Expansion]
-) -> list[RingElement]:
+def ordinary_from_expansions(expansions: Sequence[Expansion]) -> list[RingElement]:
     """Ordinary classes of c_1..c_n from their expansions in the basis.
 
     Each expansion must be integral (IntegralityError otherwise). Setting t
-    to 0 keeps only the terms of t-power zero, which are then mapped through
-    ``images``, the ordinary images of the basis rows (``basis_images``).
-    An expansion and the images must have one term per row (ValueError).
+    to 0 keeps only the terms of t-power zero, whose coefficients are then
+    mapped to the ring by ``_row_image``.
     """
-    n = images[0].n
     out = []
     for i, expansion in enumerate(expansions, 1):
         if not expansion.integral:
@@ -248,11 +236,5 @@ def ordinary_from_expansions(
                 f"Chern class {i} has a non-integral expansion: "
                 f"{expansion.coefficients}"
             )
-        coeffs = [0] * (n + 2)
-        for (coeff, power), image in zip(expansion.terms, images, strict=True):
-            if power == 0 and coeff != 0:
-                scalar = int(coeff)
-                for k, c in enumerate(image.coeffs):
-                    coeffs[k] += scalar * c
-        out.append(RingElement(n, tuple(coeffs)))
+        out.append(_row_image([int(c) if p == 0 else 0 for c, p in expansion.terms]))
     return out

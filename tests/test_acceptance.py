@@ -165,15 +165,14 @@ def test_criterion_6_ring_correctness():
     start = time.monotonic()
     ok = True
     for n in (2, 4, 6, 8):
-        table = ring_make(n)
-        elements = [table.element(i) for i in range(n + 2)]
-        for a, b, c in product(elements, repeat=3):
+        ring = ring_make(n)
+        for a, b, c in product(ring, repeat=3):
             lhs = ring_mul(ring_mul(a, b), c)
             rhs = ring_mul(a, ring_mul(b, c))
             ok = ok and lhs == rhs
         half = n // 2
-        y, z = table.element(half), table.element(half + 1)
-        top = table.element(half + 1 + half)
+        y, z = ring[half], ring[half + 1]
+        top = ring[half + 1 + half]
         zero = RingElement(n, (0,) * (n + 2))
         if n % 4 == 2:
             ok = ok and ring_mul(y, y) == zero
@@ -208,8 +207,8 @@ def test_criterion_7_integrality_and_unimodularity():
         ]
         det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
         ok = ok and det in (1, -1)
-        table = ring_make(n)
-        images = basis_images(table)
+        ring = ring_make(n)
+        images = basis_images(ring)
         def ring_block_for(pair):
             return [
                 [ring_integral(ring_mul(a, b)) for b in pair]
@@ -218,7 +217,7 @@ def test_criterion_7_integrality_and_unimodularity():
 
         ok = ok and block == ring_block_for((images[half], images[half + 1]))
         # the y/z naming is a convention: swapping them leaves the block alone
-        ok = ok and block == ring_block_for((images[half], table.element(half)))
+        ok = ok and block == ring_block_for((images[half], ring[half]))
     elapsed = time.monotonic() - start
     report(7, "integrality and unimodularity", ok and elapsed < 10.0, 10, elapsed)
 

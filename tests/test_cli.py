@@ -225,8 +225,6 @@ def test_main_restores_the_digit_limit(argv, capsys):
     sys.set_int_max_str_digits(5000)
     try:
         main(argv)
-    except SystemExit:
-        pass
     finally:
         after = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(before)
@@ -273,9 +271,8 @@ def test_classify_refuses_every_bound(bound):
     # profile would show one candidate, "unique standard data: yes", where
     # the full search finds two
     result = run_cli("classify", str(GOLDEN / "profile-tie2.json"), "--bound", bound)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "unrecognized arguments: --bound" in result.stderr
+    _assert_usage_error(result)
+    assert result.stderr.startswith("error: unrecognized arguments: --bound")
 
 
 def test_classify_json_bound_is_the_spread():
@@ -414,9 +411,21 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
     assert outputs[0] == outputs[1]
 
 
-def test_usage_error_exit_code():
-    assert run_cli("verify").returncode == 2
-    assert run_cli().returncode == 2
+def test_usage_error_exit_code(capsys):
+    # argparse's errors leave through main like any other DataError
+    _assert_usage_error(run_cli("verify"))
+    _assert_usage_error(run_cli())
+    assert main(["verify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the following arguments are required: path\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "sub"])
+def test_help_exits_0(argv):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("usage: hamfp")
 
 
 @pytest.mark.parametrize(

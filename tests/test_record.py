@@ -20,7 +20,6 @@ from hamfp import (
     MomentProfile,
     PointInvariants,
     RingElement,
-    RingTable,
     ValidationReport,
 )
 
@@ -61,7 +60,6 @@ SAMPLES = [
      "Expansion(terms=((Fraction(1, 3), 0), (Fraction(2, 1), 1)))"),
     (RingElement, {"n": 2, "coeffs": (1, 0, -2, 5)},
      "RingElement(n=2, coeffs=(1, 0, -2, 5))"),
-    (RingTable, {"n": 4}, "RingTable(n=4)"),
     (MomentProfile, {"n": 2, "phi": (-2, -1, 1, 2)},
      "MomentProfile(n=2, phi=(-2, -1, 1, 2))"),
     (ClassificationVerdict, {"candidates": (), "is_unique_standard": False},
@@ -145,8 +143,6 @@ def test_construction_checks_still_run():
     # a zero denominator would pass every diagonal test and expand c_1 as 0
     with pytest.raises(ValueError, match="denominator must be positive, got 0"):
         BasisRestrictions(FixedPointData(2, POINTS), ((0,) * 4,) * 4, 0)
-    with pytest.raises(ValueError, match="n must be even and positive, got 3"):
-        RingTable(3)
 
 
 @pytest.mark.parametrize(
@@ -169,8 +165,6 @@ def test_non_integers_are_refused_not_truncated(bad):
         RingElement(2, (1, 0, bad, 1))
     with pytest.raises(TypeError):
         RingElement(bad, (1, 0, 0, 1))
-    with pytest.raises(TypeError):
-        RingTable(bad)
     with pytest.raises(TypeError):
         EquivClass(bad, (1, 2))
     if isinstance(bad, Fraction):
