@@ -20,15 +20,19 @@ The search then enumerates every weight assignment compatible with
   divisor exceeds the moment spread, so the gaps are the only bound;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations over the
-  allowed values that divide the product, which cut a branch once the
-  product still to place exceeds top**left or falls below v**left (left
-  parts to choose, v the next part, top the largest such value) and take
-  the last part as the product still to place, if it is allowed. A
+  allowed values, placed prime by prime: each allowed value joins the group
+  of its largest prime factor, and the groups are placed from the largest
+  prime down, so the exponent of a group's prime still in the product must
+  be placed by that group's values alone. A branch is cut once that exponent
+  exceeds what the parts left can carry, or once the product still to place
+  exceeds the largest value still open to the power of the parts left, and
+  the last part is the product still to place, if it is allowed. A
   factorization search that would visit more than MAX_FACTORIZATION_NODES
-  nodes is refused. A profile symmetric about the middle pair poses the
-  same problems at points i and n + 1 - i, so each distinct problem is
-  solved once per ``enumerate_candidates`` call, and nothing is kept between
-  calls;
+  nodes, each factorization it finds counted as one, is refused. A profile
+  symmetric about the middle pair poses the same problems at points i and
+  n + 1 - i, so each distinct allowed set is grouped, and each distinct
+  problem solved, once per ``enumerate_candidates`` call, and nothing is
+  kept between calls;
 * in dimension above 4, where the second cohomology has rank one, affinity
   of the weight sums in the moment values (the pairwise difference ratio
   that expresses the first Chern class);
@@ -37,20 +41,21 @@ The search then enumerates every weight assignment compatible with
   denominator L = lcm |L_P| it adds the integer e_k(weights) * (L / L_P) to
   the numerator of the integral of c_k. A meet in the middle joins the two
   halves of the point list on opposite sums of these numerators. Each
-  option's numerators are packed into one int, in a base wide enough that
-  sums of packed keys are the packed sums, so a half's key sums are int
-  additions. Matches are found by intersecting the two halves' sets of key
-  sums before any assignment is built, and only the upper choices whose
-  sums match are held, while the lower half is streamed past them. Each
-  option's elementary symmetric polynomials are expanded once per call and
-  serve its keys in every join and the final filter;
+  option's numerators are packed into one int by one product: with B the
+  base, prod(1 + w * B) over its weights is the sum of e_k * B^k, so
+  dropping e_0 and e_n * B^n, dividing by B and multiplying by the point's
+  scale packs them with no expansion, and B is wide enough that sums of
+  packed keys are the packed sums, so a half's key sums are int additions.
+  Matches are found by intersecting the two halves' sets of key sums before
+  any assignment is built, and only the upper choices whose sums match are
+  held, while the lower half is streamed past them;
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
-  below the top degree (``localize.localization_consistent``, through the
-  search's memoized expansions). Products and negation closure alone are
-  not sufficient: there are assignments sharing all per-point products with
-  the true data that only the Chern-class sums reject.
+  below the top degree (``localize.localization_consistent``), which expands
+  each option of a survivor once per call. Products and negation closure
+  alone are not sufficient: there are assignments sharing all per-point
+  products with the true data that only the Chern-class sums reject.
 
 Search branches are independent, and no stage orders its options: the
 survivors are sorted once, lexicographically by their per-point weight
@@ -77,7 +82,6 @@ from .fpdata import (
 # chern_restriction, integrate and symplectic_class are unused here;
 # perfbench/tracing.py wraps them at this module.
 from .localize import (  # noqa: F401
-    Expand,
     chern_restriction,
     expansion_memo,
     integrate,
@@ -89,13 +93,31 @@ from .record import Record
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
 # Most nodes one factorization search may visit. One search on the
-# classify-std and classify-sweep profiles at n = 8 visits at most 18,743;
-# the minimal profile at n = 20 passes the limit after about 1 s in-process.
+# classify-std and classify-sweep profiles at n = 8 visits at most 2,382 and
+# 5,479; the minimal profiles at n = 20 and 24 pass the limit after about
+# 0.6 s in-process, at a peak RSS of about 50 MB, most of it the
+# factorizations found by then.
 MAX_FACTORIZATION_NODES = 10**6
 # Most trial divisions the allowed-weight scan may make over all points:
 # about 1.5 s in-process on a 2-core host. The standard n = 2 profile with
 # exponents (10^12, 1) needs 10,828,424.
 MAX_TRIAL_DIVISIONS = 2 * 10**7
+
+
+class _PrimeGroups(Record):
+    """Allowed values in the order the factorization search places them.
+
+    ``groups`` holds one (p, cap, members) per prime p that divides an
+    allowed value, largest p first: members are the values whose largest
+    prime factor is p, each as (exponent of p in it, value), in increasing
+    order, possibly none, and cap is the largest value of this group and the
+    groups after it. ``values`` holds every allowed value, 1 included if
+    allowed.
+    """
+
+    __slots__ = ("values", "groups")
+    values: frozenset[int]
+    groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
 
 class ClassificationVerdict(Record):
@@ -165,53 +187,146 @@ def check_symmetry(profile: MomentProfile) -> bool:
     )
 
 
+def _prime_groups(allowed: tuple[int, ...]) -> _PrimeGroups:
+    """The allowed positive values grouped by their largest prime factor."""
+    found: dict[int, list[tuple[int, int]]] = {}
+    # tops[v]: the largest prime factor of an allowed v and its exponent
+    tops: dict[int, tuple[int, int]] = {}
+    for v in sorted(allowed):
+        if v == 1:
+            continue
+        # trial division by 2 and the odd numbers, smallest prime first,
+        # stops at a cofactor that is an allowed value met before, and
+        # otherwise leaves the largest prime in rest if it is single
+        rest, d, top = v, 2, (v, 1)
+        while d * d <= rest:
+            if rest % d == 0:
+                a = 0
+                while rest % d == 0:
+                    rest //= d
+                    a += 1
+                if d not in found:
+                    found[d] = []
+                if rest in tops:
+                    top, rest = tops[rest], 1
+                    break
+                top = (d, a)
+            d += 1 + (d > 2)
+        if rest > 1:
+            top = (rest, 1)
+        tops[v] = top
+        found.setdefault(top[0], []).append((top[1], v))
+    groups = []
+    cap = 1
+    for p in sorted(found):
+        members = tuple(sorted(found[p]))
+        cap = max([cap, *[v for _, v in members]])
+        groups.append((p, cap, members))
+    return _PrimeGroups(frozenset(allowed), tuple(reversed(groups)))
+
+
 def _factorizations(
-    target: int, count: int, allowed: tuple[int, ...]
+    target: int, count: int, allowed: _PrimeGroups
 ) -> list[tuple[int, ...]]:
     """Nondecreasing count-tuples over the allowed positive values with the
-    given product (target >= 1). A search that would visit more than
-    MAX_FACTORIZATION_NODES nodes raises SearchTooLargeError."""
+    given product (target >= 1), in lexicographic order.
+
+    Parts are placed group by group, from the largest prime p down, and
+    within a group in the group's order. Once the groups above p are placed,
+    the exponent of p still in the target must be placed by p's group alone,
+    so a branch is cut when that exponent exceeds what the parts left can
+    carry, each at most the group's largest exponent of p, or when the
+    product still to place exceeds the group's cap to the power of the parts
+    left. The last part is the product still to place, if it is allowed and
+    comes no earlier in the order. A search that would visit more than
+    MAX_FACTORIZATION_NODES nodes raises SearchTooLargeError; every
+    factorization found is one of them.
+    """
+    values = allowed.values
     if count == 0:
         return [()] if target == 1 else []
-    # every part divides the target, and the last part is what remains
-    parts = [v for v in allowed if target % v == 0]
-    members = set(parts)
     if count == 1:
-        return [(target,)] if target in members else []
-    top = parts[-1] if parts else 0
+        return [(target,)] if target in values else []
+    groups = allowed.groups
+    rest = target
+    for p, _, _ in groups:
+        while rest % p == 0:
+            rest //= p
+    if rest != 1:
+        # a prime of the target divides no allowed value
+        return []
     results: list[tuple[int, ...]] = []
+    # the nodes of the search tree: every value tried as the next part, every
+    # last part found as the product still to place, and every filling of
+    # the parts left with 1
     nodes = 0
 
-    def extend(start: int, remaining: int, chosen: list[int]) -> None:
-        nonlocal nodes
-        nodes += 1
+    def check_nodes() -> None:
         if nodes > MAX_FACTORIZATION_NODES:
             raise SearchTooLargeError(
                 f"the factorization of {target} into {count} weights would "
                 f"visit more than the limit of {MAX_FACTORIZATION_NODES} nodes"
             )
-        # each of the left parts is at least v, and the parts after v are at
-        # most top each
-        left = count - len(chosen)
-        cap = top ** (left - 1)
-        for idx in range(start, len(parts)):
-            v = parts[idx]
-            if v**left > remaining:
-                break
-            if remaining % v:
-                continue
-            rest = remaining // v
-            if left == 2:
-                # v * v <= remaining, so the last part rest is at least v
-                if rest in members:
-                    results.append((*chosen, v, rest))
-            elif rest <= cap:
-                chosen.append(v)
-                extend(idx, rest, chosen)
-                chosen.pop()
 
-    if target <= top**count:
-        extend(0, target, [])
+    def place(
+        g: int, start: int, remaining: int, need: int, left: int, chosen: list[int]
+    ) -> None:
+        # need >= 1 is the exponent of group g's prime still in remaining,
+        # and at least two parts are left
+        nonlocal nodes
+        _, cap, members = groups[g]
+        if left == 2:
+            for a, v in members[start:]:
+                if a > need:
+                    break
+                nodes += 1
+                last, r = divmod(remaining, v)
+                # a last part in group g comes at (need - a, last) in its order
+                after = a == need or (need - a, last) >= (a, v)
+                if r == 0 and last in values and after:
+                    nodes += 1
+                    results.append(tuple(sorted([*chosen, v, last])))
+            check_nodes()
+            return
+        bound = cap ** (left - 1)
+        carry = (left - 1) * members[-1][0]
+        for i in range(start, len(members)):
+            a, v = members[i]
+            if a > need:
+                break
+            nodes += 1
+            if need - a > carry or remaining % v or remaining // v > bound:
+                continue
+            chosen.append(v)
+            if a < need:
+                place(g, i, remaining // v, need - a, left - 1, chosen)
+            else:
+                enter(g + 1, remaining // v, left - 1, chosen)
+            chosen.pop()
+        check_nodes()
+
+    def enter(g: int, remaining: int, left: int, chosen: list[int]) -> None:
+        # the groups before g are placed, and at least two parts are left
+        nonlocal nodes
+        if remaining == 1:
+            if 1 in values:
+                nodes += 1
+                check_nodes()
+                results.append((*[1] * left, *sorted(chosen)))
+            return
+        while remaining % groups[g][0]:
+            g += 1
+        p, _, members = groups[g]
+        need = 0
+        rest = remaining
+        while rest % p == 0:
+            rest //= p
+            need += 1
+        if members and need <= left * members[-1][0]:
+            place(g, 0, remaining, need, left, chosen)
+
+    enter(0, target, count, [])
+    results.sort()
     return results
 
 
@@ -228,31 +343,28 @@ def _allowed_weights(gaps: set[int]) -> tuple[int, ...]:
     return tuple(sorted(allowed))
 
 
-def _chern_key(option: tuple[int, ...], scale: int, expand: Expand) -> tuple[int, ...]:
-    """e_1 .. e_{n-1} of the weights, times scale; expand gives e_0 .. e_n."""
-    return tuple(e * scale for e in expand(option)[1:-1])
-
-
 def _keyed_join(
-    options: list[list[tuple[int, ...]]],
-    scales: list[int],
-    expand: Expand,
+    options: list[list[tuple[int, ...]]], scales: list[int]
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Every assignment whose Chern keys, _chern_key(option, scales[i],
-    expand) at point i, sum to zero, by meeting in the middle: choices of
-    one option per point in the two halves join on opposite key sums.
+    """Every assignment whose Chern keys, e_1 .. e_{n-1} of the option at
+    point i times scales[i], sum to zero, by meeting in the middle: choices
+    of one option per point in the two halves join on opposite key sums.
 
-    Each key is packed into one int, in base 2B + 1 with B the sum over the
-    points of the largest key entry in absolute value. Every entry of a sum
-    of keys then lies in [-B, B], so sums of packed keys are the packed sums
-    of keys, and a packed sum is zero exactly when every entry is. Both
-    halves' key sums are formed as ints, the upper half's negated, and the
-    keys they share are found by set intersection before any choice is
-    built: without one the join returns at once, and otherwise only the upper
-    choices with a shared key are held, in a dict from key to choices, while
-    the lower half is streamed past it. Each half is counted before anything
-    is built, and a half of more than MAX_HALF_ASSIGNMENTS raises
-    SearchTooLargeError.
+    Each key is packed into one int in base B, entry k at B^(k-1), by one
+    product: prod(1 + w * B) over the option's weights is the sum of
+    e_k * B^k, so dropping e_0 = 1 and e_n * B^n, dividing by B and
+    multiplying by the scale packs the key without expanding e_k. B is
+    2 * (sum over the points of |scale| times the largest prod(1 + |w|) of
+    an option) + 1, and |e_k| <= prod(1 + |w|), so every entry of a sum of
+    keys lies strictly between -B/2 and B/2: sums of packed keys are the
+    packed sums of keys, and a packed sum is zero exactly when every entry
+    is. Both halves' key sums are formed as ints, the upper half's negated,
+    and the keys they share are found by set intersection before any choice
+    is built: without one the join returns at once, and otherwise only the
+    upper choices with a shared key are held, in a dict from key to
+    choices, while the lower half is streamed past it. Each half is counted
+    before anything is built, and a half of more than MAX_HALF_ASSIGNMENTS
+    raises SearchTooLargeError.
     """
     half = len(options) // 2
     for opts in (options[half:], options[:half]):
@@ -262,19 +374,20 @@ def _keyed_join(
                 f"the search would build {size} assignments for one half of "
                 f"the point list, more than the limit of {MAX_HALF_ASSIGNMENTS}"
             )
-    keys = [
-        [_chern_key(o, s, expand) for o in opts] for opts, s in zip(options, scales)
-    ]
-    bound = sum(max((abs(e) for k in ks for e in k), default=0) for ks in keys)
-    base = 2 * bound + 1
+    n = len(options[0][0])
+    base = 2 * sum(
+        abs(s) * max(prod([1 + abs(w) for w in o]) for o in opts)
+        for opts, s in zip(options, scales)
+    ) + 1
+    top = base**n
 
-    def pack(key: tuple[int, ...]) -> int:
-        value = 0
-        for e in reversed(key):
-            value = value * base + e
-        return value
+    def pack(option: tuple[int, ...], scale: int) -> int:
+        value = 1
+        for w in option:
+            value *= 1 + w * base
+        return (value - 1 - prod(option) * top) // base * scale
 
-    packed = [[pack(k) for k in ks] for ks in keys]
+    packed = [[pack(o, s) for o in opts] for opts, s in zip(options, scales)]
 
     def key_sums(rows: list[list[int]]) -> list[int]:
         # in the order of itertools.product over the same points
@@ -336,16 +449,17 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
             f"more than the limit of {MAX_TRIAL_DIVISIONS}"
         )
     # Points i and n + 1 - i of a symmetric profile pose the same problems.
+    prime_groups = cache(_prime_groups)
     factorizations = cache(_factorizations)
-    # An option reaches many joins, and the survivors the final filter: each
-    # is expanded once per call.
+    # Survivors of the final filter share options: each is expanded once per
+    # call.
     expand = expansion_memo()
     # At point i the negative product has the sign (-1)^pattern[i] and the
     # positive product is at least 1, so every option is pattern[i] negated
     # factors of |neg| and n - pattern[i] factors of pos.
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
-        allowed = _allowed_weights(gap_sets[i])
+        allowed = prime_groups(_allowed_weights(gap_sets[i]))
         neg_parts = factorizations(abs(neg), pattern[i], allowed)
         pos_parts = factorizations(pos, n - pattern[i], allowed)
         point_options = []
@@ -359,7 +473,7 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
         return []
 
     if n == 2:
-        found = _keyed_join(options, scales, expand)
+        found = _keyed_join(options, scales)
     else:
         # In dimension above 4 the second cohomology has rank one, so the
         # weight sums must be an affine function of the moment values (the
@@ -388,7 +502,7 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
                 if not filtered[-1]:
                     break
             else:
-                found += _keyed_join(filtered, scales, expand)
+                found += _keyed_join(filtered, scales)
 
     candidates = []
     for assignment in sorted(found):

@@ -1,10 +1,10 @@
-"""Products of equivariant classes one Fraction at a time, and partitions
-listed one by one, for oracles that check the integer engines against plain
-restriction tuples."""
+"""Products of equivariant classes one Fraction at a time, partitions listed
+one by one, and Chern keys as tuples, for oracles that check the integer
+engines against plain restriction tuples."""
 
 from fractions import Fraction
 
-from hamfp import EquivClass
+from hamfp import EquivClass, elementary_symmetric
 
 
 def multiply(a, b):
@@ -37,3 +37,9 @@ def partitions(total, largest=None):
     for first in range(min(total, largest), 0, -1):
         for rest in partitions(total - first, first):
             yield (first,) + rest
+
+
+def chern_key(option, scale):
+    """e_1 .. e_{n-1} of an option's n weights, times scale: the entries the
+    solver's join packs into one int."""
+    return tuple(e * scale for e in elementary_symmetric(option)[1:-1])

@@ -297,12 +297,13 @@ def test_classify_refuses_an_oversized_search(tmp_path):
     assert result.stderr.startswith("error: the search would build 3696000 assignments")
 
 
-def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path):
+@pytest.mark.parametrize("n", [20, 24])
+def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path, n):
     # without a cap on one factorization search, the minimal profile at
     # n = 20 builds every point's options, for half a minute and about
     # 500 MB, before its join is counted and refused
     path = tmp_path / "p.json"
-    data = make_standard_g2(range(11, 0, -1))
+    data = make_standard_g2(range(n // 2 + 1, 0, -1))
     dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
     start = perf_counter()
     result = run_cli("classify", str(path))

@@ -25,10 +25,11 @@ from hamfp import (
 from hamfp.solver import (
     MAX_HALF_ASSIGNMENTS,
     _allowed_weights,
-    _chern_key,
     _factorizations,
     _keyed_join,
+    _prime_groups,
 )
+from oracle import chern_key
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -59,25 +60,41 @@ def factorization_cases(draw):
     return target, count, allowed
 
 
+def factorizations(target, count, allowed):
+    return _factorizations(target, count, _prime_groups(allowed))
+
+
 @SETTINGS
 @given(factorization_cases())
 @example((14_515_200, 8, tuple(range(1, 15))))
 @example((1, 3, (2, 3)))
+# a prime group of 13 and 26 above the groups of 3 and 2, and no 1 to fill
+@example((2 * 3 * 13**3 * 4, 4, (2, 3, 4, 6, 13, 26, 39)))
 def test_factorizations_match_brute_force(case):
     target, count, allowed = case
     expected = [
         c for c in combinations_with_replacement(allowed, count) if prod(c) == target
     ]
-    assert _factorizations(target, count, allowed) == expected
+    assert factorizations(target, count, allowed) == expected
 
 
 def test_factorization_search_past_the_cap_is_refused(monkeypatch):
     case = (14_515_200, 8, tuple(range(1, 15)))
-    assert _factorizations(*case)
+    assert factorizations(*case)
     monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", 10)
     with pytest.raises(SearchTooLargeError, match="limit of 10 nodes") as info:
-        _factorizations(*case)
+        factorizations(*case)
     assert isinstance(info.value, DataError)
+
+
+def test_factorization_search_counts_every_factorization(monkeypatch):
+    # each factorization is a node of the counted search, so a cap below
+    # their number refuses the search
+    case = (14_515_200, 8, tuple(range(1, 15)))
+    found = factorizations(*case)
+    monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", len(found) - 1)
+    with pytest.raises(SearchTooLargeError):
+        factorizations(*case)
 
 
 @st.composite
@@ -138,7 +155,7 @@ def vanishing_choices(n, options):
 def assert_join_matches_fractions(n, options, scales):
     expected = vanishing_choices(n, options)
     assert expected
-    found = _keyed_join(options, scales, elementary_symmetric)
+    found = _keyed_join(options, scales)
     assert sorted(found) == sorted(expected)
 
 
@@ -154,7 +171,7 @@ def test_keyed_join_keeps_exactly_the_vanishing_chern_sums(case):
 def test_keyed_join_without_vanishing_sums_is_empty(case):
     n, options = case
     assume(not vanishing_choices(n, options))
-    assert _keyed_join(options, join_scales(options), elementary_symmetric) == []
+    assert _keyed_join(options, join_scales(options)) == []
 
 
 @settings(SETTINGS, max_examples=25)
@@ -168,7 +185,7 @@ def test_keyed_join_with_large_keys_of_both_signs(case):
         e
         for opts, scale in zip(options, scales)
         for opt in opts
-        for e in _chern_key(opt, scale, elementary_symmetric)
+        for e in chern_key(opt, scale)
     ]
     assert max(entries) > 10**6 and min(entries) < -(10**6)
     assert_join_matches_fractions(n, options, scales)
@@ -212,11 +229,11 @@ def test_keyed_join_packing_base_admits_no_false_zero(options, scales, solutions
     # the first options' keys sum to a nonzero vector that a base too small
     # for the sum of the points' largest entries would pack to 0
     def key_sum(choice):
-        keys = [_chern_key(o, s, elementary_symmetric) for o, s in zip(choice, scales)]
+        keys = [chern_key(o, s) for o, s in zip(choice, scales)]
         return [sum(e) for e in zip(*keys)]
 
     assert [c for c in product(*options) if not any(key_sum(c))] == solutions
-    assert sorted(_keyed_join(options, scales, elementary_symmetric)) == solutions
+    assert sorted(_keyed_join(options, scales)) == solutions
 
 
 def test_oversized_join_is_refused_before_it_is_built():

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamfp.localize
+import hamfp.solver
 from hamfp import (
     DataError,
     FixedPoint,
@@ -125,9 +128,9 @@ def test_enumerate_is_deterministic():
 
 
 def test_enumerate_expands_each_option_once_per_call(monkeypatch):
-    # the joins key each option, and the final filter localizes the survivor,
-    # from one expansion per option; a second call expands them again, so
-    # nothing is kept between calls
+    # the joins pack their keys without expanding any option, so only the
+    # final filter expands, each option of the survivor once; a second call
+    # expands them again, so nothing is kept between calls
     calls = Counter()
 
     def counted(values):
@@ -139,10 +142,66 @@ def test_enumerate_expands_each_option_once_per_call(monkeypatch):
     assert enumerate_candidates(profile_of(data)) == [data]
     first = dict(calls)
     assert set(first.values()) == {1}
-    assert {p.weights for p in data.points} <= set(first)
+    assert set(first) == {p.weights for p in data.points}
     calls.clear()
     assert enumerate_candidates(profile_of(data)) == [data]
     assert calls == first
+
+
+def test_every_standard_n8_profile_is_unique_standard():
+    # the 126 profiles of classify-std: five distinct exponents from 1..9
+    for exponents in combinations(range(1, 10), 5):
+        data = make_standard_g2(exponents)
+        verdict = classify(profile_of(data))
+        assert verdict.is_unique_standard, exponents
+        assert verdict.candidates == (data,)
+
+
+def sweep_profiles(seed, size):
+    """Random n = 8 profiles with integral predicted products, moment values
+    0 < ... < spread for a spread from 30..48, as in classify-sweep."""
+    rng = random.Random(seed)
+    family = []
+    while len(family) < size:
+        spread = rng.randint(30, 48)
+        phi = (0, *sorted(rng.sample(range(1, spread), 8)), spread)
+        profile = MomentProfile(8, phi)
+        try:
+            predicted_products(profile)
+        except InconsistentProfileError:
+            continue
+        if profile not in family:
+            family.append(profile)
+    return family
+
+
+def test_random_n8_profiles_keep_their_candidates_and_factorizations(monkeypatch):
+    # Pinned digests of the candidate lists and of every factorization list
+    # the search found, in the order found, for 20 random profiles; seed 9 is
+    # the first from 1 whose family has a profile with a candidate. The
+    # factorization lists change with any change to the search's results
+    # even where, as for most such profiles, no candidate survives.
+    found = []
+    search = hamfp.solver._factorizations
+
+    def recorded(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(hamfp.solver, "_factorizations", recorded)
+    family = sweep_profiles(9, 20)
+    lists = [
+        [[p.weights for p in c.points] for c in enumerate_candidates(profile)]
+        for profile in family
+    ]
+    assert sum(map(len, lists)) == 1
+    assert (len(found), sum(map(len, found))) == (390, 4530)
+    assert sha256(repr(lists).encode()).hexdigest() == (
+        "cbf1b9769ae8def9b2eccf335fa45da1e06aa5e92400725e84bbd1190ed02ca9"
+    )
+    assert sha256(repr(found).encode()).hexdigest() == (
+        "d808f7068c913f53be247329d6e337730260d56a4681c33354af8617ec1f9afd"
+    )
 
 
 def test_products_and_closure_alone_are_insufficient():
