@@ -15,8 +15,10 @@ The search then enumerates every weight assignment compatible with
 
 * divisibility: each weight at a point divides some nonzero moment gap from
   that point (the arithmetic consequence of isotropy spheres), so the
-  allowed weights are the divisors of the gaps, found by trial division,
-  and a profile whose scan would pass MAX_TRIAL_DIVISIONS is refused. No
+  allowed weights are the divisors of the gaps. Each distinct gap is
+  factored once per call, by trial division, and its divisors come out
+  tagged with their largest prime. A profile whose allowed-weight scan
+  would pass MAX_TRIAL_DIVISIONS is refused before any gap is factored. No
   divisor exceeds the moment spread, so the gaps are the only bound;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations over the
@@ -98,21 +100,26 @@ MAX_HALF_ASSIGNMENTS = 10**6
 # 0.6 s in-process, at a peak RSS of about 50 MB, most of it the
 # factorizations found by then.
 MAX_FACTORIZATION_NODES = 10**6
-# Most trial divisions the allowed-weight scan may make over all points:
-# about 1.5 s in-process on a 2-core host. The standard n = 2 profile with
-# exponents (10^12, 1) needs 10,828,424.
+# Most trial divisions the allowed-weight scan may make: the sum of isqrt(g)
+# over the gaps g at every point, the divisions of a scan of every
+# d <= sqrt(g) at both ends of each gap. It overestimates the factoring,
+# which tries at most isqrt(g) divisors on each distinct gap g: 2 and then
+# the odd d while d * d is at most the cofactor. The standard n = 2 profile
+# with exponents (10^12, 1) counts 10,828,424, and (10^13, 1), refused,
+# 34,242,488.
 MAX_TRIAL_DIVISIONS = 2 * 10**7
 
 
 class _PrimeGroups(Record):
     """Allowed values in the order the factorization search places them.
 
-    ``groups`` holds one (p, cap, members) per prime p that divides an
-    allowed value, largest p first: members are the values whose largest
-    prime factor is p, each as (exponent of p in it, value), in increasing
-    order, possibly none, and cap is the largest value of this group and the
-    groups after it. ``values`` holds every allowed value, 1 included if
-    allowed.
+    The allowed values are 1 and the divisors of a point's gaps, so every
+    prime of an allowed value is allowed. ``groups`` holds one
+    (p, cap, members) per prime p that divides an allowed value, largest p
+    first: members are the values whose largest prime factor is p, each as
+    (exponent of p in it, value), in increasing order, p among them, and cap
+    is the largest value of this group and the groups after it. ``values``
+    holds every allowed value.
     """
 
     __slots__ = ("values", "groups")
@@ -187,49 +194,50 @@ def check_symmetry(profile: MomentProfile) -> bool:
     )
 
 
-def _prime_groups(allowed: tuple[int, ...]) -> _PrimeGroups:
-    """The allowed positive values grouped by their largest prime factor."""
+def _tagged_divisors(g: int) -> dict[int, tuple[int, int]]:
+    """The divisors d > 1 of g >= 1, each tagged (p, e): p is the largest
+    prime factor of d, and p^e exactly divides d. g is factored once, by 2
+    and then the odd d while d * d is at most the cofactor, smallest prime
+    first, so each new divisor is one over the smaller primes times p^e."""
+    tagged: dict[int, tuple[int, int]] = {}
+    rest, d = g, 2
+    while rest > 1:
+        if d * d > rest:
+            # no factor up to sqrt(rest) is left, so rest is prime
+            d = rest
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            tagged.update(
+                {v * d**k: (d, k) for v in [1, *tagged] for k in range(1, e + 1)}
+            )
+        d += 1 + (d > 2)
+    return tagged
+
+
+def _prime_groups(tagged: list[dict[int, tuple[int, int]]]) -> _PrimeGroups:
+    """1 and the tagged divisors of a point's gaps, grouped by their largest
+    prime factor."""
+    merged = {v: tag for divisors in tagged for v, tag in divisors.items()}
     found: dict[int, list[tuple[int, int]]] = {}
-    # tops[v]: the largest prime factor of an allowed v and its exponent
-    tops: dict[int, tuple[int, int]] = {}
-    for v in sorted(allowed):
-        if v == 1:
-            continue
-        # trial division by 2 and the odd numbers, smallest prime first,
-        # stops at a cofactor that is an allowed value met before, and
-        # otherwise leaves the largest prime in rest if it is single
-        rest, d, top = v, 2, (v, 1)
-        while d * d <= rest:
-            if rest % d == 0:
-                a = 0
-                while rest % d == 0:
-                    rest //= d
-                    a += 1
-                if d not in found:
-                    found[d] = []
-                if rest in tops:
-                    top, rest = tops[rest], 1
-                    break
-                top = (d, a)
-            d += 1 + (d > 2)
-        if rest > 1:
-            top = (rest, 1)
-        tops[v] = top
-        found.setdefault(top[0], []).append((top[1], v))
+    for v, (p, e) in merged.items():
+        found.setdefault(p, []).append((e, v))
     groups = []
     cap = 1
     for p in sorted(found):
         members = tuple(sorted(found[p]))
         cap = max([cap, *[v for _, v in members]])
         groups.append((p, cap, members))
-    return _PrimeGroups(frozenset(allowed), tuple(reversed(groups)))
+    return _PrimeGroups(frozenset([1, *merged]), tuple(reversed(groups)))
 
 
 def _factorizations(
     target: int, count: int, allowed: _PrimeGroups
 ) -> list[tuple[int, ...]]:
-    """Nondecreasing count-tuples over the allowed positive values with the
-    given product (target >= 1), in lexicographic order.
+    """Nondecreasing count-tuples over the allowed values with the given
+    product (target >= 1), in lexicographic order.
 
     Parts are placed group by group, from the largest prime p down, and
     within a group in the group's order. Once the groups above p are placed,
@@ -309,10 +317,9 @@ def _factorizations(
         # the groups before g are placed, and at least two parts are left
         nonlocal nodes
         if remaining == 1:
-            if 1 in values:
-                nodes += 1
-                check_nodes()
-                results.append((*[1] * left, *sorted(chosen)))
+            nodes += 1
+            check_nodes()
+            results.append((*[1] * left, *sorted(chosen)))
             return
         while remaining % groups[g][0]:
             g += 1
@@ -322,25 +329,12 @@ def _factorizations(
         while rest % p == 0:
             rest //= p
             need += 1
-        if members and need <= left * members[-1][0]:
+        if need <= left * members[-1][0]:
             place(g, 0, remaining, need, left, chosen)
 
     enter(0, target, count, [])
     results.sort()
     return results
-
-
-def _allowed_weights(gaps: set[int]) -> tuple[int, ...]:
-    """The divisors of the positive gaps. Trial division runs up to sqrt(g)
-    for each gap g: a divisor above sqrt(g) is the cofactor of one below it.
-    """
-    allowed: set[int] = set()
-    for g in gaps:
-        for d in range(1, isqrt(g) + 1):
-            if g % d == 0:
-                allowed.add(d)
-                allowed.add(g // d)
-    return tuple(sorted(allowed))
 
 
 def _keyed_join(
@@ -423,7 +417,7 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     profile whose predicted products are fractional admits no integer
     weights at all and yields the empty list. One whose allowed-weight scan
     would make more than MAX_TRIAL_DIVISIONS trial divisions raises
-    SearchTooLargeError before the scan starts, and so does one whose
+    SearchTooLargeError before any gap is factored, and so does one whose
     factorization search or join passes its limit. Every weight the moment
     gaps allow is searched: each divides a gap, so none exceeds the spread.
     """
@@ -440,7 +434,8 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     # e_k * (L / L_i) to the numerator of the integral of c_k.
     _, scales = shares([neg * pos for neg, pos in products])
     gap_sets = [
-        {abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]} for i in range(m)
+        frozenset([abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]])
+        for i in range(m)
     ]
     divisions = sum(isqrt(g) for gaps in gap_sets for g in gaps)
     if divisions > MAX_TRIAL_DIVISIONS:
@@ -448,8 +443,10 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
             f"the allowed-weight scan would make {divisions} trial divisions, "
             f"more than the limit of {MAX_TRIAL_DIVISIONS}"
         )
-    # Points i and n + 1 - i of a symmetric profile pose the same problems.
-    prime_groups = cache(_prime_groups)
+    # Each gap is a gap at both its points, and points i and n + 1 - i of a
+    # symmetric profile have the same gaps and pose the same problems.
+    divisors = cache(_tagged_divisors)
+    prime_groups = cache(lambda gaps: _prime_groups([divisors(g) for g in gaps]))
     factorizations = cache(_factorizations)
     # Survivors of the final filter share options: each is expanded once per
     # call.
@@ -459,7 +456,7 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     # factors of |neg| and n - pattern[i] factors of pos.
     options: list[list[tuple[int, ...]]] = []
     for i, (neg, pos) in enumerate(products):
-        allowed = prime_groups(_allowed_weights(gap_sets[i]))
+        allowed = prime_groups(gap_sets[i])
         neg_parts = factorizations(abs(neg), pattern[i], allowed)
         pos_parts = factorizations(pos, n - pattern[i], allowed)
         point_options = []

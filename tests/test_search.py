@@ -1,9 +1,10 @@
 """The classifier's search filters lose no solution.
 
-The allowed-weight scan, the factorization search and the meet-in-the-middle
-join on Chern-class keys are each compared with a brute-force enumeration on
-generated inputs; the join's oracle sums the integrals of c_k as fractions,
-without the keys' common denominator or their packing into one int."""
+The factoring of each moment gap, the factorization search and the
+meet-in-the-middle join on Chern-class keys are each compared with a
+brute-force enumeration on generated inputs; the join's oracle sums the
+integrals of c_k as fractions, without the keys' common denominator or their
+packing into one int."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -24,62 +25,80 @@ from hamfp import (
 )
 from hamfp.solver import (
     MAX_HALF_ASSIGNMENTS,
-    _allowed_weights,
     _factorizations,
     _keyed_join,
     _prime_groups,
+    _tagged_divisors,
 )
 from oracle import chern_key
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
 
+def divisors_of(gaps):
+    """The divisors of the gaps, by testing every value up to the largest."""
+    return [d for d in range(1, max(gaps) + 1) if any(g % d == 0 for g in gaps)]
+
+
+def is_prime(q):
+    return divisors_of([q]) == [1, q]
+
+
 @SETTINGS
-@given(
-    st.integers(2, 6).flatmap(
-        lambda m: st.lists(st.integers(-30, 30), min_size=m, max_size=m, unique=True)
-    )
-)
-def test_allowed_weights_are_the_divisors_of_the_gaps(phi):
-    gaps = {abs(p - phi[0]) for p in phi[1:]}
-    expected = tuple(
-        w for w in range(1, max(gaps) + 1) if any(g % w == 0 for g in gaps)
-    )
-    assert _allowed_weights(gaps) == expected
+@given(st.integers(1, 20_000))
+@example(1)
+@example(2**14)
+@example(2 * 3 * 5 * 7 * 11 * 13)
+@example(19_997)  # prime
+@example(2 * 9973)  # a prime cofactor above sqrt(g)
+@example(139**2)
+def test_tagged_divisors_are_the_divisors_with_their_largest_prime(g):
+    tagged = _tagged_divisors(g)
+    assert sorted([1, *tagged]) == divisors_of([g])
+    for d, (p, e) in tagged.items():
+        assert is_prime(p)
+        assert d % p**e == 0 and d % p ** (e + 1) != 0
+        rest = d // p**e
+        assert all(q < p for q in divisors_of([rest])[1:] if is_prime(q))
 
 
 @st.composite
 def factorization_cases(draw):
-    allowed = tuple(
-        sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=8)))
-    )
+    gaps = draw(st.sets(st.integers(1, 48), min_size=1, max_size=4))
+    allowed = divisors_of(gaps)
     count = draw(st.integers(0, 5))
     # a product of allowed values usually factors; a free target rarely does
     parts = draw(st.lists(st.sampled_from(allowed), min_size=count, max_size=count))
     target = draw(st.one_of(st.just(prod(parts)), st.integers(1, 10**5)))
-    return target, count, allowed
+    return target, count, gaps
 
 
-def factorizations(target, count, allowed):
-    return _factorizations(target, count, _prime_groups(allowed))
+def factorizations(target, count, gaps):
+    """The search over the divisors of the gaps, grouped as the solver
+    groups them."""
+    allowed = _prime_groups([_tagged_divisors(g) for g in gaps])
+    return _factorizations(target, count, allowed)
 
 
 @SETTINGS
 @given(factorization_cases())
-@example((14_515_200, 8, tuple(range(1, 15))))
+# the divisors of the gaps 8..14 are 1..14
+@example((14_515_200, 8, range(8, 15)))
 @example((1, 3, (2, 3)))
-# a prime group of 13 and 26 above the groups of 3 and 2, and no 1 to fill
-@example((2 * 3 * 13**3 * 4, 4, (2, 3, 4, 6, 13, 26, 39)))
+# a prime group of 13, 26 and 39 above the groups of 3 and 2
+@example((2 * 3 * 13**3 * 4, 4, (4, 6, 26, 39)))
 def test_factorizations_match_brute_force(case):
-    target, count, allowed = case
+    target, count, gaps = case
     expected = [
-        c for c in combinations_with_replacement(allowed, count) if prod(c) == target
+        c
+        for c in combinations_with_replacement(divisors_of(gaps), count)
+        if prod(c) == target
     ]
-    assert factorizations(target, count, allowed) == expected
+    assert factorizations(target, count, gaps) == expected
 
 
 def test_factorization_search_past_the_cap_is_refused(monkeypatch):
-    case = (14_515_200, 8, tuple(range(1, 15)))
+    case = (14_515_200, 8, range(8, 15))
     assert factorizations(*case)
     monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", 10)
     with pytest.raises(SearchTooLargeError, match="limit of 10 nodes") as info:
@@ -90,7 +109,7 @@ def test_factorization_search_past_the_cap_is_refused(monkeypatch):
 def test_factorization_search_counts_every_factorization(monkeypatch):
     # each factorization is a node of the counted search, so a cap below
     # their number refuses the search
-    case = (14_515_200, 8, tuple(range(1, 15)))
+    case = (14_515_200, 8, range(8, 15))
     found = factorizations(*case)
     monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", len(found) - 1)
     with pytest.raises(SearchTooLargeError):

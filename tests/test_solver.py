@@ -148,6 +148,27 @@ def test_enumerate_expands_each_option_once_per_call(monkeypatch):
     assert calls == first
 
 
+@pytest.mark.parametrize("exponents, distinct", [((1, 3, 5, 7, 9), 9), ((2, 1), 4)])
+def test_enumerate_factors_each_distinct_gap_once_per_call(
+    monkeypatch, exponents, distinct
+):
+    # every gap is a gap at both its points, and mirror points share all
+    # their gaps, yet each distinct gap is factored once per call
+    factored = []
+    tagged_divisors = hamfp.solver._tagged_divisors
+
+    def recorded(g):
+        factored.append(g)
+        return tagged_divisors(g)
+
+    monkeypatch.setattr(hamfp.solver, "_tagged_divisors", recorded)
+    data = make_standard_g2(exponents)
+    assert enumerate_candidates(profile_of(data)) == [data]
+    gaps = {abs(a - b) for a in data.phis for b in data.phis if a != b}
+    assert len(gaps) == distinct
+    assert sorted(factored) == sorted(gaps)
+
+
 def test_every_standard_n8_profile_is_unique_standard():
     # the 126 profiles of classify-std: five distinct exponents from 1..9
     for exponents in combinations(range(1, 10), 5):
