@@ -14,13 +14,20 @@ L = lcm |Lambda_P| (``exactnum.shares``), Lambda_P read from the dataset,
 and is divided by L once with ``exactnum.exact_fraction``.
 
 Monomials u^a * c_lambda in the symplectic class and the Chern classes are
-integrated by one engine, ``localization_sums``, without restriction tuples:
-one loop per degree and u-power pops partitions off a stack, parts in
-nondecreasing order, and yields one monomial for every node as it pops it,
-so the order of the partitions within a block is unspecified; the report
-writers impose any order a reader sees. ``localization_consistent``, the
-classifier's final test, asks it whether every sum below the top degree
-vanishes, and stops at the first that does not.
+integrated without restriction tuples, over one walk, ``_walk``: it pops
+partitions off a stack, parts in nondecreasing order, and grows each node by
+one part while the parts chosen still leave room, under a size bound, for a
+last part no smaller. A caller closes each node with a last part read
+against a column of the Chern table. ``localization_sums`` walks once per
+degree and u-power, with the room the exact size left, and yields one
+monomial for every node as it pops it, so the order of the partitions
+within a block is unspecified; the report writers impose any order a reader
+sees. ``localization_consistent``, the classifier's final test, walks once,
+with room n - 1: each node is closed against every u-power it pairs with
+below the top degree, through precomputed columns e_r(P) * h_P^a, and the
+test stops at the first nonzero sum. When e_1 is affine in the height
+h_P = phi_0 - phi_P, the c_1 lemma in its docstring lets it skip every
+partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and callers share expansions through an ``expansion_memo``.
@@ -135,6 +142,36 @@ def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
     return total
 
 
+def _walk(
+    columns: Sequence[Sequence[int]],
+    products: list[int],
+    room: int,
+    smallest: int,
+) -> Iterator[tuple[list[int], int, int, tuple[int, ...]]]:
+    """Every node of one partition tree, popped off an explicit stack.
+
+    A node is (products, room, smallest, parts): parts are the parts chosen
+    so far, in nondecreasing order and held largest first, products the
+    root's products times e_p(P) for each part p at each point P, room the
+    size still free, and smallest the least part that may follow. The root
+    has no parts. Each node is yielded before its children are pushed, each
+    extending it by one part from smallest up to half the room, so that the
+    room left still fits a last part no smaller. A caller closes a node with
+    a last part r, smallest <= r <= room, read against the column e_r(P).
+    Closed with every such r, and the root also with the empty partition,
+    the nodes give every partition with parts at least the root's smallest
+    and size at most its room exactly once.
+    """
+    stack = [(products, room, smallest, ())]
+    while stack:
+        node = stack.pop()
+        yield node
+        products, room, smallest, parts = node
+        for part in range(smallest, room // 2 + 1):
+            extended = list(map(mul, products, columns[part]))
+            stack.append((extended, room - part, part, (part,) + parts))
+
+
 def localization_sums(
     data: FixedPointData,
     degrees: Iterable[int],
@@ -156,15 +193,11 @@ def localization_sums(
     Pure powers of u need only the weight products; Chern monomials read each
     point's e_k from ``chern_table(data, expand)``.
 
-    Each (d, a) block is one loop over a stack of nodes (products, remainder
-    r, smallest next part, parts), with parts chosen in nondecreasing order.
-    A node's products are u(P)^a * e_p1(P) * ... at each point P. Popping a
-    node yields its leaf at once: the whole remainder r taken as the last
-    part, the dot product of its products with the column e_r(P) * (L /
-    Lambda_P). Then its children are pushed, each extending the products by
-    one part from the smallest next part up to half the remainder, so that
-    the remainder left can still close it. The root of a block with a = d
-    has remainder 0 and closes with e_0, the monomial u^d with parts ().
+    Each (d, a) block is one ``_walk`` from the root with products u(P)^a at
+    each point P and room d - a. Each node closes its one partition of size
+    exactly d - a, the room as its last part: the dot product of its products
+    with the column e_room(P) * (L / Lambda_P). The root of a block with
+    a = d has room 0 and closes with e_0, the monomial u^d with parts ().
     """
     n = data.n
     if not (with_u or with_chern):
@@ -185,31 +218,72 @@ def localization_sums(
         if with_chern and d > n:
             raise ValueError(f"half-degree {d} of a Chern monomial exceeds n={n}")
         for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
-            # parts holds the chosen parts largest first
-            stack = [([h**a for h in heights], d - a, 1, ())]
-            while stack:
-                products, remaining, smallest, parts = stack.pop()
-                total = sum(map(mul, products, closing[remaining]))
-                leaf = (remaining,) + parts if remaining else parts
+            root = [h**a for h in heights]
+            for products, room, _, parts in _walk(columns, root, d - a, 1):
+                total = sum(map(mul, products, closing[room]))
+                leaf = (room,) + parts if room else parts
                 yield a, leaf, exact_fraction(total, common)
-                for part in range(smallest, remaining // 2 + 1):
-                    extended = list(map(mul, products, columns[part]))
-                    stack.append((extended, remaining - part, part, (part,) + parts))
 
 
 def localization_consistent(data: FixedPointData, expand: Expand | None = None) -> bool:
     """Exact vanishing of every localization sum below the top degree.
 
-    Checks all monomials u^a * c_{i_1} ... c_{i_k} of total degree below n,
-    where u is the equivariant symplectic class and c_i the equivariant Chern
-    classes, in order of degree, and stops at the first nonzero sum: it
-    proves the data comes from no manifold. ``expand`` is as in
-    ``chern_table``.
+    Checks the monomials u^a * c_lambda of total degree a + |lambda| < n,
+    where u is the equivariant symplectic class, restricting to
+    h_P = phi_0 - phi_P at P, and c_k the equivariant Chern classes,
+    restricting to e_k(P). A nonzero sum proves the data comes from no
+    manifold. ``expand`` is as in ``chern_table``. Sums are compared with 0
+    in integers over L = lcm |Lambda_P|, and no Fraction is built.
+
+    One ``_walk`` with room n - 1 visits each partition lambda once, against
+    the ``localization_sums`` walk of one tree per (degree, u-power) block.
+    Its root's products are the shares L / Lambda_P, and a node with room b
+    closes each partition mu + (r), smallest <= r <= b, against every u-power
+    it pairs with, through the precomputed closing columns e_r(P) * h_P^a
+    with a <= b - r; the root also closes the empty partition, with e_0 = 1.
+
+    The c_1 lemma: when e_1(P) = alpha + beta * h_P at every point, for
+    rationals alpha and beta, no partition with a part 1 is walked. The
+    restrictions give, for every partition mu and every a,
+
+        S(u^a c_1 c_mu) = alpha * S(u^a c_mu) + beta * S(u^(a+1) c_mu),
+
+    with S the localization sum sum_P (restriction at P) / Lambda_P. If the
+    left side is below the top degree, so are both terms on the right, and
+    each has one part 1 fewer. So by induction on the number of parts 1,
+    every sum below the top degree vanishes as soon as those without a part
+    1 do, and the verdict is that of the full check. In dimension above 4
+    the classifier hands over only data whose weight sums are affine in the
+    moment values, so there the skip always applies. Affinity is tested in
+    integers: every point must lie on the line through P_0 and the point Q
+    of largest |h_Q|, (e_1(P) - e_1(P_0)) * h_Q = (e_1(Q) - e_1(P_0)) * h_P;
+    if every h_P is 0, Q is P_0 itself and its run is taken as 1, so e_1
+    must be constant.
     """
-    sums = localization_sums(
-        data, range(data.n), with_u=True, with_chern=True, expand=expand
-    )
-    return not any(total for _, _, total in sums)
+    n = data.n
+    columns = list(zip(*chern_table(data, expand)))
+    _, scales = shares(columns[n])
+    phi0 = data.points[0].phi
+    heights = [phi0 - p.phi for p in data.points]
+    e1 = columns[1]
+    q = max(range(len(heights)), key=lambda i: abs(heights[i]))
+    run, rise = heights[q] or 1, e1[q] - e1[0]
+    affine = all((e - e1[0]) * run == rise * h for e, h in zip(e1, heights))
+    smallest = 2 if affine else 1
+    # closing[r][a][P] = e_r(P) * h_P^a, for every u-power a below n - r
+    closing = {}
+    for r in (0, *range(smallest, n)):
+        powers = [columns[r]]
+        for _ in range(n - 1 - r):
+            powers.append(list(map(mul, powers[-1], heights)))
+        closing[r] = powers
+    for products, room, least, parts in _walk(columns, scales, n - 1, smallest):
+        lasts = range(least, room + 1)
+        for r in lasts if parts else (0, *lasts):
+            for column in closing[r][: room - r + 1]:
+                if sum(map(mul, products, column)):
+                    return False
+    return True
 
 
 def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:

@@ -55,7 +55,11 @@ The search then enumerates every weight assignment compatible with
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
   below the top degree (``localize.localization_consistent``), which expands
-  each option of a survivor once per call. Products and negation closure
+  each option of a survivor once per call and walks each Chern partition
+  once, closing it against every power of the symplectic class at once. In
+  dimension above 4 every survivor lies on the affine line above, so c_1 is
+  affine in the symplectic class and the sums with a factor c_1 follow from
+  the others: that walk skips them. Products and negation closure
   alone are not sufficient: there are assignments sharing all per-point
   products with the true data that only the Chern-class sums reject.
 

@@ -3,8 +3,10 @@
 Oracle 1 is the quadric: the standard data is the circle action on the
 oriented 2-plane Grassmannian, the quadric Q_n, with c(TQ_n) =
 (1+x)^(n+2)/(1+2x) and integral of x^n equal to 2. Oracle 2 is the naive
-sum over restriction tuples, monomial by monomial. Exponents and weight
-swaps are drawn with ``hypothesis``.
+sum over restriction tuples, monomial by monomial; on datasets whose weight
+sums are affine in the moment values it also checks the c_1 lemma that lets
+``localization_consistent`` skip every partition with a part 1. Exponents,
+weight swaps and weight shifts are drawn with ``hypothesis``.
 """
 
 import math
@@ -12,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamfp import (
@@ -28,7 +30,7 @@ from hamfp import (
     symplectic_class,
     validate,
 )
-from hamfp.localize import localization_sums, partition_count
+from hamfp.localize import _walk, localization_sums, partition_count
 
 from conftest import quadric_chern_coefficients, standard_data, swapped_weights
 from oracle import multiply, partitions, power
@@ -210,3 +212,152 @@ def test_engine_restricts_to_u_powers_or_chern_classes():
     assert pure_u == [m for m in full if m[1] == () and 1 <= m[0] <= 3]
     top = list(localization_sums(data, [4], with_u=False, with_chern=True))
     assert Counter(top) == Counter(m for m in full if m[0] == 0 and sum(m[1]) == 4)
+
+
+@pytest.mark.parametrize("room", range(9))
+@pytest.mark.parametrize("smallest", [1, 2, 3])
+def test_walk_closes_every_partition_within_its_room_once(room, smallest):
+    # a node closes with each last part from its smallest part to its room,
+    # and the root also closes the empty partition
+    columns = [[k] for k in range(room + 1)]
+    closed = [()]
+    for products, free, least, parts in _walk(columns, [1], room, smallest):
+        assert products == [math.prod(parts)]
+        assert free == room - sum(parts) and least == (parts[0] if parts else smallest)
+        closed += [(r,) + parts for r in range(least, free + 1)]
+    expected = [
+        p
+        for k in range(room + 1)
+        for p in partitions(k)
+        if min(p, default=smallest) >= smallest
+    ]
+    assert sorted(closed) == sorted(expected)
+
+
+def shifted(data, point, pair, delta, antipodal):
+    """The dataset with the weights ``pair`` at ``point`` moved by +delta and
+    -delta, so every weight sum is kept; with ``antipodal``, the negations of
+    the two old weights at the antipodal point move to match, which keeps
+    the negation closure of standard data. None if a weight becomes 0."""
+    weights = [list(p.weights) for p in data.points]
+    x, y = (weights[point][k] for k in pair)
+    weights[point][pair[0]] += delta
+    weights[point][pair[1]] -= delta
+    if antipodal:
+        opposite = weights[data.n + 1 - point]
+        opposite[opposite.index(-x)] -= delta
+        opposite[opposite.index(-y)] += delta
+    if 0 in (w for ws in weights for w in ws):
+        return None
+    return FixedPointData(
+        data.n,
+        tuple(FixedPoint(p.phi, tuple(w)) for p, w in zip(data.points, weights)),
+    )
+
+
+@st.composite
+def affine_weight_sums(draw, ns=(2, 4, 6, 8)):
+    """Standard data with two weights at one point shifted by +-delta, with
+    and without the matching change at the antipodal point. Standard weight
+    sums are affine in the moment values, and the shift keeps every sum, so
+    e_1 stays affine in the height: ``localization_consistent`` skips the
+    partitions with a part 1. A delta that exchanges the two weights gives
+    the standard data back, which every check accepts."""
+    data = draw(standard_data(ns=ns, hi=12))
+    point = draw(st.integers(0, data.n + 1))
+    pair = tuple(draw(st.permutations(range(data.n)))[:2])
+    x, y = (data.points[point].weights[k] for k in pair)
+    delta = draw(st.sampled_from([y - x, -3, -2, -1, 1, 2, 3]))
+    variant = shifted(data, point, pair, delta, draw(st.booleans()))
+    assume(variant is not None)
+    return variant
+
+
+def affine_coefficients(data):
+    """alpha and beta with e_1(P) = alpha + beta * h_P at every point P, h_P
+    = phi_0 - phi_P, read off the weight sums as exact Fractions."""
+    sums = [sum(p.weights) for p in data.points]
+    heights = [data.points[0].phi - p.phi for p in data.points]
+    q = max(range(len(heights)), key=lambda i: abs(heights[i]))
+    alpha = Fraction(sums[0])
+    beta = Fraction(sums[q] - sums[0], heights[q])
+    assert all(alpha + beta * h == e for e, h in zip(sums, heights))
+    return alpha, beta
+
+
+def below_top_verdict(data):
+    """True iff no naive sum below the top degree is nonzero."""
+    return not any(total for _, _, total in naive_sums(data, range(data.n)))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(affine_weight_sums())
+def test_consistency_on_affine_weight_sums_matches_naive_sums(data):
+    affine_coefficients(data)
+    assert localization_consistent(data) == below_top_verdict(data)
+
+
+def test_affine_weight_sums_reach_both_verdicts():
+    # the c_1 skip is active on every dataset here; exchanging the two
+    # weights gives the standard data back, and a shift by 1 breaks it
+    std = make_standard_g2([5, 2, 1])
+    verdicts = set()
+    for point in range(std.n + 2):
+        x, y = std.points[point].weights[:2]
+        for delta in (y - x, 1):
+            for antipodal in (False, True):
+                data = shifted(std, point, (0, 1), delta, antipodal)
+                if data is not None:
+                    affine_coefficients(data)
+                    verdict = localization_consistent(data)
+                    assert verdict == below_top_verdict(data)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@settings(SETTINGS, max_examples=20)
+@given(affine_weight_sums())
+def test_c1_lemma_on_affine_weight_sums(data):
+    # S(u^a c_1 c_mu) = alpha S(u^a c_mu) + beta S(u^(a+1) c_mu), from the
+    # naive sums alone: the identity that lets the check skip c_1
+    alpha, beta = affine_coefficients(data)
+    sums = {(a, parts): total for a, parts, total in naive_sums(data, range(data.n))}
+    with_c1 = [(a, parts) for a, parts in sums if 1 in parts]
+    assert with_c1
+    for a, parts in with_c1:
+        mu = parts[: parts.index(1)] + parts[parts.index(1) + 1 :]
+        assert sums[a, parts] == alpha * sums[a, mu] + beta * sums[a + 1, mu]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [(-4, -4), (-4, 2), (-4, -2), (-4, 4)],
+        [(-4, -4), (-4, -2), (-4, 1), (4, 4)],
+        [(-4, -4), (-4, -4), (-4, -2), (-4, 1)],
+        [(-3, 1), (-3, 1), (-3, 1), (-1, -1)],
+        [(-4, -4), (-4, -2), (-4, 2), (-4, 4)],
+    ],
+    ids=["c1-only", "u-only", "u-and-c1", "affine-u-only", "affine-u-and-c1"],
+)
+def test_consistency_reaches_the_sums_just_below_the_top_degree(weights):
+    # the integral of 1 vanishes, so only u or c_1, of degree n - 1, is nonzero
+    data = FixedPointData(2, tuple(map(FixedPoint, (-2, -1, 1, 2), weights)))
+    assert sum(Fraction(1, math.prod(w)) for w in weights) == 0
+    assert localization_consistent(data) is below_top_verdict(data) is False
+
+
+@pytest.mark.parametrize(
+    "weights, verdict",
+    [
+        ([(1, 1), (-1, 3), (3, -1), (-1, 3)], True),
+        ([(1, 2), (-1, 4), (5, -2), (-3, 6)], False),
+        ([(1, 1), (-1, 1), (1, 2), (-1, 2)], False),
+    ],
+    ids=["constant-e1", "constant-e1-rejected", "varying-e1"],
+)
+def test_consistency_with_every_moment_value_equal(weights, verdict):
+    # every height h_P is 0, so e_1 is affine in it only when it is constant;
+    # the last dataset is rejected by the integral of c_1 alone
+    data = FixedPointData(2, tuple(FixedPoint(0, w) for w in weights))
+    assert localization_consistent(data) is below_top_verdict(data) is verdict
