@@ -49,13 +49,14 @@ from .grassring import (  # noqa: F401
 )
 from .localize import (  # noqa: F401
     chern_number,
+    chern_numbers,
     chern_restriction,
     expansion_memo,
     integrate,
-    localization_sums,
     pairing_matrix,
     partition_count,
     symplectic_class,
+    u_power_integrals,
 )
 from .solver import check_symmetry, classify
 
@@ -101,9 +102,7 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
     failures = [
         f"power {a}: localization sum of a degree-{2 * a} class is {total}, "
         f"expected 0 below degree {2 * data.n}"
-        for a, _, total in localization_sums(
-            data, range(1, data.n), with_u=True, with_chern=False
-        )
+        for a, total in enumerate(u_power_integrals(data)[1:-1], 1)
         if total
     ]
     detail = "; ".join(failures) or f"powers 1..{data.n - 1} all integrate to 0"
@@ -145,9 +144,7 @@ def _chern_section(basis: BasisRestrictions) -> Section:
     first_coeff = expanded[0].terms[1][0]
     numbers = {
         "{" + ",".join(map(str, parts)) + "}": value
-        for _, parts, value in localization_sums(
-            basis.data, [basis.n], with_u=False, with_chern=True, expand=expand
-        )
+        for parts, value in chern_numbers(basis.data, expand)
     }
     numbers_integral = all(v.denominator == 1 for v in numbers.values())
     checks = [

@@ -13,24 +13,26 @@ Every sum here is an integer dot product with the shares L / Lambda_P of
 L = lcm |Lambda_P| (``exactnum.shares``), Lambda_P read from the dataset,
 and is divided by L once with ``exactnum.exact_fraction``.
 
-Monomials u^a * c_lambda in the symplectic class and the Chern classes are
-integrated without restriction tuples, over one walk, ``_walk``: it pops
-partitions off a stack, parts in nondecreasing order, and grows each node by
-one part while the parts chosen still leave room, under a size bound, for a
-last part no smaller. A caller closes each node with a last part read
-against a column of the Chern table. ``localization_sums`` walks once per
-degree and u-power, with the room the exact size left, and yields one
-monomial for every node as it pops it, so the order of the partitions
-within a block is unspecified; the report writers impose any order a reader
-sees. ``localization_consistent``, the classifier's final test, walks once,
-with room n - 1: each node is closed against every u-power it pairs with
-below the top degree, through precomputed columns e_r(P) * h_P^a, and the
-test stops at the first nonzero sum. When e_1 is affine in the height
-h_P = phi_0 - phi_P, the c_1 lemma in its docstring lets it skip every
-partition with a part 1.
+Pure powers of the symplectic class u need no walk: ``u_power_integrals``
+sums the column of shares times h_P^a once per power a, with the height
+h_P = phi_0 - phi_P. Monomials with Chern classes are integrated without
+restriction tuples, over one walk, ``_walk``: it pops partitions off a
+stack, parts in nondecreasing order, and grows each node by one part while
+the parts chosen still leave room, under a size bound, for a last part no
+smaller. A caller closes each node with a last part r, against a closing
+column that already carries the shares: e_r(P) * (L / Lambda_P), times a
+power of h_P where u enters. ``chern_numbers`` walks with room n and
+closes each node with its whole room, one Chern number per node, yielded
+as it pops, so their order is unspecified; the report writers impose any
+order a reader sees. ``localization_consistent``, the classifier's final
+test, walks with room n - 1: each node is closed against every u-power it
+pairs with below the top degree, and the test stops at the first nonzero
+sum. When e_1 is affine in the height, the c_1 lemma in its docstring lets
+it skip every partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
-their dataset, and callers share expansions through an ``expansion_memo``.
+their dataset, and a caller that reads one table twice shares its
+expansions through an ``expansion_memo``.
 ``integrate`` is the primitive for arbitrary classes, and ``chern_number``
 integrates its one product of Chern classes through it. ``pairing_matrix``
 sums products of basis rows over the basis denominator squared times L, on
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 from operator import index, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
 from .exactnum import elementary_symmetric, exact_fraction, shares
@@ -143,26 +145,24 @@ def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
 
 
 def _walk(
-    columns: Sequence[Sequence[int]],
-    products: list[int],
-    room: int,
-    smallest: int,
+    columns: Sequence[Sequence[int]], room: int, smallest: int
 ) -> Iterator[tuple[list[int], int, int, tuple[int, ...]]]:
     """Every node of one partition tree, popped off an explicit stack.
 
     A node is (products, room, smallest, parts): parts are the parts chosen
     so far, in nondecreasing order and held largest first, products the
-    root's products times e_p(P) for each part p at each point P, room the
-    size still free, and smallest the least part that may follow. The root
-    has no parts. Each node is yielded before its children are pushed, each
-    extending it by one part from smallest up to half the room, so that the
-    room left still fits a last part no smaller. A caller closes a node with
-    a last part r, smallest <= r <= room, read against the column e_r(P).
-    Closed with every such r, and the root also with the empty partition,
-    the nodes give every partition with parts at least the root's smallest
-    and size at most its room exactly once.
+    product of e_p(P) over its parts p at each point P, room the size still
+    free, and smallest the least part that may follow. The root has no parts
+    and products 1. Each node is yielded before its children are pushed,
+    each extending it by one part from smallest up to half the room, so that
+    the room left still fits a last part no smaller. A caller closes a node
+    with a last part r, smallest <= r <= room, read against the column
+    e_r(P) times the shares L / Lambda_P. Closed with every such r, and the
+    root also with the empty partition, the nodes give every partition with
+    parts at least the root's smallest and size at most its room exactly
+    once.
     """
-    stack = [(products, room, smallest, ())]
+    stack = [([1] * len(columns[0]), room, smallest, ())]
     while stack:
         node = stack.pop()
         yield node
@@ -172,75 +172,58 @@ def _walk(
             stack.append((extended, room - part, part, (part,) + parts))
 
 
-def localization_sums(
-    data: FixedPointData,
-    degrees: Iterable[int],
-    *,
-    with_u: bool,
-    with_chern: bool,
-    expand: Expand | None = None,
-) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
-    """Stream (a, parts, integral of u^a * c_parts), u the symplectic class.
+def chern_numbers(
+    data: FixedPointData, expand: Expand | None = None
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Stream (parts, c_parts[M]) for every partition of n, its parts
+    written largest first, in an unspecified order; the report writers
+    impose any order a reader sees. ``expand`` is as in ``chern_table``.
 
-    For each half-degree d (at most n with Chern classes) in the given order,
-    a runs from d down to 0 (only 0 without u, only d without Chern classes)
-    and parts over the partitions of d - a, each written largest part first,
-    in an unspecified order within the (d, a) block. A negative d, or with
-    Chern classes one above n, raises ValueError when the stream reaches it,
-    and so at once does asking for neither u nor Chern classes. Sums are
-    exact, in integers over L = lcm |Lambda_P| with Lambda_P the dataset's
-    weight products, and each is divided by L once with ``exact_fraction``.
-    Pure powers of u need only the weight products; Chern monomials read each
-    point's e_k from ``chern_table(data, expand)``.
-
-    Each (d, a) block is one ``_walk`` from the root with products u(P)^a at
-    each point P and room d - a. Each node closes its one partition of size
-    exactly d - a, the room as its last part: the dot product of its products
-    with the column e_room(P) * (L / Lambda_P). The root of a block with
-    a = d has room 0 and closes with e_0, the monomial u^d with parts ().
+    One ``_walk`` with room n: each node closes its one partition of size
+    exactly n, the room as its last part, in the dot product of its
+    products with the column e_room(P) * (L / Lambda_P), an integer over
+    L = lcm |Lambda_P| divided once with ``exact_fraction``.
     """
-    n = data.n
-    if not (with_u or with_chern):
-        raise ValueError("nothing to integrate: need u, Chern classes or both")
-    if with_chern:
-        columns = list(zip(*chern_table(data, expand)))
-    else:
-        columns = [[1] * (n + 2)]  # e_0 only
-    common, scales = shares([prod(p.weights) for p in data.points])
-    # closing[k][P]: the last factor e_k(P) of a monomial times its point's
-    # share L / Lambda_P of the common denominator
-    closing = [[x * s for x, s in zip(col, scales)] for col in columns]
+    columns = list(zip(*chern_table(data, expand)))
+    common, scales = shares(columns[data.n])
+    closing = [list(map(mul, column, scales)) for column in columns]
+    for products, room, _, parts in _walk(columns, data.n, 1):
+        total = sum(map(mul, products, closing[room]))
+        yield (room,) + parts, exact_fraction(total, common)
+
+
+def u_power_integrals(data: FixedPointData) -> list[Fraction]:
+    """The integrals of u^a for a = 0..n, u the symplectic class.
+
+    u^a restricts to h_P^a at P, h_P = phi_0 - phi_P, so each is the sum of
+    the column of shares L / Lambda_P times h_P^a, over L = lcm |Lambda_P|.
+    Every one below a = n must vanish on data from a manifold.
+    """
+    common, column = shares([prod(p.weights) for p in data.points])
     phi0 = data.points[0].phi
     heights = [phi0 - p.phi for p in data.points]
-    for d in degrees:
-        if d < 0:
-            raise ValueError(f"negative half-degree {d}")
-        if with_chern and d > n:
-            raise ValueError(f"half-degree {d} of a Chern monomial exceeds n={n}")
-        for a in range(d if with_u else 0, -1 if with_chern else d - 1, -1):
-            root = [h**a for h in heights]
-            for products, room, _, parts in _walk(columns, root, d - a, 1):
-                total = sum(map(mul, products, closing[room]))
-                leaf = (room,) + parts if room else parts
-                yield a, leaf, exact_fraction(total, common)
+    integrals = []
+    for _ in range(data.n + 1):
+        integrals.append(exact_fraction(sum(column), common))
+        column = list(map(mul, column, heights))
+    return integrals
 
 
-def localization_consistent(data: FixedPointData, expand: Expand | None = None) -> bool:
+def localization_consistent(data: FixedPointData) -> bool:
     """Exact vanishing of every localization sum below the top degree.
 
     Checks the monomials u^a * c_lambda of total degree a + |lambda| < n,
     where u is the equivariant symplectic class, restricting to
     h_P = phi_0 - phi_P at P, and c_k the equivariant Chern classes,
     restricting to e_k(P). A nonzero sum proves the data comes from no
-    manifold. ``expand`` is as in ``chern_table``. Sums are compared with 0
-    in integers over L = lcm |Lambda_P|, and no Fraction is built.
+    manifold. Sums are compared with 0 in integers over L = lcm |Lambda_P|,
+    and no Fraction is built.
 
-    One ``_walk`` with room n - 1 visits each partition lambda once, against
-    the ``localization_sums`` walk of one tree per (degree, u-power) block.
-    Its root's products are the shares L / Lambda_P, and a node with room b
-    closes each partition mu + (r), smallest <= r <= b, against every u-power
-    it pairs with, through the precomputed closing columns e_r(P) * h_P^a
-    with a <= b - r; the root also closes the empty partition, with e_0 = 1.
+    One ``_walk`` with room n - 1 visits each partition lambda once. A node
+    with room b closes each partition mu + (r), smallest <= r <= b, against
+    every u-power it pairs with, through the precomputed closing columns
+    e_r(P) * h_P^a * (L / Lambda_P) with a <= b - r; the root also closes
+    the empty partition, with e_0 = 1.
 
     The c_1 lemma: when e_1(P) = alpha + beta * h_P at every point, for
     rationals alpha and beta, no partition with a part 1 is walked. The
@@ -261,7 +244,7 @@ def localization_consistent(data: FixedPointData, expand: Expand | None = None) 
     must be constant.
     """
     n = data.n
-    columns = list(zip(*chern_table(data, expand)))
+    columns = list(zip(*chern_table(data)))
     _, scales = shares(columns[n])
     phi0 = data.points[0].phi
     heights = [phi0 - p.phi for p in data.points]
@@ -270,14 +253,15 @@ def localization_consistent(data: FixedPointData, expand: Expand | None = None) 
     run, rise = heights[q] or 1, e1[q] - e1[0]
     affine = all((e - e1[0]) * run == rise * h for e, h in zip(e1, heights))
     smallest = 2 if affine else 1
-    # closing[r][a][P] = e_r(P) * h_P^a, for every u-power a below n - r
+    # closing[r][a][P] = e_r(P) * h_P^a * (L / Lambda_P), for every u-power
+    # a below n - r
     closing = {}
     for r in (0, *range(smallest, n)):
-        powers = [columns[r]]
+        powers = [list(map(mul, columns[r], scales))]
         for _ in range(n - 1 - r):
             powers.append(list(map(mul, powers[-1], heights)))
         closing[r] = powers
-    for products, room, least, parts in _walk(columns, scales, n - 1, smallest):
+    for products, room, least, parts in _walk(columns, n - 1, smallest):
         lasts = range(least, room + 1)
         for r in lasts if parts else (0, *lasts):
             for column in closing[r][: room - r + 1]:

@@ -54,13 +54,13 @@ The search then enumerates every weight assignment compatible with
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
-  below the top degree (``localize.localization_consistent``), which expands
-  each option of a survivor once per call and walks each Chern partition
-  once, closing it against every power of the symplectic class at once. In
-  dimension above 4 every survivor lies on the affine line above, so c_1 is
-  affine in the symplectic class and the sums with a factor c_1 follow from
-  the others: that walk skips them. Products and negation closure
-  alone are not sufficient: there are assignments sharing all per-point
+  below the top degree (``localize.localization_consistent``), which
+  expands the weights of each point of a survivor and walks each Chern
+  partition once, closing it against every power of the symplectic class
+  at once. In dimension above 4 every survivor lies on the affine line
+  above, so c_1 is affine in the symplectic class and the sums with a
+  factor c_1 follow from the others: that walk skips them. Products and
+  negation closure alone are not sufficient: there are assignments sharing all per-point
   products with the true data that only the Chern-class sums reject.
 
 Search branches are independent, and no stage orders its options: the
@@ -89,7 +89,6 @@ from .fpdata import (
 # perfbench/tracing.py wraps them at this module.
 from .localize import (  # noqa: F401
     chern_restriction,
-    expansion_memo,
     integrate,
     localization_consistent,
     symplectic_class,
@@ -452,9 +451,6 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     divisors = cache(_tagged_divisors)
     prime_groups = cache(lambda gaps: _prime_groups([divisors(g) for g in gaps]))
     factorizations = cache(_factorizations)
-    # Survivors of the final filter share options: each is expanded once per
-    # call.
-    expand = expansion_memo()
     # At point i the negative product has the sign (-1)^pattern[i] and the
     # positive product is at least 1, so every option is pattern[i] negated
     # factors of |neg| and n - pattern[i] factors of pos.
@@ -511,7 +507,7 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
             n,
             tuple(FixedPoint(phi[i], assignment[i]) for i in range(m)),
         )
-        if validate(data).passed and localization_consistent(data, expand):
+        if validate(data).passed and localization_consistent(data):
             candidates.append(data)
     return candidates
 

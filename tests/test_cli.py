@@ -204,7 +204,8 @@ def test_verify_refuses_a_chern_grid_past_the_partition_cap(
         raise AssertionError("summed before the refusal")
 
     monkeypatch.setattr(hamfp.cli, "validate", no_sums)
-    monkeypatch.setattr(hamfp.cli, "localization_sums", no_sums)
+    monkeypatch.setattr(hamfp.cli, "chern_numbers", no_sums)
+    monkeypatch.setattr(hamfp.cli, "u_power_integrals", no_sums)
     assert main(["verify", str(path), "--basis", "--chern"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,17 +6,19 @@ oriented 2-plane Grassmannian, the quadric Q_n, with c(TQ_n) =
 sum over restriction tuples, monomial by monomial; on datasets whose weight
 sums are affine in the moment values it also checks the c_1 lemma that lets
 ``localization_consistent`` skip every partition with a part 1. Exponents,
-weight swaps and weight shifts are drawn with ``hypothesis``.
+weight swaps and weight shifts are drawn with ``hypothesis``; one dataset is
+built on a Chern table patched in, so that only a two-part Chern monomial
+just below the top degree integrates to a nonzero value.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hamfp.localize
 from hamfp import (
     FixedPoint,
     FixedPointData,
@@ -30,7 +32,7 @@ from hamfp import (
     symplectic_class,
     validate,
 )
-from hamfp.localize import _walk, localization_sums, partition_count
+from hamfp.localize import _walk, chern_numbers, partition_count, u_power_integrals
 
 from conftest import quadric_chern_coefficients, standard_data, swapped_weights
 from oracle import multiply, partitions, power
@@ -56,16 +58,14 @@ def test_chern_numbers_match_the_quadric(n, drawn):
     expected = quadric_numbers(n)
     for exponents in (range(size, 0, -1), sample):
         data = make_standard_g2(list(exponents))
-        grid = localization_sums(data, [n], with_u=False, with_chern=True)
-        got = {parts: value for a, parts, value in grid if a == 0}
-        assert got == expected
+        assert dict(chern_numbers(data)) == expected
         if n <= 8:
             assert {p: chern_number(data, p) for p in expected} == expected
 
 
 def naive_sums(data, degrees):
     """(a, parts, integral) from restriction tuples, degree ascending and
-    u-power descending as the engine yields them, partitions as listed."""
+    u-power descending, partitions as listed."""
     u = symplectic_class(data)
     chern = {i: chern_restriction(data, i) for i in range(1, data.n + 1)}
     out = []
@@ -88,31 +88,34 @@ def naive_sums(data, degrees):
     return out
 
 
-def blocks(stream):
-    """The (d, a) block of every monomial, in stream order."""
-    return [(a + sum(parts), a) for a, parts, _ in stream]
-
-
-def assert_same_stream(walked, reference):
-    """Equal as multisets, with the (d, a) blocks in the same order: the
-    order of the partitions within a block is unspecified."""
-    assert Counter(walked) == Counter(reference)
-    assert blocks(walked) == blocks(reference)
+def assert_engine_matches_naive_sums(data):
+    """Compare the Chern numbers and the integrals of u^0..u^n with the
+    naive sums, and ``localization_consistent`` with the verdict of the
+    naive sums below the top degree; return that verdict."""
+    n = data.n
+    reference = naive_sums(data, range(n + 1))
+    numbers = list(chern_numbers(data))
+    assert dict(numbers) == {
+        parts: total for a, parts, total in reference if a == 0 and sum(parts) == n
+    }
+    integrals = u_power_integrals(data)
+    assert integrals == [total for _, parts, total in reference if parts == ()]
+    assert all(type(v) is Fraction for v in integrals + [v for _, v in numbers])
+    below_top = [total for a, parts, total in reference if a + sum(parts) < n]
+    consistent = not any(below_top)
+    assert localization_consistent(data) == consistent
+    return consistent
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_engine_covers_every_partition_once_per_block(n):
+    # the Chern numbers are the one block left: every partition of n, once,
+    # its parts written largest first
     data = make_standard_g2(list(range(n // 2 + 1, 0, -1)))
-    degrees = range(n + 1)
-    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
-    by_block = {}
-    for (d, a), (_, parts, _) in zip(blocks(walked), walked):
-        assert list(parts) == sorted(parts, reverse=True)
-        assert all(p >= 1 for p in parts)
-        by_block.setdefault((d, a), []).append(parts)
-    for (d, a), block in by_block.items():
-        assert len(set(block)) == len(block) == partition_count(d - a)
-    assert_same_stream(walked, naive_sums(data, degrees))
+    walked = [parts for parts, _ in chern_numbers(data)]
+    assert len(walked) == partition_count(n)
+    assert sorted(walked) == sorted(partitions(n))
+    assert_engine_matches_naive_sums(data)
 
 
 def products_and_closure_variant():
@@ -129,19 +132,6 @@ def products_and_closure_variant():
             FixedPoint(3, (-2, -2, -2, -5)),
         ),
     )
-
-
-def assert_engine_matches_naive_sums(data):
-    """Compare the engine with the naive sums over every degree up to n, and
-    return the verdict of the sums below the top degree."""
-    degrees = range(data.n + 1)
-    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
-    reference = naive_sums(data, degrees)
-    assert_same_stream(walked, reference)
-    below_top = [total for a, parts, total in reference if a + sum(parts) < data.n]
-    consistent = not any(below_top)
-    assert localization_consistent(data) == consistent
-    return consistent
 
 
 def test_engine_matches_naive_sums_on_accepted_and_rejected_data():
@@ -167,51 +157,7 @@ def test_engine_matches_naive_sums_on_swapped_weights(data):
 def test_engine_yields_fractions_equal_to_naive_sums(data):
     # exact sums are divided without a gcd; the value must still be a
     # Fraction, and fractional sums (swapped weights) must stay exact
-    degrees = range(data.n + 1)
-    walked = list(localization_sums(data, degrees, with_u=True, with_chern=True))
-    assert all(type(total) is Fraction for _, _, total in walked)
-    assert_same_stream(walked, naive_sums(data, degrees))
-
-
-@pytest.mark.parametrize(
-    "degree, with_chern, message",
-    [
-        (-1, False, "negative half-degree -1"),
-        (-1, True, "negative half-degree -1"),
-        (5, True, "half-degree 5 of a Chern monomial exceeds n=4"),
-    ],
-    ids=["negative-u", "negative-chern", "chern-above-n"],
-)
-def test_engine_refuses_half_degrees_out_of_range(std4, degree, with_chern, message):
-    # the degrees before the bad one are still yielded, and none of its own
-    sums = localization_sums(std4, [1, degree], with_u=True, with_chern=with_chern)
-    head = [next(sums) for _ in range(1 + with_chern)]
-    assert all(a + sum(parts) == 1 for a, parts, _ in head)
-    with pytest.raises(ValueError, match=message):
-        next(sums)
-
-
-@pytest.mark.parametrize("degree", [0, 1])
-def test_engine_refuses_to_integrate_neither_u_nor_chern_classes(std4, degree):
-    # it once yielded the integral of 1 at degree 0 and nothing above it
-    sums = localization_sums(std4, [degree], with_u=False, with_chern=False)
-    with pytest.raises(ValueError, match="nothing to integrate"):
-        next(sums)
-
-
-def test_engine_pushes_forward_u_powers_above_the_top_degree(std4):
-    u = symplectic_class(std4)
-    pushed = list(localization_sums(std4, [5, 6], with_u=True, with_chern=False))
-    assert pushed == [(d, (), integrate(std4, power(u, d))) for d in (5, 6)]
-
-
-def test_engine_restricts_to_u_powers_or_chern_classes():
-    data = products_and_closure_variant()
-    full = list(localization_sums(data, range(5), with_u=True, with_chern=True))
-    pure_u = list(localization_sums(data, range(1, 4), with_u=True, with_chern=False))
-    assert pure_u == [m for m in full if m[1] == () and 1 <= m[0] <= 3]
-    top = list(localization_sums(data, [4], with_u=False, with_chern=True))
-    assert Counter(top) == Counter(m for m in full if m[0] == 0 and sum(m[1]) == 4)
+    assert_engine_matches_naive_sums(data)
 
 
 @pytest.mark.parametrize("room", range(9))
@@ -221,7 +167,7 @@ def test_walk_closes_every_partition_within_its_room_once(room, smallest):
     # and the root also closes the empty partition
     columns = [[k] for k in range(room + 1)]
     closed = [()]
-    for products, free, least, parts in _walk(columns, [1], room, smallest):
+    for products, free, least, parts in _walk(columns, room, smallest):
         assert products == [math.prod(parts)]
         assert free == room - sum(parts) and least == (parts[0] if parts else smallest)
         closed += [(r,) + parts for r in range(least, free + 1)]
@@ -361,3 +307,27 @@ def test_consistency_with_every_moment_value_equal(weights, verdict):
     # the last dataset is rejected by the integral of c_1 alone
     data = FixedPointData(2, tuple(FixedPoint(0, w) for w in weights))
     assert localization_consistent(data) is below_top_verdict(data) is verdict
+
+
+def test_consistency_reaches_a_two_part_chern_monomial_just_below_the_top_degree(
+    monkeypatch,
+):
+    # n = 6, four pairs of points: the two points of a pair share a moment
+    # value and have opposite Lambda, and their Chern tables differ only in
+    # e_3, by delta. So every sum without c_3 cancels pair by pair, and the
+    # others are sums of delta / Lambda = -4 * (1, -3, 3, -1), a third
+    # difference, times the rest of the monomial. With e_1 = 3 + 2h affine
+    # in h = (0, -1, -2, -3) that is 0 for every monomial but c_3 c_2.
+    heights, products = (0, -1, -2, -3), (1, 2, 3, 5)
+    deltas, e2 = (-4, 24, -36, 20), (0, 0, 0, 7)
+    table, points = {}, []
+    for h, lam, delta, e in zip(heights, products, deltas, e2):
+        for sign, e3 in ((1, 0), (-1, delta)):
+            weights = (sign * lam, 1, 1, 1, 1, 1)
+            table[weights] = [1, 3 + 2 * h, e, e3, 0, 0, sign * lam]
+            points.append(FixedPoint(-h, weights))
+    monkeypatch.setattr(hamfp.localize, "elementary_symmetric", lambda w: table[w])
+    data = FixedPointData(6, tuple(points))
+    nonzero = [(a, parts) for a, parts, total in naive_sums(data, range(6)) if total]
+    assert nonzero == [(0, (3, 2))]
+    assert localization_consistent(data) is False
