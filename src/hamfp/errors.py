@@ -55,6 +55,7 @@ class ExpansionError(RuntimeError):
 
 
 class SearchTooLargeError(DataError):
-    """The classifier's search would build more partial assignments, make
-    more trial divisions, or visit more nodes of a factorization search than
-    it allows, so the profile is refused before memory or time runs out."""
+    """The classifier's search would build more partial assignments for one
+    half of its join, try a larger trial divisor on one moment gap, or visit
+    more nodes of one factorization search than it allows, so the profile is
+    refused before memory or time runs out."""

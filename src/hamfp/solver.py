@@ -17,9 +17,9 @@ The search then enumerates every weight assignment compatible with
   that point (the arithmetic consequence of isotropy spheres), so the
   allowed weights are the divisors of the gaps. Each distinct gap is
   factored once per call, by trial division, and its divisors come out
-  tagged with their largest prime. A profile whose allowed-weight scan
-  would pass MAX_TRIAL_DIVISIONS is refused before any gap is factored. No
-  divisor exceeds the moment spread, so the gaps are the only bound;
+  tagged with their largest prime. A profile is refused at the first gap
+  whose factoring would try a divisor above MAX_TRIAL_DIVISOR. No divisor
+  exceeds the moment spread, so the gaps are the only bound;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations over the
   allowed values, placed prime by prime: each allowed value joins the group
@@ -30,11 +30,12 @@ The search then enumerates every weight assignment compatible with
   exceeds the largest value still open to the power of the parts left, and
   the last part is the product still to place, if it is allowed. A
   factorization search that would visit more than MAX_FACTORIZATION_NODES
-  nodes, each factorization it finds counted as one, is refused. A profile
-  symmetric about the middle pair poses the same problems at points i and
-  n + 1 - i, so each distinct allowed set is grouped, and each distinct
-  problem solved, once per ``enumerate_candidates`` call, and nothing is
-  kept between calls;
+  nodes, each factorization it stores counted as many as it has parts, is
+  refused, so the factorizations held by a refused search are bounded too.
+  A profile symmetric about the middle pair poses the same problems at
+  points i and n + 1 - i, so each distinct allowed set is grouped, and each
+  distinct problem solved, once per ``enumerate_candidates`` call, and
+  nothing is kept between calls;
 * in dimension above 4, where the second cohomology has rank one, affinity
   of the weight sums in the moment values (the pairwise difference ratio
   that expresses the first Chern class);
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import isqrt, prod
+from math import prod
 
 from .errors import InconsistentProfileError, SearchTooLargeError
 from .exactnum import shares
@@ -97,20 +98,18 @@ from .record import Record
 
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
-# Most nodes one factorization search may visit. One search on the
-# classify-std and classify-sweep profiles at n = 8 visits at most 2,382 and
-# 5,479; the minimal profiles at n = 20 and 24 pass the limit after about
-# 0.6 s in-process, at a peak RSS of about 50 MB, most of it the
-# factorizations found by then.
+# Most nodes one factorization search may visit, each factorization it stores
+# counted as count nodes, so a search never holds more than this many parts
+# in all. One search on the classify-std and classify-sweep profiles at n = 8
+# visits at most 5,392 and 13,578; the minimal profiles at n = 20 and 24 pass
+# the limit after about 0.25 s in-process, at a peak RSS of about 24 MB.
 MAX_FACTORIZATION_NODES = 10**6
-# Most trial divisions the allowed-weight scan may make: the sum of isqrt(g)
-# over the gaps g at every point, the divisions of a scan of every
-# d <= sqrt(g) at both ends of each gap. It overestimates the factoring,
-# which tries at most isqrt(g) divisors on each distinct gap g: 2 and then
-# the odd d while d * d is at most the cofactor. The standard n = 2 profile
-# with exponents (10^12, 1) counts 10,828,424, and (10^13, 1), refused,
-# 34,242,488.
-MAX_TRIAL_DIVISIONS = 2 * 10**7
+# Largest divisor the trial division of one moment gap may try. Every gap
+# below MAX_TRIAL_DIVISOR^2 = 1.6 * 10^13 factors, and so does a larger gap
+# whose part left after its primes up to the limit is 1 or a prime below that
+# square. One gap costs at most about 2 * 10^6 divisions, 2 and the odd d:
+# 0.3-0.5 s in CPython 3.11 on a 2-core x86-64 host.
+MAX_TRIAL_DIVISOR = 4 * 10**6
 
 
 class _PrimeGroups(Record):
@@ -201,13 +200,20 @@ def _tagged_divisors(g: int) -> dict[int, tuple[int, int]]:
     """The divisors d > 1 of g >= 1, each tagged (p, e): p is the largest
     prime factor of d, and p^e exactly divides d. g is factored once, by 2
     and then the odd d while d * d is at most the cofactor, smallest prime
-    first, so each new divisor is one over the smaller primes times p^e."""
+    first, so each new divisor is one over the smaller primes times p^e. A
+    factoring that would try a d above MAX_TRIAL_DIVISOR raises
+    SearchTooLargeError."""
     tagged: dict[int, tuple[int, int]] = {}
     rest, d = g, 2
     while rest > 1:
         if d * d > rest:
             # no factor up to sqrt(rest) is left, so rest is prime
             d = rest
+        elif d > MAX_TRIAL_DIVISOR:
+            raise SearchTooLargeError(
+                f"factoring the moment gap {g} would try divisors above the "
+                f"limit of {MAX_TRIAL_DIVISOR}"
+            )
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -251,7 +257,8 @@ def _factorizations(
     left. The last part is the product still to place, if it is allowed and
     comes no earlier in the order. A search that would visit more than
     MAX_FACTORIZATION_NODES nodes raises SearchTooLargeError; every
-    factorization found is one of them.
+    factorization it stores counts as count nodes, checked before it is
+    stored, so at most MAX_FACTORIZATION_NODES // count are ever held.
     """
     values = allowed.values
     if count == 0:
@@ -267,9 +274,9 @@ def _factorizations(
         # a prime of the target divides no allowed value
         return []
     results: list[tuple[int, ...]] = []
-    # the nodes of the search tree: every value tried as the next part, every
-    # last part found as the product still to place, and every filling of
-    # the parts left with 1
+    # the nodes of the search tree: every value tried as the next part, and
+    # count for each factorization stored, whether its last part is the
+    # product still to place or its parts left are filled with 1
     nodes = 0
 
     def check_nodes() -> None:
@@ -295,7 +302,8 @@ def _factorizations(
                 # a last part in group g comes at (need - a, last) in its order
                 after = a == need or (need - a, last) >= (a, v)
                 if r == 0 and last in values and after:
-                    nodes += 1
+                    nodes += count
+                    check_nodes()
                     results.append(tuple(sorted([*chosen, v, last])))
             check_nodes()
             return
@@ -320,7 +328,7 @@ def _factorizations(
         # the groups before g are placed, and at least two parts are left
         nonlocal nodes
         if remaining == 1:
-            nodes += 1
+            nodes += count
             check_nodes()
             results.append((*[1] * left, *sorted(chosen)))
             return
@@ -418,11 +426,11 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     The options of a point, the buckets, pairs and joins of each stage have
     no order; the candidates are sorted once, before the final filter. A
     profile whose predicted products are fractional admits no integer
-    weights at all and yields the empty list. One whose allowed-weight scan
-    would make more than MAX_TRIAL_DIVISIONS trial divisions raises
-    SearchTooLargeError before any gap is factored, and so does one whose
-    factorization search or join passes its limit. Every weight the moment
-    gaps allow is searched: each divides a gap, so none exceeds the spread.
+    weights at all and yields the empty list. One whose factoring of a
+    moment gap or factorization search reaches its limit raises
+    SearchTooLargeError there, and so does one whose join would pass its
+    limit, before the join builds anything. Every weight the moment gaps
+    allow is searched: each divides a gap, so none exceeds the spread.
     """
     n = profile.n
     m = n + 2
@@ -440,12 +448,6 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
         frozenset([abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]])
         for i in range(m)
     ]
-    divisions = sum(isqrt(g) for gaps in gap_sets for g in gaps)
-    if divisions > MAX_TRIAL_DIVISIONS:
-        raise SearchTooLargeError(
-            f"the allowed-weight scan would make {divisions} trial divisions, "
-            f"more than the limit of {MAX_TRIAL_DIVISIONS}"
-        )
     # Each gap is a gap at both its points, and points i and n + 1 - i of a
     # symmetric profile have the same gaps and pose the same problems.
     divisors = cache(_tagged_divisors)

@@ -19,7 +19,7 @@ from hamfp.dataio import (
     profile_to_document,
 )
 from hamfp.localize import partition_count
-from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISIONS, MomentProfile
+from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISOR, MomentProfile
 from conftest import PACKAGE_ROOT, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -317,17 +317,20 @@ def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path, n):
 
 
 def test_classify_refuses_a_trial_division_scan_past_the_cap(tmp_path):
-    # the moment gaps near 2 * 10^18 would need about 10^10 trial divisions
+    # G is the product of two primes near 10^9, so factoring it would try
+    # every odd divisor up to about 10^9
+    G = (10**9 + 7) * (10**9 + 9)
     path = tmp_path / "p.json"
-    data = make_standard_g2([10**18, 1])
-    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    dump_document(profile_to_document(MomentProfile(2, (0, 1, 2, G))), str(path))
     start = perf_counter()
     result = run_cli("classify", str(path))
     elapsed = perf_counter() - start
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("error: the allowed-weight scan would make")
-    assert f"limit of {MAX_TRIAL_DIVISIONS}" in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: factoring the moment gap {G}")
+    assert f"limit of {MAX_TRIAL_DIVISOR}" in lines[0]
     assert elapsed < 5
 
 
@@ -340,6 +343,21 @@ def test_classify_scans_a_spread_of_two_billion(tmp_path):
     report = json.loads(result.stdout)
     assert report["candidates"] == [data_to_document(data)]
     assert report["unique_standard"] is True
+
+
+@pytest.mark.parametrize("exponent", [10**13, 10**15, 10**18])
+def test_classify_factors_gaps_past_the_square_of_the_divisor_limit(
+    tmp_path, exponent
+):
+    # the wide gaps of (10^15, 1) and (10^18, 1) pass MAX_TRIAL_DIVISOR^2,
+    # but each is left with 1 or a prime below the square of the divisor
+    # being tried before the limit is reached, so each factors
+    path = tmp_path / "p.json"
+    data = make_standard_g2([exponent, 1])
+    dump_document(profile_to_document(MomentProfile(data.n, data.phis)), str(path))
+    result = run_cli("classify", str(path))
+    assert result.returncode == 0
+    assert "unique standard data: yes" in result.stdout.splitlines()
 
 
 def count_expansions(monkeypatch) -> list[tuple[int, ...]]:

@@ -107,13 +107,40 @@ def test_factorization_search_past_the_cap_is_refused(monkeypatch):
 
 
 def test_factorization_search_counts_every_factorization(monkeypatch):
-    # each factorization is a node of the counted search, so a cap below
-    # their number refuses the search
+    # each factorization stored counts as at least one node of the search,
+    # so a cap below their number refuses the search
     case = (14_515_200, 8, range(8, 15))
     found = factorizations(*case)
     monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", len(found) - 1)
     with pytest.raises(SearchTooLargeError):
         factorizations(*case)
+
+
+def test_factorization_search_charges_each_factorization_its_length(monkeypatch):
+    # each factorization stored counts as many nodes as it has parts, so the
+    # parts a search holds never pass the cap: 58 factorizations of 8 parts
+    # need a cap of at least 8 * 58
+    case = (14_515_200, 8, range(8, 15))
+    assert len(factorizations(*case)) == 58
+    monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", 8 * 58 - 1)
+    with pytest.raises(SearchTooLargeError):
+        factorizations(*case)
+
+
+@pytest.mark.parametrize("g", [143, 121])
+def test_factoring_a_gap_past_the_divisor_limit_is_refused(monkeypatch, g):
+    # 11 and 13 are above the limit of 10, and 11 * 11 <= g
+    monkeypatch.setattr(hamfp.solver, "MAX_TRIAL_DIVISOR", 10)
+    with pytest.raises(SearchTooLargeError, match=f"moment gap {g} .* limit of 10$"):
+        _tagged_divisors(g)
+
+
+def test_a_prime_cofactor_past_the_divisor_limit_needs_no_division(monkeypatch):
+    # once the 2s are divided out, 97 is left, and 11 * 11 > 97 proves it
+    # prime before any divisor above the limit of 10 is tried
+    monkeypatch.setattr(hamfp.solver, "MAX_TRIAL_DIVISOR", 10)
+    tagged = _tagged_divisors(97 * 2**10)
+    assert tagged[97] == (97, 1) and tagged[97 * 2**10] == (97, 1)
 
 
 @st.composite
