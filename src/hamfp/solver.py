@@ -22,36 +22,23 @@ The search then enumerates every weight assignment compatible with
   exceeds the moment spread, so the gaps are the only bound;
 * the forced pattern of negative-weight counts;
 * the predicted per-point products, searched as factorizations over the
-  allowed values, placed prime by prime: each allowed value joins the group
-  of its largest prime factor, and the groups are placed from the largest
-  prime down, so the exponent of a group's prime still in the product must
-  be placed by that group's values alone. A branch is cut once that exponent
-  exceeds what the parts left can carry, or once the product still to place
-  exceeds the largest value still open to the power of the parts left, and
-  the last part is the product still to place, if it is allowed. A
-  factorization search that would visit more than MAX_FACTORIZATION_NODES
-  nodes, each factorization it stores counted as many as it has parts, is
-  refused, so the factorizations held by a refused search are bounded too.
-  A profile symmetric about the middle pair poses the same problems at
-  points i and n + 1 - i, so each distinct allowed set is grouped, and each
-  distinct problem solved, once per ``enumerate_candidates`` call, and
-  nothing is kept between calls;
-* in dimension above 4, where the second cohomology has rank one, affinity
-  of the weight sums in the moment values (the pairwise difference ratio
-  that expresses the first Chern class);
+  allowed values, placed prime by prime with the cuts and the node cap
+  MAX_FACTORIZATION_NODES that ``_factorizations`` states. A profile
+  symmetric about the middle pair poses the same problems at points i and
+  n + 1 - i, so each distinct allowed set is grouped, and each distinct
+  problem solved, once per ``enumerate_candidates`` call, and nothing is
+  kept between calls;
+* affinity of the weight sums in the moment values: in dimension above 4
+  the second cohomology has rank one, so the first Chern class is a
+  multiple of the symplectic class, and the weight sums lie on a line fixed
+  by the sums at two points. At n = 2 there is no such line; every option
+  gets the key 0, and the one line (0, 0) holds every option;
 * exact vanishing of the localization sum of c_k for 0 < k < n. Every option
   at a point P has the same weight product L_P, so over the common
   denominator L = lcm |L_P| it adds the integer e_k(weights) * (L / L_P) to
   the numerator of the integral of c_k. A meet in the middle joins the two
-  halves of the point list on opposite sums of these numerators. Each
-  option's numerators are packed into one int by one product: with B the
-  base, prod(1 + w * B) over its weights is the sum of e_k * B^k, so
-  dropping e_0 and e_n * B^n, dividing by B and multiplying by the point's
-  scale packs them with no expansion, and B is wide enough that sums of
-  packed keys are the packed sums, so a half's key sums are int additions.
-  Matches are found by intersecting the two halves' sets of key sums before
-  any assignment is built, and only the upper choices whose sums match are
-  held, while the lower half is streamed past them;
+  halves of the point list on opposite sums of these numerators, packed
+  into one int per option as ``_keyed_join`` states;
 * full validation, which checks negation closure of the global weight
   multiset, plus exact vanishing of the localization sum of every monomial
   in the equivariant symplectic class and the equivariant Chern classes
@@ -421,16 +408,24 @@ def _keyed_join(
 def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     """Exhaustively list the weight assignments passing every filter.
 
-    The output may be empty. Its one order guarantee: candidates are sorted
-    lexicographically by their per-point weight tuples, each tuple sorted.
-    The options of a point, the buckets, pairs and joins of each stage have
-    no order; the candidates are sorted once, before the final filter. A
-    profile whose predicted products are fractional admits no integer
-    weights at all and yields the empty list. One whose factoring of a
-    moment gap or factorization search reaches its limit raises
-    SearchTooLargeError there, and so does one whose join would pass its
-    limit, before the join builds anything. Every weight the moment gaps
-    allow is searched: each divides a gap, so none exceeds the spread.
+    The stages run in order: the predicted products; point by point, the
+    point's gaps factored, its negative and then its positive product
+    searched, and its options bucketed by key as they are built; the lines
+    through two anchor points, each joined on its Chern keys; the final
+    filter. The output is empty for a profile whose predicted products are
+    fractional, and for one with a point without options: the search ends
+    at the first such point, before any later point's gaps are factored or
+    searched, and skips the positive search at a point whose negative
+    product has no factorization. So a factoring or factorization search
+    that reaches its limit raises SearchTooLargeError only at a point the
+    search reaches, and a join that would pass its limit raises it before
+    the join builds anything. Every weight the moment gaps allow is
+    searched: each divides a gap, so none exceeds the spread.
+
+    The one order guarantee: candidates are sorted lexicographically by
+    their per-point weight tuples, each tuple sorted. The options of a
+    point, the buckets, pairs and joins of each stage have no order; the
+    candidates are sorted once, before the final filter.
     """
     n = profile.n
     m = n + 2
@@ -444,64 +439,54 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     # Over L = lcm |L_i|, L_i = neg * pos, an option at point i adds
     # e_k * (L / L_i) to the numerator of the integral of c_k.
     _, scales = shares([neg * pos for neg, pos in products])
-    gap_sets = [
-        frozenset([abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]])
-        for i in range(m)
-    ]
     # Each gap is a gap at both its points, and points i and n + 1 - i of a
     # symmetric profile have the same gaps and pose the same problems.
     divisors = cache(_tagged_divisors)
     prime_groups = cache(lambda gaps: _prime_groups([divisors(g) for g in gaps]))
     factorizations = cache(_factorizations)
-    # At point i the negative product has the sign (-1)^pattern[i] and the
-    # positive product is at least 1, so every option is pattern[i] negated
-    # factors of |neg| and n - pattern[i] factors of pos.
-    options: list[list[tuple[int, ...]]] = []
+    # In dimension above 4 the second cohomology has rank one, so the weight
+    # sums must be an affine function of the moment values (the first Chern
+    # class is a single multiple of the symplectic class): each option's key
+    # is its weight sum. At n = 2 there is no such line, and every key is 0.
+    on_line = int(n > 2)
+    by_key: list[dict[int, list[tuple[int, ...]]]] = []
     for i, (neg, pos) in enumerate(products):
-        allowed = prime_groups(gap_sets[i])
+        allowed = prime_groups(
+            frozenset([abs(phi[j] - phi[i]) for j in range(m) if phi[j] != phi[i]])
+        )
+        # The negative product has the sign (-1)^pattern[i] and the positive
+        # product is at least 1, so every option is pattern[i] negated
+        # factors of |neg| and n - pattern[i] factors of pos.
         neg_parts = factorizations(abs(neg), pattern[i], allowed)
-        pos_parts = factorizations(pos, n - pattern[i], allowed)
-        point_options = []
+        pos_parts = neg_parts and factorizations(pos, n - pattern[i], allowed)
+        if not pos_parts:
+            return []
+        pos_keys = [(on_line * sum(p), p) for p in pos_parts]
+        buckets: dict[int, list[tuple[int, ...]]] = {}
         for parts in neg_parts:
             # parts is nondecreasing, so its reversed negation is sorted
             negs = tuple([-v for v in reversed(parts)])
-            for p in pos_parts:
-                point_options.append(negs + p)
-        options.append(point_options)
-    if any(not opts for opts in options):
-        return []
+            neg_key = on_line * sum(parts)
+            for pos_key, p in pos_keys:
+                buckets.setdefault(pos_key - neg_key, []).append(negs + p)
+        by_key.append(buckets)
 
-    if n == 2:
-        found = _keyed_join(options, scales)
-    else:
-        # In dimension above 4 the second cohomology has rank one, so the
-        # weight sums must be an affine function of the moment values (the
-        # first Chern class is a single multiple of the symplectic class).
-        # Bucket each point's options by weight sum, run through the lines
-        # fixed by the sums at two anchor points, and keep at every point
-        # the bucket whose sum lies on the line.
-        by_sum: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in options]
-        for buckets, opts in zip(by_sum, options):
-            for opt in opts:
-                buckets.setdefault(sum(opt), []).append(opt)
-        pairs = [
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if phi[i] != phi[j]
-        ]
-        a, b = min(pairs, key=lambda p: len(by_sum[p[0]]) * len(by_sum[p[1]]))
-        run = phi[b] - phi[a]
-        found = []
-        for sum_a, sum_b in product(by_sum[a], by_sum[b]):
-            filtered: list[list[tuple[int, ...]]] = []
-            for i in range(m):
-                rise, r = divmod((sum_b - sum_a) * (phi[i] - phi[a]), run)
-                filtered.append(by_sum[i].get(sum_a + rise, []) if r == 0 else [])
-                if not filtered[-1]:
-                    break
-            else:
-                found += _keyed_join(filtered, scales)
+    # Run through the lines fixed by the keys at two anchor points, and keep
+    # at every point the bucket whose key lies on the line. At n = 2 the
+    # anchors have the one line (0, 0), and it holds every option.
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if phi[i] != phi[j]]
+    a, b = min(pairs, key=lambda p: len(by_key[p[0]]) * len(by_key[p[1]]))
+    run = phi[b] - phi[a]
+    found = []
+    for key_a, key_b in product(by_key[a], by_key[b]):
+        filtered: list[list[tuple[int, ...]]] = []
+        for i in range(m):
+            rise, r = divmod((key_b - key_a) * (phi[i] - phi[a]), run)
+            filtered.append(by_key[i].get(key_a + rise, []) if r == 0 else [])
+            if not filtered[-1]:
+                break
+        else:
+            found += _keyed_join(filtered, scales)
 
     candidates = []
     for assignment in sorted(found):

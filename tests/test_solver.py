@@ -201,7 +201,10 @@ def test_random_n8_profiles_keep_their_candidates_and_factorizations(monkeypatch
     # the search found, in the order found, for 20 random profiles; seed 9 is
     # the first from 1 whose family has a profile with a candidate. The
     # factorization lists change with any change to the search's results
-    # even where, as for most such profiles, no candidate survives.
+    # even where, as for most such profiles, no candidate survives. The
+    # pinned searches stop at a point without options: its positive product
+    # is not searched when its negative one has no factorization, and no
+    # later point is searched.
     found = []
     search = hamfp.solver._factorizations
 
@@ -216,13 +219,40 @@ def test_random_n8_profiles_keep_their_candidates_and_factorizations(monkeypatch
         for profile in family
     ]
     assert sum(map(len, lists)) == 1
-    assert (len(found), sum(map(len, found))) == (390, 4530)
+    assert (len(found), sum(map(len, found))) == (318, 3650)
     assert sha256(repr(lists).encode()).hexdigest() == (
         "cbf1b9769ae8def9b2eccf335fa45da1e06aa5e92400725e84bbd1190ed02ca9"
     )
     assert sha256(repr(found).encode()).hexdigest() == (
-        "d808f7068c913f53be247329d6e337730260d56a4681c33354af8617ec1f9afd"
+        "ec5df7f48d00ed84716e81ba3a3e4aba609d7543618b009d4d222da2899f0972"
     )
+
+
+@pytest.mark.parametrize(
+    "n, phi",
+    [(4, (0, 3, 6, 10, 12, 13)), (8, (0, 5, 7, 10, 11, 13, 14, 17, 18, 19))],
+)
+def test_the_first_point_without_options_ends_the_search(monkeypatch, n, phi):
+    # P0's positive product (1755 = 3^3 * 5 * 13 into 4 parts at n = 4) has
+    # no factorization over its gaps' divisors, so the search stops after
+    # P0's two searches, and no later point's gaps are factored or searched
+    searched, factored = [], []
+    search = hamfp.solver._factorizations
+    tagged_divisors = hamfp.solver._tagged_divisors
+
+    def recorded_search(*args):
+        searched.append(args)
+        return search(*args)
+
+    def recorded_gap(g):
+        factored.append(g)
+        return tagged_divisors(g)
+
+    monkeypatch.setattr(hamfp.solver, "_factorizations", recorded_search)
+    monkeypatch.setattr(hamfp.solver, "_tagged_divisors", recorded_gap)
+    assert enumerate_candidates(MomentProfile(n, phi)) == []
+    assert len(searched) == 2
+    assert sorted(factored) == [v - phi[0] for v in phi[1:]]
 
 
 def test_products_and_closure_alone_are_insufficient():
