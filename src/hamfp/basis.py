@@ -16,11 +16,16 @@ divide by differences of weight sums within one half, so those must be
 pairwise distinct (DegenerateGammaError otherwise); the two halves may share
 values across the middle.
 
-Each entry is formed as one integer numerator over one integer denominator
-(in the lower half the denominator prod_{j<i} (G_i - G_j) is shared by the
-whole row) and reduced once. The basis then keeps all its entries as integer
-numerators over a single common denominator D, the lcm of the entry
-denominators, so the basis is integral exactly when D = 1.
+Each entry is formed in integers, as a numerator over a denominator reduced
+with one gcd, and no product is formed twice. In the lower half, taken in
+moment order, prod_{j<i} (G_k - G_j) is a running product for every k that
+gains one factor per row, and its value at k = i is the denominator shared
+by the whole row. In the upper half, row by row from the top down,
+prod_{j>i, j!=k} (G_k - G_j) is a running product of the same kind, and
+prod_{j>i, j!=k} (G_i - G_j) is the row's one product over j > i divided
+by G_i - G_k. So the products cost O(n^2) in all. The basis then keeps all
+its entries as integer numerators over a single common denominator D, the
+lcm of the entry denominators, so the basis is integral exactly when D = 1.
 
 Expansion of an arbitrary class in this basis is forward substitution down
 the moment order: the diagonal entries are nonzero weight products, and the
@@ -126,33 +131,41 @@ def build_basis(data: FixedPointData) -> BasisRestrictions:
                 )
             seen[gammas[i]] = i
 
-    entries = []
-    for i in range(m):
-        coeffs = [Fraction(0)] * m
-        coeffs[i] = Fraction(inv[i].lambda_minus)
-        if i <= half:
-            below = range(i)
-            den = prod(gammas[i] - gammas[j] for j in below)
-            for k in range(i + 1, m):
-                num = inv[i].lambda_minus * prod(gammas[k] - gammas[j] for j in below)
-                coeffs[k] = Fraction(num, den)
-        else:
-            above = range(i + 1, m)
-            for k in above:
-                num = -inv[k].lambda_full * prod(
-                    gammas[i] - gammas[j] for j in above if j != k
-                )
-                den = inv[i].lambda_plus * prod(
-                    gammas[k] - gammas[j] for j in above if j != k
-                )
-                coeffs[k] = Fraction(num, den)
-        entries.append(coeffs)
-    denominator = lcm(*(c.denominator for row in entries for c in row))
+    # entries[i][k] = (numerator, denominator) of entry (i, k), reduced, with
+    # a positive denominator
+    entries = [[(0, 1)] * m for _ in range(m)]
+    # below[k] = prod_{j<i} (G_k - G_j) at row i, one factor more per row
+    below = [1] * m
+    for i in range(half + 1):
+        lower = inv[i].lambda_minus
+        for k in range(i, m):
+            entries[i][k] = _reduced(lower * below[k], below[i])
+        for k in range(i + 1, m):
+            below[k] *= gammas[k] - gammas[i]
+    # above[k] = prod_{j>i, j!=k} (G_k - G_j) at row i, one factor more per
+    # row from the top down; the row's own product over j>i, divided by
+    # G_i - G_k, is prod_{j>i, j!=k} (G_i - G_j)
+    above = [1] * m
+    for i in range(m - 1, half, -1):
+        entries[i][i] = (inv[i].lambda_minus, 1)
+        full = prod(gammas[i] - gammas[j] for j in range(i + 1, m))
+        for k in range(i + 1, m):
+            num = -inv[k].lambda_full * (full // (gammas[i] - gammas[k]))
+            entries[i][k] = _reduced(num, inv[i].lambda_plus * above[k])
+            above[k] *= gammas[k] - gammas[i]
+        above[i] = full
+    denominator = lcm(*(den for row in entries for _, den in row))
     numerators = tuple(
-        tuple(c.numerator * (denominator // c.denominator) for c in row)
-        for row in entries
+        tuple(num * (denominator // den) for num, den in row) for row in entries
     )
     return BasisRestrictions(data, numerators, denominator)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den, den != 0, in lowest terms with a positive denominator, by
+    one gcd."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def express_in_basis(basis: BasisRestrictions, cls: EquivClass) -> Expansion:

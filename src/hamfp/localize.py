@@ -21,14 +21,19 @@ stack, parts in nondecreasing order, and grows each node by one part while
 the parts chosen still leave room, under a size bound, for a last part no
 smaller. A caller closes each node with a last part r, against a closing
 column that already carries the shares: e_r(P) * (L / Lambda_P), times a
-power of h_P where u enters. ``chern_numbers`` walks with room n and
-closes each node with its whole room, one Chern number per node, yielded
-as it pops, so their order is unspecified; the report writers impose any
-order a reader sees. ``localization_consistent``, the classifier's final
-test, walks with room n - 1: each node is closed against every u-power it
-pairs with below the top degree, and the test stops at the first nonzero
-sum. When e_1 is affine in the height, the c_1 lemma in its docstring lets
-it skip every partition with a part 1.
+power of h_P where u enters. ``chern_numbers`` walks with room n over
+distinct Chern rows, not over points: the rows e_0..e_n of two points that
+are equal, or equal once the odd entries of one are negated, as at the
+weights w and -w of an antipodal pair, give every degree-n monomial the
+same value, because e_k(-w) = (-1)^k e_k(w) and n is even, so the shares of
+such points are added and the row is walked once. It closes each node with
+its whole room, one Chern number per node, yielded as it pops, so their
+order is unspecified; the report writers impose any order a reader sees.
+``localization_consistent``, the classifier's final test, walks with room
+n - 1: each node is closed against every u-power it pairs with below the
+top degree, and the test stops at the first nonzero sum. When e_1 is
+affine in the height, the c_1 lemma in its docstring lets it skip every
+partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and a caller that reads one table twice shares its
@@ -179,14 +184,30 @@ def chern_numbers(
     written largest first, in an unspecified order; the report writers
     impose any order a reader sees. ``expand`` is as in ``chern_table``.
 
-    One ``_walk`` with room n: each node closes its one partition of size
-    exactly n, the room as its last part, in the dot product of its
-    products with the column e_room(P) * (L / Lambda_P), an integer over
-    L = lcm |Lambda_P| divided once with ``exact_fraction``.
+    The sum runs over distinct Chern rows, not over points. A point's row is
+    e_0..e_n of its weights; its flip negates the odd entries, and is the
+    row of the negated weights, since e_k(-w) = (-1)^k e_k(w). A monomial
+    of degree n takes the same value on a row and on its flip, as n is
+    even, so every point adds its share L / Lambda_P, L = lcm |Lambda_P|,
+    to the larger of its row and the flip, and each Chern number is the sum
+    over those keys of the monomial at the key times the merged share. On
+    the standard data each antipodal pair of points is one key.
+
+    One ``_walk`` with room n over the merged rows: each node closes its one
+    partition of size exactly n, the room as its last part, in the dot
+    product of its products with the column e_room * (merged shares), an
+    integer over L divided once with ``exact_fraction``.
     """
-    columns = list(zip(*chern_table(data, expand)))
-    common, scales = shares(columns[data.n])
-    closing = [list(map(mul, column, scales)) for column in columns]
+    table = chern_table(data, expand)
+    common, scales = shares([row[data.n] for row in table])
+    merged: dict[tuple[int, ...], int] = {}
+    for row, scale in zip(table, scales):
+        flip = tuple(-e if k % 2 else e for k, e in enumerate(row))
+        key = max(tuple(row), flip)
+        merged[key] = merged.get(key, 0) + scale
+    columns = list(zip(*merged))
+    merged_scales = list(merged.values())
+    closing = [list(map(mul, column, merged_scales)) for column in columns]
     for products, room, _, parts in _walk(columns, data.n, 1):
         total = sum(map(mul, products, closing[room]))
         yield (room,) + parts, exact_fraction(total, common)

@@ -282,16 +282,42 @@ def test_rows_integrate_to_zero_against_symplectic_powers(data):
             assert integrate(data, multiply(row, power(u, a))) == 0
 
 
-@SETTINGS
-@given(weight_data())
-def test_basis_entries_are_numerators_over_one_denominator(case):
-    data, basis = case
+def assert_entries_match_reference_rows(data, basis):
     expected = reference_rows(data)
     assert [row.coeffs for row in basis_rows(basis)] == expected
     assert basis.denominator == lcm(*(c.denominator for row in expected for c in row))
     assert [
         tuple(Fraction(a, basis.denominator) for a in row) for row in basis.numerators
     ] == expected
+
+
+@SETTINGS
+@given(weight_data())
+def test_basis_entries_are_numerators_over_one_denominator(case):
+    assert_entries_match_reference_rows(*case)
+
+
+def changed_weight_data_10():
+    # standard data at n = 10 with the weight -10 at P5 changed to -13: its
+    # basis has denominator 7,130,690,000
+    std = make_standard_g2([11, 7, 5, 3, 2, 1])
+    points = list(std.points)
+    weights = (-13,) + points[5].weights[1:]
+    points[5] = FixedPoint(points[5].phi, weights)
+    return FixedPointData(10, tuple(points))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        data_from_document(load_document(str(GOLDEN / "std16.json"))),
+        changed_weight_data_10(),
+    ],
+    ids=["std16", "changed10"],
+)
+def test_basis_entries_are_numerators_over_one_denominator_past_n_6(data):
+    # weight_data draws n from 2, 4 and 6 only; these rows are longer
+    assert_entries_match_reference_rows(data, build_basis(data))
 
 
 @SETTINGS

@@ -8,7 +8,9 @@ sums are affine in the moment values it also checks the c_1 lemma that lets
 ``localization_consistent`` skip every partition with a part 1. Exponents,
 weight swaps and weight shifts are drawn with ``hypothesis``; one dataset is
 built on a Chern table patched in, so that only a two-part Chern monomial
-just below the top degree integrates to a nonzero value.
+just below the top degree integrates to a nonzero value. Fixed datasets
+reach each case of the Chern-number grid's merge of rows: equal rows, a row
+that is its own flip, an antipodal pair, and a broken pair.
 """
 
 import math
@@ -134,12 +136,32 @@ def products_and_closure_variant():
     )
 
 
+def merged_rows_variant():
+    # chern_numbers merges the Chern rows of P0 and P1, which are equal, and
+    # of P3, the antipode of P0, whose row is their flip; the weights of P2
+    # are closed under negation, so its row is its own flip
+    return FixedPointData(
+        2,
+        (
+            FixedPoint(0, (1, 2)),
+            FixedPoint(1, (1, 2)),
+            FixedPoint(2, (-1, 1)),
+            FixedPoint(3, (-2, -1)),
+        ),
+    )
+
+
 def test_engine_matches_naive_sums_on_accepted_and_rejected_data():
+    std = make_standard_g2([5, 2, 1])
     datasets = [
         make_standard_g2([2, 1]),
         make_standard_g2([3, 2, 1]),
         make_standard_g2([7, 3, 2, 1]),
         products_and_closure_variant(),
+        merged_rows_variant(),
+        # one antipodal pair broken, and the same pair kept
+        shifted(std, 2, (0, 1), 1, antipodal=False),
+        shifted(std, 2, (0, 1), 1, antipodal=True),
     ]
     verdicts = {assert_engine_matches_naive_sums(data) for data in datasets}
     assert verdicts == {True, False}
