@@ -35,10 +35,13 @@ class DegenerateGammaError(ValueError):
 
 
 class InconsistentProfileError(ValueError):
-    """A predicted weight product is not an integer.
+    """The predicted weight products admit no data: a fractional product, or
+    an n = 2 profile that is not symmetric about its middle pair.
 
-    No integer weight multiset can realize a fractional product, so the
-    moment-value profile admits no fixed-point data at all.
+    No integer weight multiset can realize a fractional product, and at
+    n = 2 the products of the 4-dimensional case have a nonzero localization
+    sum of 1 unless phi_0 + phi_3 = phi_1 + phi_2, so the moment-value
+    profile admits no fixed-point data at all.
     """
 
 

@@ -4,13 +4,12 @@ Under the hypothesis that the manifold has the cohomology ring of the
 oriented 2-plane Grassmannian, the product of the negative (and of the
 positive) weights at every fixed point is a closed-form expression in the
 moment values (``predicted_products``); that hypothesis enters the solver
-exclusively through these formulas. At n = 2 the four-gap products of the
-4-dimensional case also fix the moment gaps, so they fix the class of the
+exclusively through these formulas. At n = 2 it also requires the profile
+to be symmetric about its middle pair, so it fixes the class of the
 symplectic form as well as the ring: the Hirzebruch surface Sigma_2 has the
 ring of the oriented Grassmannian of 2-planes in R^4, yet its circle action
 with moment values (0, 3, 3, 4) and weights (1, 3), (-1, 1), (-3, 1),
-(-1, -1) gets no candidate, since the gaps predict the product 9 at P0 and
-its weights give 3.
+(-1, -1) gets no candidate, since 0 + 4 differs from 3 + 3.
 The search then enumerates every weight assignment compatible with
 
 * divisibility: each weight at a point divides some nonzero moment gap from
@@ -134,30 +133,41 @@ def _exact_quotient(num: int, den: int, context: str) -> int:
 def predicted_products(profile: MomentProfile) -> list[tuple[int, int]]:
     """Predicted (negative product, positive product) at every point.
 
-    For n > 2 one rule covers every point i: the negative product is the
-    product of the gaps phi_j - phi_i over j < i, and the positive product
-    the product over j > i, each leaving out the gap inside the middle pair
-    (j = n/2 + 1 at i = n/2, j = n/2 at i = n/2 + 1). Away from the middle
-    pair, the side that reaches across it is divided by the summed gap
+    One rule covers every point i: the negative product is the product of
+    the gaps phi_j - phi_i over j < i, and the positive product the product
+    over j > i, each leaving out the gap inside the middle pair (j = n/2 + 1
+    at i = n/2, j = n/2 at i = n/2 + 1). Away from the middle pair, the side
+    that reaches across it is divided by the summed gap
     (phi_{n/2} - phi_i) + (phi_{n/2+1} - phi_i): the positive product below
     n/2, the negative product above n/2 + 1. The profile is strict away from
-    the middle pair, so that sum is never zero. For n = 2, where the second
-    cohomology has rank two, the four points take the two-gap weight sets of
-    the 4-dimensional case instead.
+    the middle pair, so that sum is never zero. A fractional product raises
+    InconsistentProfileError.
+
+    At n = 2 the second cohomology has rank two, and the products of the
+    4-dimensional case are the four-gap products ab, -a(c - a), -b(c - b)
+    and (c - a)(c - b), with a = phi_1 - phi_0, b = phi_2 - phi_0 and
+    c = phi_3 - phi_0. Their localization sum of 1 is
+    (a + b - c)^2 / (ab(c - a)(c - b)), so every assignment with these
+    products fails the localization of 1 unless c = a + b, that is
+    phi_0 + phi_3 = phi_1 + phi_2, and an n = 2 profile that is not
+    symmetric about its middle pair raises InconsistentProfileError. On a
+    symmetric one the rule's quotients abc / (a + b) at P0 and
+    (-c)(a - c)(b - c) / (a + b - 2c) at P3 reduce to the four-gap products
+    ab and (c - a)(c - b), and at P1 and P2 it takes the same two gaps, so
+    the rule serves n = 2 as well. The guard is kept even though the rule's
+    products integrate 1 and u to 0 at every n = 2 profile: without it only
+    the search would reject an asymmetric one. So the Sigma_2 profile
+    (0, 3, 3, 4) raises, since 0 + 4 differs from 3 + 3.
     """
     n = profile.n
     phi = profile.phi
     m = n + 2
     half = n // 2
-
-    if n == 2:
-        return [
-            (1, (phi[1] - phi[0]) * (phi[2] - phi[0])),
-            (phi[0] - phi[1], phi[3] - phi[1]),
-            (phi[0] - phi[2], phi[3] - phi[2]),
-            ((phi[1] - phi[3]) * (phi[2] - phi[3]), 1),
-        ]
-
+    if n == 2 and not check_symmetry(profile):
+        raise InconsistentProfileError(
+            f"the n = 2 profile is not symmetric: phi_0 + phi_3 = "
+            f"{phi[0] + phi[3]} but phi_1 + phi_2 = {phi[1] + phi[2]}"
+        )
     out = []
     for i in range(m):
         partner = {half: half + 1, half + 1: half}.get(i)
@@ -412,15 +422,17 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     point's gaps factored, its negative and then its positive product
     searched, and its options bucketed by key as they are built; the lines
     through two anchor points, each joined on its Chern keys; the final
-    filter. The output is empty for a profile whose predicted products are
-    fractional, and for one with a point without options: the search ends
-    at the first such point, before any later point's gaps are factored or
-    searched, and skips the positive search at a point whose negative
-    product has no factorization. So a factoring or factorization search
-    that reaches its limit raises SearchTooLargeError only at a point the
-    search reaches, and a join that would pass its limit raises it before
-    the join builds anything. Every weight the moment gaps allow is
-    searched: each divides a gap, so none exceeds the spread.
+    filter. The output is empty for a profile whose predicted products
+    raise InconsistentProfileError (fractional, or an n = 2 profile that is
+    not symmetric), before any gap is factored, and for one with a point
+    without options: the search ends at the first such point, before any
+    later point's gaps are factored or searched, and skips the positive
+    search at a point whose negative product has no factorization. So a
+    factoring or factorization search that reaches its limit raises
+    SearchTooLargeError only at a point the search reaches, and a join that
+    would pass its limit raises it before the join builds anything. Every
+    weight the moment gaps allow is searched: each divides a gap, so none
+    exceeds the spread.
 
     The one order guarantee: candidates are sorted lexicographically by
     their per-point weight tuples, each tuple sorted. The options of a

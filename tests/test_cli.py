@@ -318,10 +318,12 @@ def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path, n):
 
 def test_classify_refuses_a_trial_division_scan_past_the_cap(tmp_path):
     # G is the product of two primes near 10^9, so factoring it would try
-    # every odd divisor up to about 10^9
+    # every odd divisor up to about 10^9; G + 1 factors within the limit.
+    # (0, 1, 2, G) is not symmetric about its middle pair, so it gets no
+    # candidate before any gap is factored
     G = (10**9 + 7) * (10**9 + 9)
     path = tmp_path / "p.json"
-    dump_document(profile_to_document(MomentProfile(2, (0, 1, 2, G))), str(path))
+    dump_document(profile_to_document(MomentProfile(2, (0, 1, G, G + 1))), str(path))
     start = perf_counter()
     result = run_cli("classify", str(path))
     elapsed = perf_counter() - start
@@ -329,9 +331,14 @@ def test_classify_refuses_a_trial_division_scan_past_the_cap(tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: factoring the moment gap {G}")
+    assert lines[0].startswith(f"error: factoring the moment gap {G} ")
     assert f"limit of {MAX_TRIAL_DIVISOR}" in lines[0]
     assert elapsed < 5
+    dump_document(profile_to_document(MomentProfile(2, (0, 1, 2, G))), str(path))
+    result = run_cli("classify", str(path))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "0 candidate(s)" in result.stdout.splitlines()
 
 
 def test_classify_scans_a_spread_of_two_billion(tmp_path):

@@ -10,11 +10,14 @@ weight swaps and weight shifts are drawn with ``hypothesis``; one dataset is
 built on a Chern table patched in, so that only a two-part Chern monomial
 just below the top degree integrates to a nonzero value. Fixed datasets
 reach each case of the Chern-number grid's merge of rows: equal rows, a row
-that is its own flip, an antipodal pair, and a broken pair.
+that is its own flip, an antipodal pair, and a broken pair; the number of
+rows the grid walks is pinned on each, and on the std16, frac6 and frac4
+datasets of ``tests/golden``.
 """
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,12 +37,14 @@ from hamfp import (
     symplectic_class,
     validate,
 )
+from hamfp.dataio import data_from_document, load_document
 from hamfp.localize import _walk, chern_numbers, partition_count, u_power_integrals
 
 from conftest import quadric_chern_coefficients, standard_data, swapped_weights
 from oracle import multiply, partitions, power
 
 SETTINGS = settings(derandomize=True, max_examples=5, deadline=None)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def quadric_numbers(n):
@@ -151,19 +156,42 @@ def merged_rows_variant():
     )
 
 
-def test_engine_matches_naive_sums_on_accepted_and_rejected_data():
+def golden_data(name):
+    return data_from_document(load_document(str(GOLDEN / f"{name}.json")))
+
+
+def test_engine_matches_naive_sums_on_accepted_and_rejected_data(monkeypatch):
+    # each dataset with the number of Chern rows chern_numbers walks after
+    # merging every row with its flip: one per antipodal pair of the
+    # standard data, one more for each pair a variant breaks
     std = make_standard_g2([5, 2, 1])
     datasets = [
-        make_standard_g2([2, 1]),
-        make_standard_g2([3, 2, 1]),
-        make_standard_g2([7, 3, 2, 1]),
-        products_and_closure_variant(),
-        merged_rows_variant(),
+        (make_standard_g2([2, 1]), 2),
+        (make_standard_g2([3, 2, 1]), 3),
+        (make_standard_g2([7, 3, 2, 1]), 4),
+        (products_and_closure_variant(), 3),
+        (merged_rows_variant(), 2),
         # one antipodal pair broken, and the same pair kept
-        shifted(std, 2, (0, 1), 1, antipodal=False),
-        shifted(std, 2, (0, 1), 1, antipodal=True),
+        (shifted(std, 2, (0, 1), 1, antipodal=False), 4),
+        (shifted(std, 2, (0, 1), 1, antipodal=True), 3),
+        (golden_data("std16"), 9),
+        (golden_data("frac6"), 5),
+        (golden_data("frac4"), 4),
     ]
-    verdicts = {assert_engine_matches_naive_sums(data) for data in datasets}
+    rows = []
+    walk = hamfp.localize._walk
+
+    def counted(columns, room, smallest):
+        rows.append(len(columns[0]))
+        return walk(columns, room, smallest)
+
+    monkeypatch.setattr(hamfp.localize, "_walk", counted)
+    verdicts = set()
+    for data, merged in datasets:
+        rows.clear()
+        list(chern_numbers(data))
+        assert rows == [merged]
+        verdicts.add(assert_engine_matches_naive_sums(data))
     assert verdicts == {True, False}
     assert validate(products_and_closure_variant()).passed
 

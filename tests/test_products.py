@@ -1,12 +1,19 @@
-"""The predicted weight products: one rule for every point when n > 2.
+"""The predicted weight products: one rule for every point and every n.
 
 ``reference_predicted_products`` is the earlier form of
-``solver.predicted_products``, which split the points into five cases and
-guarded its quotients against a zero denominator; it is kept verbatim as the
-oracle. The test also pins the invariants the classifier relies on instead of
-its former per-point guards: the negative product at point i has the sign
-(-1)^morse_pattern(n)[i], and the positive product is a positive integer."""
+``solver.predicted_products``, which split the points into five cases,
+guarded its quotients against a zero denominator and gave n = 2 the
+four-gap products of the 4-dimensional case; it is kept verbatim as the
+oracle. At n = 2 the two agree on profiles symmetric about the middle pair,
+and on the others ``predicted_products`` raises, because the four-gap
+products there have a nonzero localization sum of 1. The test also pins the
+invariants the classifier relies on instead of its former per-point guards:
+the negative product at point i has the sign (-1)^morse_pattern(n)[i], and
+the positive product is a positive integer."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,8 +117,19 @@ def outcome(fn, profile):
         return type(exc), str(exc)
 
 
+def assert_asymmetric_n2_profile_raises(profile):
+    # the four-gap products integrate 1 to (a + b - c)^2 / (ab(c - a)(c - b))
+    with pytest.raises(InconsistentProfileError, match="not symmetric"):
+        predicted_products(profile)
+    a, b, c = (v - profile.phi[0] for v in profile.phi[1:])
+    reference = reference_predicted_products(profile)
+    total = sum(Fraction(1, neg * pos) for neg, pos in reference)
+    assert total == Fraction((a + b - c) ** 2, a * b * (c - a) * (c - b)) != 0
+
+
 # Examples pin one profile whose products are all integers for each n, tied
-# and untied, and one whose positive product at point 0 is fractional.
+# and untied, one whose positive product at point 0 is fractional, and one
+# n = 2 profile that is not symmetric, tied and untied.
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(profiles())
 @example(MomentProfile(2, (-2, 0, 0, 2)))
@@ -121,7 +139,13 @@ def outcome(fn, profile):
 @example(MomentProfile(8, (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
 @example(MomentProfile(10, (-6, -5, -4, -3, -2, 0, 0, 2, 3, 4, 5, 6)))
 @example(MomentProfile(4, (-5, -2, -1, 1, 2, 3)))
+@example(MomentProfile(2, (0, 3, 3, 4)))
+@example(MomentProfile(2, (0, 1, 2, 4)))
 def test_one_rule_matches_the_case_split(profile):
+    phi = profile.phi
+    if profile.n == 2 and phi[0] + phi[3] != phi[1] + phi[2]:
+        assert_asymmetric_n2_profile_raises(profile)
+        return
     got = outcome(predicted_products, profile)
     assert got == outcome(reference_predicted_products, profile)
     if isinstance(got, tuple):

@@ -113,6 +113,33 @@ def test_enumerate_empty_for_asymmetric_profile():
     assert enumerate_candidates(MomentProfile(2, (-2, -1, 0, 3))) == []
 
 
+def test_n2_box_filters_only_symmetric_profiles(monkeypatch):
+    # every n = 2 profile with phi_0 = 0 and spread at most 24, middle ties
+    # included: the 2,156 that are not symmetric about the middle pair get no
+    # candidate before any gap is factored, so only the 144 symmetric ones
+    # reach the final filter
+    calls = []
+    final_filter = hamfp.solver.validate
+
+    def counted(data):
+        calls.append(data)
+        return final_filter(data)
+
+    monkeypatch.setattr(hamfp.solver, "validate", counted)
+    box = [
+        MomentProfile(2, (0, a, b, c))
+        for c in range(1, 25)
+        for a in range(1, c)
+        for b in range(a, c)
+    ]
+    symmetric = [p for p in box if check_symmetry(p)]
+    assert (len(box), len(symmetric)) == (2300, 144)
+    decided = {p: classify(p).candidates for p in box}
+    assert len(calls) <= 187
+    assert all(decided[p] for p in symmetric)
+    assert not any(decided[p] for p in box if not check_symmetry(p))
+
+
 @settings(SETTINGS, max_examples=20)
 @given(standard_data((2, 4), hi=7))
 def test_enumerate_soundness_and_default_bound(data):
@@ -318,14 +345,17 @@ def test_classify_minimal_n8_profile_is_unique_standard():
 
 
 def test_sigma2_passes_every_necessary_check_and_gets_no_candidate(sigma2):
-    # at n = 2 the four-gap products fix the moment gaps as well as the ring:
-    # they predict 9 for the positive product at P0, where the weights give 3
+    # at n = 2 the classifier's hypothesis fixes the class of the symplectic
+    # form as well as the ring: the profile must be symmetric about its
+    # middle pair, and Sigma_2's is not, as 0 + 4 differs from 3 + 3
     assert validate(sigma2).passed
     assert localization_consistent(sigma2)
     profile = profile_of(sigma2)
     assert profile.phi == (0, 3, 3, 4)
-    assert predicted_products(profile)[0] == (1, 9)
-    assert prod(sigma2.points[0].weights) == 3
+    assert not check_symmetry(profile)
+    with pytest.raises(InconsistentProfileError) as raised:
+        predicted_products(profile)
+    assert str(raised.value).endswith("phi_0 + phi_3 = 4 but phi_1 + phi_2 = 6")
     assert classify(profile).candidates == ()
 
 
