@@ -34,7 +34,10 @@ the middle pair even when their moment values tie. The substitution runs in
 integers: the coefficients found so far are kept as numerators over one
 running common denominator, each residual is an integer sum against the
 basis numerators, and each new coefficient is one ``exact_fraction`` of
-``exactnum``, so only a fractional one builds a reduced ``Fraction``.
+``exactnum``, so only a fractional one builds a reduced ``Fraction``. The
+half degrees never decrease down the rows, so the substitution runs over the
+prefix of rows at or below the class degree; the rows after it get
+coefficient 0 and are only checked to have a zero residual.
 ``express_in_basis`` expands one ``EquivClass``; ``express_chern`` expands
 c_1..c_n of the basis's own dataset from the integers of its ``chern_table``.
 """
@@ -205,6 +208,9 @@ def express_chern(
         yield _substitute(basis, columns, i, [e[i] for e in table], 1)
 
 
+_ZERO = Fraction(0)
+
+
 def _substitute(
     basis: BasisRestrictions,
     columns: list[tuple[int, ...]],
@@ -217,7 +223,9 @@ def _substitute(
     ``columns`` is the transpose of ``basis.numerators``. The coefficients
     found so far are found[i] / common and the basis entries numerators / D,
     so each residual is one integer sum, and each coefficient one
-    ``exact_fraction``.
+    ``exact_fraction``. The rows above degree d are a suffix, as the half
+    degrees never decrease down the rows, and their coefficients are 0: they
+    add nothing to ``found``, whose sums then run over the prefix only.
     """
     degrees = basis.half_degrees
     numerators = basis.numerators
@@ -235,8 +243,7 @@ def _substitute(
                     f"degree-{2 * d} tuple is outside the basis span: residual "
                     f"{residual} at point {k}"
                 )
-            terms.append((Fraction(0), 0))
-            found.append(0)
+            terms.append((_ZERO, 0))
             continue
         coeff = exact_fraction(top, scale * common * numerators[k][k])
         terms.append((coeff, d - degrees[k]))

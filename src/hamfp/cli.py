@@ -21,9 +21,10 @@ from functools import cache
 from typing import Any, NoReturn
 
 from . import dataio
-# chern_number, chern_restriction, express_in_basis, integrate,
-# ordinary_chern and symplectic_class are unused here; perfbench/tracing.py
-# wraps them at this module.
+# basis_images, chern_number, chern_restriction, express_in_basis,
+# integrate, ordinary_chern, ring_integral, ring_make, ring_mul and
+# symplectic_class are unused here; perfbench/tracing.py wraps them at this
+# module.
 from .basis import (  # noqa: F401
     BasisRestrictions,
     build_basis,
@@ -41,6 +42,7 @@ from .fpdata import (
 from .grassring import (  # noqa: F401
     basis_images,
     betti,
+    image_pairing,
     ordinary_chern,
     ordinary_from_expansions,
     ring_integral,
@@ -142,8 +144,10 @@ def _chern_section(basis: BasisRestrictions) -> Section:
         return {"expansions": expansions}, [fail]
     all_integral = all(e.integral for e in expanded)
     first_coeff = expanded[0].terms[1][0]
+    # one string per part size, not one per part
+    names = [str(k) for k in range(basis.n + 1)]
     numbers = {
-        "{" + ",".join(map(str, parts)) + "}": value
+        "{" + ",".join([names[k] for k in parts]) + "}": value
         for parts, value in chern_numbers(basis.data, expand)
     }
     numbers_integral = all(v.denominator == 1 for v in numbers.values())
@@ -202,9 +206,8 @@ def _pairing_section(basis: BasisRestrictions) -> Section:
         )
     )
     degrees = basis.half_degrees
-    images = basis_images(ring_make(n))
     ring_matches = all(
-        matrix[i][j] == ring_integral(ring_mul(images[i], images[j]))
+        matrix[i][j] == image_pairing(n, i, j)
         for i in range(n + 2)
         for j in range(n + 2)
         if degrees[i] + degrees[j] == n

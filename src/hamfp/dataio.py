@@ -10,7 +10,9 @@ document is the same with the "weights" key omitted from every point; mixing
 points with and without weights is malformed.
 
 A file that cannot be read, decoded, parsed or written, and a document of the
-wrong shape, raise DataError.
+wrong shape, raise DataError. The weights of a point are checked and
+converted in one pass; the error context that names a weight ("point k
+weight i") is built only when some weight of the point fails.
 
 Every document and report is written by ``format_document``, which gives the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` without Python's
@@ -41,6 +43,17 @@ def parse_int(value: Any, context: str) -> int:
         return int(value)
     except ValueError as exc:  # past the interpreter's int-string digit limit
         raise DataError(f"{context}: {exc}") from exc
+
+
+def _parse_ints(values: list[Any], context: str) -> tuple[int, ...]:
+    """``parse_int`` of each value, value i with the context "{context} i",
+    which is built only if some value fails; the first failure is raised."""
+    try:
+        if all(map(_DECIMAL.match, values)):
+            return tuple(map(int, values))
+    except (TypeError, ValueError):  # not a string, or past the digit limit
+        pass
+    return tuple([parse_int(v, f"{context} {i}") for i, v in enumerate(values)])
 
 
 def _parse_points(doc: Any) -> tuple[int, list[dict[str, Any]]]:
@@ -82,15 +95,7 @@ def data_from_document(doc: Any) -> FixedPointData:
             raise DataError(
                 f"point {k} has {len(weights)} weights, expected {n}"
             )
-        parsed.append(
-            FixedPoint(
-                phi,
-                tuple(
-                    parse_int(w, f"point {k} weight {idx}")
-                    for idx, w in enumerate(weights)
-                ),
-            )
-        )
+        parsed.append(FixedPoint(phi, _parse_ints(weights, f"point {k} weight")))
     return FixedPointData(n, tuple(parsed))
 
 

@@ -19,7 +19,8 @@ gives it, and ``ring_mul`` extends it bilinearly. Each ``RingElement``
 carries its n; every other function takes n itself.
 
 The module also maps the localization basis rows to their ordinary images,
-which turns equivariant Chern expansions into ordinary Chern classes.
+which turns equivariant Chern expansions into ordinary Chern classes, and
+pairs two rows' images by the label product (``image_pairing``).
 """
 
 from __future__ import annotations
@@ -196,21 +197,53 @@ def betti(n: int) -> list[int]:
     return ranks
 
 
-def _row_image(coeffs: Sequence[int]) -> RingElement:
-    """Ordinary image of the basis rows with these coefficients. Row j lands
-    on label j (x^j, z, or g_(j-1-n/2) = (1/2) x^(j-1)) except the middle row
-    n/2, whose image x^(n/2) = y + z adds its coefficient to z; the y/z choice
-    is immaterial, as every relation is symmetric in y and z."""
+def _image_coeffs(coeffs: Sequence[int]) -> list[int]:
+    """Coefficients over the labels of the ordinary image of the basis rows
+    with these coefficients. Row j lands on label j (x^j, z, or
+    g_(j-1-n/2) = (1/2) x^(j-1)) except the middle row n/2, whose image
+    x^(n/2) = y + z adds its coefficient to z; the y/z choice is immaterial,
+    as every relation is symmetric in y and z."""
     out = list(coeffs)
-    half = _ring_n(len(out) - 2) // 2
+    half = (len(out) - 2) // 2
     out[half + 1] += out[half]
-    return RingElement(2 * half, tuple(out))
+    return out
+
+
+def _row_image(coeffs: Sequence[int]) -> RingElement:
+    """Ordinary image of the basis rows with these coefficients."""
+    return RingElement(_ring_n(len(coeffs) - 2), tuple(_image_coeffs(coeffs)))
+
+
+@cache
+def _image_terms(n: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The ordinary image of basis row j as (label index, coefficient) pairs."""
+    unit = [int(k == j) for k in range(n + 2)]
+    return tuple((k, c) for k, c in enumerate(_image_coeffs(unit)) if c)
 
 
 def basis_images(ring: Sequence[RingElement]) -> tuple[RingElement, ...]:
     """Ordinary image of each localization basis row, given the ring's basis
     ``ring_make(n)``."""
     return tuple(_row_image(e.coeffs) for e in ring)
+
+
+def image_pairing(n: int, i: int, j: int) -> int:
+    """The integral of the product of the ordinary images of localization
+    basis rows i and j: ``ring_integral(ring_mul(images[i], images[j]))``
+    with ``images = basis_images(ring_make(n))``, read off the label
+    product without building a ``RingElement``. Rows outside 0..n+1 raise
+    ValueError."""
+    n = _ring_n(n)
+    if not (0 <= i < n + 2 and 0 <= j < n + 2):
+        raise ValueError(f"rows {i} and {j} are not both in 0..{n + 1}")
+    top = _index_g(n, n // 2)
+    return sum(
+        ca * cb * c
+        for a, ca in _image_terms(n, i)
+        for b, cb in _image_terms(n, j)
+        for label, c in _label_product(n, a, b)
+        if label == top
+    )
 
 
 def ordinary_chern(basis: BasisRestrictions) -> list[RingElement]:

@@ -78,6 +78,22 @@ def test_integers_survive_as_strings():
     assert data_from_document(doc) == data
 
 
+class SetWeight:
+    """Sets weight 1 of point 2 (moment value 1 in ``std2``) to ``value``;
+    the document must then be refused with exactly ``message``."""
+
+    def __init__(self, value, message):
+        self.value = value
+        self.message = message
+
+    def __call__(self, doc):
+        doc["points"][2]["weights"][1] = self.value
+
+
+def not_decimal(value):
+    return SetWeight(value, f"point 2 weight 1 must be a decimal string, got {value!r}")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -89,12 +105,22 @@ def test_integers_survive_as_strings():
         lambda doc: doc["points"][0]["weights"].__setitem__(0, "1.5"),
         lambda doc: doc["points"][0]["weights"].__setitem__(0, "0"),
         lambda doc: doc.update(n=3),
+        pytest.param(not_decimal(3), id="weight-json-number"),
+        pytest.param(not_decimal("1_0"), id="weight-underscore"),
+        pytest.param(not_decimal("+3"), id="weight-plus-sign"),
+        pytest.param(not_decimal(" 3"), id="weight-space"),
+        # int() accepts the Arabic-Indic digit three; a decimal string does not
+        pytest.param(not_decimal("\u0663"), id="weight-arabic-indic"),
+        # a decimal string, refused by FixedPoint itself
+        pytest.param(SetWeight("0", "zero weight at moment value 1"), id="weight-zero"),
     ],
 )
 def test_malformed_data_documents(std2, mutate):
     doc = data_to_document(std2)
     mutate(doc)
-    with pytest.raises(DataError):
+    message = getattr(mutate, "message", None)
+    match = None if message is None else f"^{re.escape(message)}$"
+    with pytest.raises(DataError, match=match):
         data_from_document(doc)
 
 
@@ -121,14 +147,18 @@ def test_documents_of_the_wrong_shape(read, doc, message):
     reason="this interpreter has no int-string digit limit",
 )
 def test_digits_past_the_interpreter_limit_are_a_data_error(std2):
-    doc = data_to_document(std2)
-    doc["points"][0]["phi"] = "1" * 5000
+    phi_doc = data_to_document(std2)
+    phi_doc["points"][0]["phi"] = "1" * 5000
+    weight_doc = data_to_document(std2)
+    weight_doc["points"][2]["weights"][1] = "1" * 5000
     # cli.main lifts the limit for its process; set the default here
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         with pytest.raises(DataError, match="^point 0 phi: "):
-            data_from_document(doc)
+            data_from_document(phi_doc)
+        with pytest.raises(DataError, match="^point 2 weight 1: "):
+            data_from_document(weight_doc)
     finally:
         sys.set_int_max_str_digits(previous)
 

@@ -23,6 +23,7 @@ from hamfp import (
     ring_mul,
     x_power,
 )
+from hamfp.grassring import image_pairing
 from conftest import quadric_chern_coefficients, standard_data
 
 RING_PRODUCTS = Path(__file__).resolve().parent / "golden" / "ring-products.json"
@@ -81,6 +82,17 @@ def test_basis_images_shear_only_the_middle_row(n):
     expected = list(ring)
     expected[n // 2] = x_power(n, n // 2)
     assert basis_images(ring) == tuple(expected)
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_image_pairing_matches_the_ring_product(n):
+    images = basis_images(ring_make(n))
+    for i, j in product(range(n + 2), repeat=2):
+        expected = ring_integral(ring_mul(images[i], images[j]))
+        assert image_pairing(n, i, j) == expected, (i, j)
+    for i, j in ((-1, 0), (0, n + 2)):
+        with pytest.raises(ValueError):
+            image_pairing(n, i, j)
 
 
 def test_ring_make_rejects_bad_n():

@@ -28,6 +28,7 @@ from hamfp import (
     standard_weights,
     validate,
 )
+from test_products import reference_predicted_products
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -382,12 +383,19 @@ def brute_force_candidates(profile, bound, divisibility=True):
     predicted products, the cartesian product of those options is taken in
     full, and each assignment is kept if every weight divides a nonzero
     moment gap from its point, the weights are closed under negation, and
-    validate and localization_consistent pass."""
+    validate and localization_consistent pass.
+
+    At n = 2 the products come from the four-gap table of the 4-dimensional
+    case, which an asymmetric profile does not refuse, so that the oracle
+    searches where ``predicted_products`` declines to."""
     n, phi = profile.n, profile.phi
-    try:
-        products = predicted_products(profile)
-    except InconsistentProfileError:
-        return []
+    if n == 2:
+        products = reference_predicted_products(profile)
+    else:
+        try:
+            products = predicted_products(profile)
+        except InconsistentProfileError:
+            return []
     magnitudes = range(1, bound + 1)
     options = []
     for lam, (neg_target, pos_target) in zip(morse_pattern(n), products):
