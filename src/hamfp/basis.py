@@ -34,10 +34,11 @@ the middle pair even when their moment values tie. The substitution runs in
 integers: the coefficients found so far are kept as numerators over one
 running common denominator, each residual is an integer sum against the
 basis numerators, and each new coefficient is one ``exact_fraction`` of
-``exactnum``, so only a fractional one builds a reduced ``Fraction``. The
-half degrees never decrease down the rows, so the substitution runs over the
-prefix of rows at or below the class degree; the rows after it get
-coefficient 0 and are only checked to have a zero residual.
+``exactnum``: an ``int`` when it is integral, and a reduced ``Fraction``
+only when it is not. The half degrees never decrease down the rows, so the
+substitution runs over the prefix of rows at or below the class degree; the
+rows after it get coefficient 0 and are only checked to have a zero
+residual.
 ``express_in_basis`` expands one ``EquivClass``; ``express_chern`` expands
 c_1..c_n of the basis's own dataset from the integers of its ``chern_table``.
 """
@@ -47,11 +48,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import index, mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DegenerateGammaError, ExpansionError
 from .exactnum import exact_fraction, shares
-from .fpdata import FixedPointData, morse_pattern, point_invariants
+from .fpdata import FixedPointData, PointInvariants, morse_pattern, point_invariants
 from .localize import EquivClass, Expand, chern_table
 from .record import Record
 
@@ -100,29 +101,37 @@ class Expansion(Record):
     """Coefficients of a class in the basis: one (rational, t-power) pair per
     row, with cls = sum_i coeff_i * t^power_i * row_i.
 
+    A coefficient is an int when it is integral and a Fraction otherwise.
     Rows whose degree exceeds the class degree carry coefficient 0 (their
     power is reported as 0). ``integral`` is True iff every coefficient is an
     integer.
     """
 
     __slots__ = ("terms",)
-    terms: tuple[tuple[Fraction, int], ...]
+    terms: tuple[tuple[int | Fraction, int], ...]
 
     @property
     def integral(self) -> bool:
         return all(c.denominator == 1 for c, _ in self.terms)
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return tuple(c for c, _ in self.terms)
 
 
-def build_basis(data: FixedPointData) -> BasisRestrictions:
-    """Evaluate the closed-form basis restrictions for the dataset."""
+def build_basis(
+    data: FixedPointData, inv: Sequence[PointInvariants] | None = None
+) -> BasisRestrictions:
+    """Evaluate the closed-form basis restrictions for the dataset.
+
+    ``inv`` holds ``point_invariants(data, i)`` for every point i, as a
+    caller that also reports them has them; by default they are computed.
+    """
     n = data.n
     m = n + 2
     half = n // 2
-    inv = [point_invariants(data, i) for i in range(m)]
+    if inv is None:
+        inv = [point_invariants(data, i) for i in range(m)]
     gammas = [v.gamma for v in inv]
     for lo, hi, name in ((0, half + 1, "lower"), (half + 1, m, "upper")):
         seen: dict[int, int] = {}
@@ -208,9 +217,6 @@ def express_chern(
         yield _substitute(basis, columns, i, [e[i] for e in table], 1)
 
 
-_ZERO = Fraction(0)
-
-
 def _substitute(
     basis: BasisRestrictions,
     columns: list[tuple[int, ...]],
@@ -232,7 +238,7 @@ def _substitute(
     den_basis = basis.denominator
     found: list[int] = []
     common = 1
-    terms: list[tuple[Fraction, int]] = []
+    terms: list[tuple[int | Fraction, int]] = []
     for k, column in enumerate(columns):
         # residual * scale * common * D, in integers
         top = targets[k] * common * den_basis - scale * sum(map(mul, found, column))
@@ -243,7 +249,7 @@ def _substitute(
                     f"degree-{2 * d} tuple is outside the basis span: residual "
                     f"{residual} at point {k}"
                 )
-            terms.append((_ZERO, 0))
+            terms.append((0, 0))
             continue
         coeff = exact_fraction(top, scale * common * numerators[k][k])
         terms.append((coeff, d - degrees[k]))

@@ -35,6 +35,7 @@ from .errors import DataError, DegenerateGammaError, ExpansionError, Integrality
 from .fpdata import (
     CheckResult,
     FixedPointData,
+    PointInvariants,
     make_standard_g2,
     point_invariants,
     validate,
@@ -74,10 +75,15 @@ MAX_CHERN_PARTITIONS = 200_000
 Section = tuple[dict[str, Any], list[CheckResult]]
 
 
-def _point_json(data: FixedPointData) -> list[dict[str, Any]]:
+def _point_invariants(data: FixedPointData) -> list[PointInvariants]:
+    return [point_invariants(data, i) for i in range(data.n + 2)]
+
+
+def _point_json(
+    data: FixedPointData, invariants: list[PointInvariants]
+) -> list[dict[str, Any]]:
     out = []
-    for i, p in enumerate(data.points):
-        inv = point_invariants(data, i)
+    for p, inv in zip(data.points, invariants):
         out.append(
             {
                 "phi": str(p.phi),
@@ -131,7 +137,8 @@ def _basis_section(basis: BasisRestrictions) -> Section:
 def _chern_section(basis: BasisRestrictions) -> Section:
     expansions = {}
     expanded = []
-    # the Chern classes and the Chern numbers read each point's expansion
+    # the Chern classes and the Chern numbers share one expansion per
+    # multiset of weights up to negation
     expand = expansion_memo()
     try:
         for i, expansion in enumerate(express_chern(basis, expand), 1):
@@ -233,7 +240,7 @@ def cmd_generate(args: argparse.Namespace) -> tuple[int, str]:
     if args.json:
         return EXIT_OK, dataio.format_document(doc)
     lines = [f"standard fixed-point data: n={data.n}, {data.n + 2} fixed points"]
-    lines += _point_lines(_point_json(data))
+    lines += _point_lines(_point_json(data, _point_invariants(data)))
     if args.out:
         lines.append(f"written to {args.out}")
     return EXIT_OK, "\n".join(lines)
@@ -246,13 +253,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             f"--chern at n={data.n} would compute p({data.n}) = {count} Chern "
             f"numbers, more than the limit of {MAX_CHERN_PARTITIONS}"
         )
+    # the report and the basis read the same invariants
+    invariants = _point_invariants(data)
     sections: dict[str, Section] = {
         "validation": ({}, list(validate(data).checks)),
         "localization": ({}, _localization_checks(data)),
     }
     if args.basis or args.chern or args.pairing:
         try:
-            basis = build_basis(data)
+            basis = build_basis(data, invariants)
         except DegenerateGammaError as exc:
             fail = CheckResult("basis-construction", False, str(exc))
             sections["basis"] = {}, [fail]
@@ -266,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     checks = [c for _, section_checks in sections.values() for c in section_checks]
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
-    points = _point_json(data)
+    points = _point_json(data, invariants)
 
     if args.json:
         report = {"command": "verify", "n": data.n, "points": points, "passed": passed}
@@ -328,7 +337,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     ]
     for k, cand in enumerate(verdict.candidates):
         lines.append(f"candidate {k}:")
-        lines += _point_lines(_point_json(cand))
+        lines += _point_lines(_point_json(cand, _point_invariants(cand)))
     lines.append(f"unique standard data: {'yes' if verdict.is_unique_standard else 'no'}")
     return EXIT_OK, "\n".join(lines)
 

@@ -3,11 +3,14 @@ polynomials, and the common denominator and the one division of every
 localization sum (``shares``, ``exact_fraction``).
 
 All computation in this package is exact. Integers are Python ``int`` (which
-is already arbitrary-precision sign-magnitude) and rationals are
-``fractions.Fraction``. The single polynomial generator ``t`` needs no type
-of its own: every class in scope restricts to ``a * t^d`` at each fixed
-point, so callers keep the rational ``a`` and track the degree ``d``
-alongside it. Floating point is forbidden everywhere.
+is already arbitrary-precision sign-magnitude), and so is every exact
+quotient: ``exact_fraction`` returns an ``int`` when the division is exact
+and a ``fractions.Fraction`` only when it is not, so a rational value is an
+``int`` exactly when it is integral. Both types read the same through
+``numerator``, ``denominator``, ``str`` and ``int``. The single polynomial
+generator ``t`` needs no type of its own: every class in scope restricts to
+``a * t^d`` at each fixed point, so callers keep the rational ``a`` and
+track the degree ``d`` alongside it. Floating point is forbidden everywhere.
 """
 
 from __future__ import annotations
@@ -51,14 +54,8 @@ def shares(products: Sequence[int]) -> tuple[int, list[int]]:
     return common, [common // p for p in products]
 
 
-# Fractions are immutable, so every vanishing quotient may share one zero.
-_ZERO = Fraction(0)
-
-
-def exact_fraction(num: int, den: int) -> Fraction:
-    """num / den for den != 0, reduced: a zero numerator builds no Fraction,
-    and an exact quotient skips the gcd."""
-    if not num:
-        return _ZERO
+def exact_fraction(num: int, den: int) -> int | Fraction:
+    """num / den for den != 0: the int quotient when den divides num, zero
+    included, and otherwise the reduced Fraction, which alone pays a gcd."""
     quotient, rest = divmod(num, den)
-    return Fraction(num, den) if rest else Fraction(quotient)
+    return Fraction(num, den) if rest else quotient

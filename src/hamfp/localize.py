@@ -11,7 +11,8 @@ produce it.
 
 Every sum here is an integer dot product with the shares L / Lambda_P of
 L = lcm |Lambda_P| (``exactnum.shares``), Lambda_P read from the dataset,
-and is divided by L once with ``exactnum.exact_fraction``.
+and is divided by L once with ``exactnum.exact_fraction``, so a value is an
+``int`` when the sum is integral and a ``Fraction`` only when it is not.
 
 Pure powers of the symplectic class u need no walk: ``u_power_integrals``
 sums the column of shares times h_P^a once per power a, with the height
@@ -37,7 +38,10 @@ partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and a caller that reads one table twice shares its
-expansions through an ``expansion_memo``.
+expansions through an ``expansion_memo``. The memo expands each multiset of
+weights up to negation once, in any order of the weights: the row of -w is
+the row of w with its odd entries negated, so on the standard data an
+antipodal pair of points costs one expansion.
 ``integrate`` is the primitive for arbitrary classes, and ``chern_number``
 integrates its one product of Chern classes through it. ``pairing_matrix``
 sums products of basis rows over the basis denominator squared times L, on
@@ -50,7 +54,6 @@ are order-independent, so callers may parallelize freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import prod
 from operator import index, mul
 from typing import Callable, Iterator, Sequence
@@ -97,10 +100,26 @@ Expand = Callable[[Sequence[int]], list[int]]
 
 
 def expansion_memo() -> Expand:
-    """A fresh memo of ``elementary_symmetric``, made here, where
-    perfbench/tracing.py counts expansions. A caller that reads one dataset's
-    Chern table twice passes it as ``expand`` to both readers."""
-    return cache(elementary_symmetric)
+    """A fresh memo of ``elementary_symmetric``, keyed by the multiset of the
+    weights up to negation. A miss expands the weights through this module's
+    binding, where perfbench/tracing.py counts expansions, and files the row
+    under the sorted weights and the row with its odd entries negated,
+    e_k(-w) = (-1)^k e_k(w), under the sorted negated weights. A caller that
+    reads one dataset's Chern table twice passes it as ``expand`` to both
+    readers. Rows are shared between calls, so readers must not change them.
+    """
+    rows: dict[tuple[int, ...], list[int]] = {}
+
+    def expand(weights: Sequence[int]) -> list[int]:
+        key = tuple(sorted(weights))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = elementary_symmetric(weights)
+            flip = [-e if k % 2 else e for k, e in enumerate(row)]
+            rows.setdefault(tuple([-w for w in reversed(key)]), flip)
+        return row
+
+    return expand
 
 
 def chern_table(data: FixedPointData, expand: Expand | None = None) -> list[list[int]]:
@@ -126,13 +145,14 @@ def chern_restriction(data: FixedPointData, i: int) -> EquivClass:
     return EquivClass(i, tuple(e[i] for e in chern_table(data)))
 
 
-def integrate(data: FixedPointData, cls: EquivClass) -> Fraction:
+def integrate(data: FixedPointData, cls: EquivClass) -> int | Fraction:
     """Localization sum over the fixed points.
 
-    Returns sum_i coeffs[i] / Lambda_i, the coefficient of t^(d-n). Below the
-    top degree the sum must be exactly zero (NotAManifoldError otherwise); at
-    the top degree it is the ordinary integral over the manifold, and above
-    it the push-forward lands in positive degree of the base.
+    Returns sum_i coeffs[i] / Lambda_i, the coefficient of t^(d-n), an int
+    when it is integral and a Fraction otherwise. Below the top degree the
+    sum must be exactly zero (NotAManifoldError otherwise); at the top
+    degree it is the ordinary integral over the manifold, and above it the
+    push-forward lands in positive degree of the base.
     """
     if len(cls.coeffs) != data.n + 2:
         raise ValueError("class does not match the fixed-point set")
@@ -179,10 +199,12 @@ def _walk(
 
 def chern_numbers(
     data: FixedPointData, expand: Expand | None = None
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
     """Stream (parts, c_parts[M]) for every partition of n, its parts
     written largest first, in an unspecified order; the report writers
-    impose any order a reader sees. ``expand`` is as in ``chern_table``.
+    impose any order a reader sees. Each number is an int when it is
+    integral, as on data from a manifold, and a Fraction otherwise.
+    ``expand`` is as in ``chern_table``.
 
     The sum runs over distinct Chern rows, not over points. A point's row is
     e_0..e_n of its weights; its flip negates the odd entries, and is the
@@ -213,8 +235,9 @@ def chern_numbers(
         yield (room,) + parts, exact_fraction(total, common)
 
 
-def u_power_integrals(data: FixedPointData) -> list[Fraction]:
-    """The integrals of u^a for a = 0..n, u the symplectic class.
+def u_power_integrals(data: FixedPointData) -> list[int | Fraction]:
+    """The integrals of u^a for a = 0..n, u the symplectic class, each an
+    int when it is integral and a Fraction otherwise.
 
     u^a restricts to h_P^a at P, h_P = phi_0 - phi_P, so each is the sum of
     the column of shares L / Lambda_P times h_P^a, over L = lcm |Lambda_P|.
@@ -291,13 +314,13 @@ def localization_consistent(data: FixedPointData) -> bool:
     return True
 
 
-def chern_number(data: FixedPointData, partition: Sequence[int]) -> Fraction:
+def chern_number(data: FixedPointData, partition: Sequence[int]) -> int | Fraction:
     """Integral of the product of Chern classes indexed by the partition.
 
-    The partition must sum to n; the result is an integer (as a Fraction)
-    for data coming from an actual manifold. Only this partition is summed:
-    the class restricting to prod_k e_(lambda_k)(P) at each point P goes to
-    ``integrate``.
+    The partition must sum to n; the result is an int for data coming from
+    an actual manifold, and a Fraction only when it is not integral. Only
+    this partition is summed: the class restricting to prod_k e_(lambda_k)(P)
+    at each point P goes to ``integrate``.
     """
     parts = list(partition)
     if not parts or any(not 1 <= p <= data.n for p in parts):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,17 @@ def quadric_chern_coefficients(n: int) -> list[int]:
         sum(math.comb(n + 2, j) * (-2) ** (k - j) for j in range(k + 1))
         for k in range(n + 1)
     ]
+
+
+def exact_type(value) -> bool:
+    """The package's rule for exact values: an int when the value is
+    integral, and otherwise a Fraction, whose denominator is then above 1."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+def up_to_negation(weights) -> tuple[int, ...]:
+    """The multiset of the weights up to negation, as one sorted tuple."""
+    return min(tuple(sorted(weights)), tuple(sorted(-w for w in weights)))
 
 
 @st.composite

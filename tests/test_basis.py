@@ -40,7 +40,7 @@ from hamfp import (
 from hamfp.basis import express_chern
 from hamfp.dataio import data_from_document, load_document
 
-from conftest import standard_data, swapped_weights
+from conftest import exact_type, standard_data, swapped_weights
 from oracle import basis_rows, multiply, power
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -383,9 +383,10 @@ def test_express_chern_matches_express_in_basis(data):
     except DegenerateGammaError:
         assume(False)
     batched = expansions_batched(basis, data)
-    assert batched == expansions_one_by_one(basis, data)
-    for terms in batched[0]:
-        assert all(type(c) is Fraction for c, _ in terms)
+    one_by_one = expansions_one_by_one(basis, data)
+    assert batched == one_by_one
+    for terms in batched[0] + one_by_one[0]:
+        assert all(exact_type(c) for c, _ in terms)
 
 
 def test_express_chern_fails_at_the_same_class_on_frac6():
@@ -394,6 +395,11 @@ def test_express_chern_fails_at_the_same_class_on_frac6():
     expansions, message = expansions_batched(basis, data)
     assert message is not None and 0 < len(expansions) < data.n
     assert (expansions, message) == expansions_one_by_one(basis, data)
+    # the expansions before the failure hold integral and fractional
+    # coefficients, each of its own type
+    coefficients = [c for terms in expansions for c, _ in terms]
+    assert all(exact_type(c) for c in coefficients)
+    assert {type(c) for c in coefficients} == {int, Fraction}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -9,7 +10,13 @@ from time import perf_counter
 import pytest
 
 import hamfp.cli
-from hamfp import elementary_symmetric, make_standard_g2
+from hamfp import (
+    FixedPoint,
+    FixedPointData,
+    elementary_symmetric,
+    make_standard_g2,
+    point_invariants,
+)
 from hamfp.cli import MAX_CHERN_PARTITIONS, main
 from hamfp.dataio import (
     data_from_document,
@@ -20,7 +27,7 @@ from hamfp.dataio import (
 )
 from hamfp.localize import partition_count
 from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISOR, MomentProfile
-from conftest import PACKAGE_ROOT, run_cli
+from conftest import PACKAGE_ROOT, run_cli, up_to_negation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -385,26 +392,79 @@ def count_expansions(monkeypatch) -> list[tuple[int, ...]]:
 
 
 VERIFY_FLAGS = ["--basis", "--chern", "--pairing"]
-
-
-@pytest.mark.parametrize(
+FLAG_SETS = pytest.mark.parametrize(
     "flags",
     [list(c) for k in range(4) for c in combinations(VERIFY_FLAGS, k)],
     ids=lambda flags: "+".join(f[2:] for f in flags) or "bare",
 )
+# multisets of weights up to negation: on std16 each of the 9 antipodal
+# pairs is one, frac6 and tampered4 keep 3 pairs and break the others
+EXPANSIONS = {"std16": 9, "frac6": 5, "tampered4": 3}
+
+
+@FLAG_SETS
 @pytest.mark.parametrize("name", ["std16", "frac6", "tampered4"])
 def test_verify_expands_each_point_at_most_once(monkeypatch, capsys, name, flags):
-    # each point's elementary symmetric polynomials serve the Chern classes
-    # and the Chern numbers alike; powers of u need only the weight products
+    # one expansion per multiset of weights up to negation serves the Chern
+    # classes and the Chern numbers alike; powers of u need only the weight
+    # products
     path = GOLDEN / f"{name}.json"
     data = data_from_document(load_document(str(path)))
     calls = count_expansions(monkeypatch)
     main(["verify", str(path), *flags, "--json"])
     capsys.readouterr()
     if "--chern" in flags:
-        assert calls == [p.weights for p in data.points]
+        assert len(calls) == EXPANSIONS[name]
+        assert {up_to_negation(c) for c in calls} == {
+            up_to_negation(p.weights) for p in data.points
+        }
     else:
         assert calls == []
+
+
+def test_verify_expands_shuffled_antipodes_once(monkeypatch, capsys, tmp_path):
+    # std16 lists an antipode's weights as the negated weights reversed;
+    # shuffled, the antipodes still share one expansion, and the report
+    # reads the same Chern data
+    data = data_from_document(load_document(str(GOLDEN / "std16.json")))
+    rng = random.Random(16)
+    shuffled = FixedPointData(
+        data.n,
+        tuple(
+            FixedPoint(p.phi, tuple(rng.sample(p.weights, data.n)))
+            for p in data.points
+        ),
+    )
+    negated = {tuple(-w for w in p.weights) for p in shuffled.points}
+    assert not negated & {p.weights for p in shuffled.points}
+    path = tmp_path / "shuffled16.json"
+    dump_document(data_to_document(shuffled), str(path))
+    flags = ["--basis", "--chern", "--pairing", "--json"]
+    calls = count_expansions(monkeypatch)
+    assert main(["verify", str(path), *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == EXPANSIONS["std16"]
+    main(["verify", str(GOLDEN / "std16.json"), *flags])
+    assert report["chern"] == json.loads(capsys.readouterr().out)["chern"]
+
+
+@FLAG_SETS
+def test_verify_computes_point_invariants_once(monkeypatch, capsys, flags):
+    # the basis reads the invariants that the report prints
+    calls = []
+
+    def counted(data, i):
+        calls.append(i)
+        return point_invariants(data, i)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hamfp" and (
+            getattr(module, "point_invariants", None) is point_invariants
+        ):
+            monkeypatch.setattr(module, "point_invariants", counted)
+    main(["verify", str(GOLDEN / "std16.json"), *flags])
+    capsys.readouterr()
+    assert calls == list(range(18))
 
 
 def test_classify_json_report(tmp_path):

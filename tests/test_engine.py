@@ -40,7 +40,12 @@ from hamfp import (
 from hamfp.dataio import data_from_document, load_document
 from hamfp.localize import _walk, chern_numbers, partition_count, u_power_integrals
 
-from conftest import quadric_chern_coefficients, standard_data, swapped_weights
+from conftest import (
+    exact_type,
+    quadric_chern_coefficients,
+    standard_data,
+    swapped_weights,
+)
 from oracle import multiply, partitions, power
 
 SETTINGS = settings(derandomize=True, max_examples=5, deadline=None)
@@ -90,7 +95,8 @@ def naive_sums(data, degrees):
                     with pytest.raises(NotAManifoldError):
                         integrate(data, cls)
                 else:
-                    assert integrate(data, cls) == total
+                    value = integrate(data, cls)
+                    assert value == total and exact_type(value)
                 out.append((a, parts, Fraction(total)))
     return out
 
@@ -107,7 +113,7 @@ def assert_engine_matches_naive_sums(data):
     }
     integrals = u_power_integrals(data)
     assert integrals == [total for _, parts, total in reference if parts == ()]
-    assert all(type(v) is Fraction for v in integrals + [v for _, v in numbers])
+    assert all(exact_type(v) for v in integrals + [v for _, v in numbers])
     below_top = [total for a, parts, total in reference if a + sum(parts) < n]
     consistent = not any(below_top)
     assert localization_consistent(data) == consistent
@@ -205,9 +211,21 @@ def test_engine_matches_naive_sums_on_swapped_weights(data):
 @settings(SETTINGS, max_examples=30)
 @given(st.one_of(standard_data(ns=(2, 4, 6)), swapped_weights(ns=(2, 4, 6))))
 def test_engine_yields_fractions_equal_to_naive_sums(data):
-    # exact sums are divided without a gcd; the value must still be a
-    # Fraction, and fractional sums (swapped weights) must stay exact
+    # exact sums are divided without a gcd and come back as ints, and
+    # fractional sums (swapped weights) must stay exact Fractions
     assert_engine_matches_naive_sums(data)
+
+
+@pytest.mark.parametrize("name", ["frac4", "frac6"])
+def test_engine_returns_a_fraction_only_off_the_integers(name):
+    # the golden fractional data reach both branches of the rule in each
+    # of chern_numbers, u_power_integrals and chern_number
+    data = golden_data(name)
+    numbers = dict(chern_numbers(data))
+    values = [*numbers.values(), *u_power_integrals(data)]
+    values += [chern_number(data, parts) for parts in numbers]
+    assert all(exact_type(v) for v in values)
+    assert {type(v) for v in values} == {int, Fraction}
 
 
 @pytest.mark.parametrize("room", range(9))

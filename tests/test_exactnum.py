@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hamfp import elementary_symmetric
 from hamfp.exactnum import exact_fraction, shares
 
+from conftest import exact_type
+
 SETTINGS = settings(derandomize=True, deadline=None)
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
@@ -47,5 +49,16 @@ def test_shares_put_each_reciprocal_over_the_lcm(products):
 @given(st.integers(-10**9, 10**9), nonzero)
 def test_exact_fraction_is_the_reduced_quotient(num, den):
     value = exact_fraction(num, den)
-    assert type(value) is Fraction
+    assert exact_type(value)
     assert value == Fraction(num, den)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.integers(-10**9, 10**9), nonzero)
+def test_exact_fraction_of_a_multiple_is_the_int_quotient(quotient, den):
+    value = exact_fraction(quotient * den, den)
+    assert type(value) is int and value == quotient
+    # one unit off a multiple never divides exactly once |den| > 1
+    if abs(den) > 1:
+        value = exact_fraction(quotient * den + 1, den)
+        assert type(value) is Fraction and value.denominator > 1

@@ -19,8 +19,10 @@ from hamfp import (
     build_basis,
     symplectic_class,
 )
-from hamfp.localize import chern_table, partition_count
-from conftest import standard_data, swapped_weights
+import hamfp.localize
+from hamfp.exactnum import elementary_symmetric
+from hamfp.localize import chern_table, expansion_memo, partition_count
+from conftest import standard_data, swapped_weights, up_to_negation
 from oracle import partitions, power
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -66,6 +68,59 @@ def test_chern_restriction_is_a_column_of_the_chern_table(data):
     for i in (0, data.n + 1):
         with pytest.raises(ValueError, match=f"Chern index {i} out of range"):
             chern_restriction(data, i)
+
+
+def no_antipodes():
+    # no point's weights are another point's negated, in any order
+    return FixedPointData(
+        2,
+        (
+            FixedPoint(0, (1, 2)),
+            FixedPoint(1, (-1, 3)),
+            FixedPoint(2, (-2, 1)),
+            FixedPoint(3, (-3, -1)),
+        ),
+    )
+
+
+@SETTINGS
+@given(
+    st.one_of(standard_data(), swapped_weights(ns=(2, 4, 6)), st.just(no_antipodes()))
+)
+def test_expansion_memo_rows_are_the_plain_rows(data):
+    # swapped weights break antipodal pairs and no_antipodes has none; each
+    # table is read twice, the second time from the memo alone
+    expand = expansion_memo()
+    plain = [elementary_symmetric(p.weights) for p in data.points]
+    assert chern_table(data, expand) == plain
+    assert chern_table(data, expand) == plain
+
+
+weight_lists = st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(
+    st.lists(weight_lists, min_size=1, max_size=6), st.randoms(use_true_random=False)
+)
+def test_expansion_memo_expands_each_multiset_up_to_negation_once(weights, rng):
+    # each list is met again negated and again as is, both in shuffled order
+    queries = list(weights)
+    for w in weights:
+        queries.append(rng.sample([-v for v in w], len(w)))
+        queries.append(rng.sample(w, len(w)))
+    calls = []
+
+    def counted(values):
+        calls.append(tuple(values))
+        return elementary_symmetric(values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamfp.localize, "elementary_symmetric", counted)
+        expand = expansion_memo()
+        rows = [expand(w) for w in queries]
+    assert rows == [elementary_symmetric(w) for w in queries]
+    assert len(calls) == len({up_to_negation(w) for w in weights})
 
 
 @SETTINGS
