@@ -45,16 +45,18 @@ c_1..c_n of the basis's own dataset from the integers of its ``chern_table``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import index, mul
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DegenerateGammaError, ExpansionError
 from .exactnum import exact_fraction, shares
 from .fpdata import FixedPointData, PointInvariants, morse_pattern, point_invariants
 from .localize import EquivClass, Expand, chern_table
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BasisRestrictions(Record):
@@ -244,7 +246,7 @@ def _substitute(
         top = targets[k] * common * den_basis - scale * sum(map(mul, found, column))
         if degrees[k] > d:
             if top:
-                residual = Fraction(top, scale * common * den_basis)
+                residual = exact_fraction(top, scale * common * den_basis)
                 raise ExpansionError(
                     f"degree-{2 * d} tuple is outside the basis span: residual "
                     f"{residual} at point {k}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Any, NoReturn
 
@@ -32,6 +31,7 @@ from .basis import (  # noqa: F401
     express_in_basis,
 )
 from .errors import DataError, DegenerateGammaError, ExpansionError, IntegralityError
+from .exactnum import exact_fraction
 from .fpdata import (
     CheckResult,
     FixedPointData,
@@ -70,6 +70,11 @@ EXIT_USAGE = 2
 # verify --chern integrates one monomial per partition of n; p(48) = 147,273
 # stays below the cap and p(50) = 204,226 does not.
 MAX_CHERN_PARTITIONS = 200_000
+
+# generate builds (n + 2) * n weights from n/2 + 1 exponents, and
+# make_standard_g2 compares the exponents pairwise: 257 exponents (n = 512)
+# peak at about 60 MB, while 501 (n = 1000) peak at about 200 MB.
+MAX_GENERATE_EXPONENTS = 257
 
 # A report section: its JSON payload and its checks.
 Section = tuple[dict[str, Any], list[CheckResult]]
@@ -123,7 +128,9 @@ def _basis_section(basis: BasisRestrictions) -> Section:
     if integral:
         matrix = [list(map(str, row)) for row in basis.numerators]
     else:
-        matrix = [[str(Fraction(a, den)) for a in row] for row in basis.numerators]
+        matrix = [
+            [str(exact_fraction(a, den)) for a in row] for row in basis.numerators
+        ]
     check = CheckResult(
         "basis-integrality",
         integral,
@@ -232,7 +239,13 @@ def _pairing_section(basis: BasisRestrictions) -> Section:
 
 
 def cmd_generate(args: argparse.Namespace) -> tuple[int, str]:
-    exponents = [dataio.parse_int(b.strip(), "--b entry") for b in args.b.split(",")]
+    entries = args.b.split(",")
+    if len(entries) > MAX_GENERATE_EXPONENTS:
+        raise DataError(
+            f"--b has {len(entries)} exponents, more than the limit of "
+            f"{MAX_GENERATE_EXPONENTS}"
+        )
+    exponents = [dataio.parse_int(b.strip(), "--b entry") for b in entries]
     data = make_standard_g2(exponents)
     doc = dataio.data_to_document(data)
     if args.out:
@@ -363,7 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "generate", help="emit the standard dataset for given exponents"
     )
-    gen.add_argument("--b", required=True, help="comma-separated distinct integers")
+    gen.add_argument(
+        "--b",
+        required=True,
+        help="comma-separated distinct integers; write a list whose first "
+        "entry is negative as --b=-2,1",
+    )
     gen.add_argument("--out", help="write the dataset as JSON to this path")
     gen.add_argument("--json", action="store_true", help="print the JSON document")
     gen.set_defaults(func=cmd_generate)

@@ -7,20 +7,26 @@ is already arbitrary-precision sign-magnitude), and so is every exact
 quotient: ``exact_fraction`` returns an ``int`` when the division is exact
 and a ``fractions.Fraction`` only when it is not, so a rational value is an
 ``int`` exactly when it is integral. Both types read the same through
-``numerator``, ``denominator``, ``str`` and ``int``. The single polynomial
-generator ``t`` needs no type of its own: every class in scope restricts to
-``a * t^d`` at each fixed point, so callers keep the rational ``a`` and
-track the degree ``d`` alongside it. Floating point is forbidden everywhere.
+``numerator``, ``denominator``, ``str`` and ``int``. This module alone loads
+``fractions`` when the CLI runs, and only at the first fractional value: on
+data from a manifold every value is integral, and the import, which pulls in
+``decimal`` and ``numbers`` too, would be start-up cost that no command
+uses. The single polynomial generator ``t`` needs no type of its own: every
+class in scope restricts to ``a * t^d`` at each fixed point, so callers keep
+the rational ``a`` and track the degree ``d`` alongside it. Floating point
+is forbidden everywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import index
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def exact_int(value: Any, field: str) -> int:
@@ -56,6 +62,11 @@ def shares(products: Sequence[int]) -> tuple[int, list[int]]:
 
 def exact_fraction(num: int, den: int) -> int | Fraction:
     """num / den for den != 0: the int quotient when den divides num, zero
-    included, and otherwise the reduced Fraction, which alone pays a gcd."""
+    included, and otherwise the reduced Fraction, which alone pays a gcd and
+    the import of ``fractions``."""
     quotient, rest = divmod(num, den)
-    return Fraction(num, den) if rest else quotient
+    if not rest:
+        return quotient
+    from fractions import Fraction
+
+    return Fraction(num, den)

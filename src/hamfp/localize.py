@@ -53,15 +53,17 @@ are order-independent, so callers may parallelize freely.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from operator import index, mul
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import IntegralityError, NotAManifoldError
 from .exactnum import elementary_symmetric, exact_fraction, shares
 from .fpdata import FixedPointData
 from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class EquivClass(Record):
@@ -74,7 +76,10 @@ class EquivClass(Record):
 
     def __post_init__(self) -> None:
         # operator.index raises TypeError on a float or string; a Fraction
-        # coefficient is kept as given
+        # coefficient is kept as given. fractions loads here, not with the
+        # module: the CLI builds no EquivClass.
+        from fractions import Fraction
+
         object.__setattr__(self, "degree_half", index(self.degree_half))
         if self.degree_half < 0:
             raise ValueError(f"negative degree {self.degree_half}")
@@ -92,7 +97,7 @@ def symplectic_class(data: FixedPointData) -> EquivClass:
     constant leaves the class unchanged.
     """
     phi0 = data.points[0].phi
-    return EquivClass(1, tuple(Fraction(phi0 - p.phi) for p in data.points))
+    return EquivClass(1, tuple([phi0 - p.phi for p in data.points]))
 
 
 # Expands weights into their elementary symmetric polynomials e_0 .. e_n.
@@ -368,7 +373,8 @@ def pairing_matrix(basis) -> list[list[int]]:
             value, rest = divmod(total, den)
             if rest:
                 raise IntegralityError(
-                    f"pairing ({i},{j}) is {Fraction(total, den)}, expected an integer"
+                    f"pairing ({i},{j}) is {exact_fraction(total, den)}, "
+                    "expected an integer"
                 )
             out[i][j] = out[j][i] = value
     return out

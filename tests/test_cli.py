@@ -17,7 +17,7 @@ from hamfp import (
     make_standard_g2,
     point_invariants,
 )
-from hamfp.cli import MAX_CHERN_PARTITIONS, main
+from hamfp.cli import MAX_CHERN_PARTITIONS, MAX_GENERATE_EXPONENTS, main
 from hamfp.dataio import (
     data_from_document,
     data_to_document,
@@ -50,6 +50,47 @@ def test_start_up_imports_no_code_generation():
         check=True,
     )
     assert child.stdout.split() == []
+
+
+def test_fractions_load_only_at_a_fractional_value():
+    # On data from a manifold every value is an int; fractions, with the
+    # decimal and numbers modules it imports, loads at the first value that
+    # is not, and the report is the same either way.
+    code = (
+        "import io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import hamfp.cli\n"
+        "hamfp.cli.build_parser()\n"
+        "lazy = {'fractions', 'decimal', 'numbers'}\n"
+        "def run(*argv):\n"
+        "    stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    try:\n"
+        "        return hamfp.cli.main(list(argv)), sys.stdout.getvalue()\n"
+        "    finally:\n"
+        "        sys.stdout = stdout\n"
+        "loaded = [sorted(lazy & set(sys.modules))]\n"
+        "codes = [run(*argv)[0] for argv in json.loads(sys.argv[2])]\n"
+        "loaded.append(sorted(lazy & set(sys.modules)))\n"
+        "frac = run(*json.loads(sys.argv[3]))\n"
+        "print(json.dumps([loaded, codes, frac, 'fractions' in sys.modules]))\n"
+    )
+    integral = [
+        ["verify", str(GOLDEN / "std16.json"), *VERIFY_FLAGS, "--json"],
+        ["classify", str(GOLDEN / "profile-std8-13579.json"), "--json"],
+    ]
+    fractional = ["verify", str(GOLDEN / "frac4.json"), *VERIFY_FLAGS]
+    argv = [PACKAGE_ROOT, json.dumps(integral), json.dumps(fractional)]
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, codes, frac, frac_loaded = json.loads(child.stdout)
+    assert loaded == [[], []]
+    assert codes == [0, 0]
+    assert frac == [1, (GOLDEN / "verify-frac4.text.out").read_text()]
+    assert frac_loaded
 
 
 def test_generate_prints_weight_pairs(tmp_path):
@@ -96,6 +137,37 @@ def test_integer_options_follow_the_decimal_rule(argv, bad, capsys):
     # empty entry was skipped
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {bad}\n")
+
+
+def test_generate_refuses_exponents_past_the_cap(monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("built the dataset before the refusal")
+
+    monkeypatch.setattr(hamfp.cli, "make_standard_g2", no_data)
+    count = MAX_GENERATE_EXPONENTS + 1
+    argv = ["generate", "--b", ",".join(map(str, range(1, count + 1)))]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: --b has {count} exponents, more than the limit of "
+        f"{MAX_GENERATE_EXPONENTS}\n",
+    )
+
+
+def test_generate_accepts_the_n_198_pipe_run(capsys):
+    # the console-script step pipes this report into a reader that closes early
+    assert MAX_GENERATE_EXPONENTS >= 100
+    assert main(["generate", "--b", ",".join(map(str, range(1, 101)))]) == 0
+    assert capsys.readouterr().out.startswith("standard fixed-point data: n=198,")
+
+
+def test_generate_takes_a_negative_first_exponent_after_an_equals_sign(capsys):
+    # argparse reads a separate -2,1 as an option, not as the value of --b
+    assert main(["generate", "--b", "-2,1"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --b: expected one argument\n")
+    assert main(["generate", "--b=-2,1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == data_to_document(make_standard_g2([-2, 1]))
 
 
 def test_generate_reads_entries_with_spaces_around_them(capsys):
