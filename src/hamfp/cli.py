@@ -73,7 +73,12 @@ MAX_CHERN_PARTITIONS = 200_000
 
 # generate builds (n + 2) * n weights from n/2 + 1 exponents, and
 # make_standard_g2 compares the exponents pairwise: 257 exponents (n = 512)
-# peak at about 60 MB, while 501 (n = 1000) peak at about 200 MB.
+# peak at about 60 MB, while 501 (n = 1000) peak at about 200 MB. The cap
+# bounds the number of exponents, not their size: the report writes every
+# point's Lambda, L- and L+ in decimal, which CPython before 3.12 converts in
+# time quadratic in the digits. On Python 3.11.7 (2-core x86-64), random
+# 1,000-digit exponents take 1.1 s at n = 32 and 7.5 s at n = 64, 6.5 s of it
+# in _point_json, and n = 256 did not finish in 300 s.
 MAX_GENERATE_EXPONENTS = 257
 
 # A report section: its JSON payload and its checks.

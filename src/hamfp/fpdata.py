@@ -212,17 +212,15 @@ def point_invariants(data: FixedPointData, i: int) -> PointInvariants:
     if not 0 <= i <= data.n + 1:
         raise IndexError(f"point index {i} out of range 0..{data.n + 1}")
     gamma = 0
-    full = 1
     minus = 1
     plus = 1
     for w in data.points[i].weights:
         gamma += w
-        full *= w
         if w < 0:
             minus *= w
         else:
             plus *= w
-    return PointInvariants(gamma, full, minus, plus)
+    return PointInvariants(gamma, minus * plus, minus, plus)
 
 
 def _check_phi_order(data: FixedPointData) -> CheckResult:

@@ -97,22 +97,8 @@ MAX_FACTORIZATION_NODES = 10**6
 # 0.3-0.5 s in CPython 3.11 on a 2-core x86-64 host.
 MAX_TRIAL_DIVISOR = 4 * 10**6
 
-
-class _PrimeGroups(Record):
-    """Allowed values in the order the factorization search places them.
-
-    The allowed values are 1 and the divisors of a point's gaps, so every
-    prime of an allowed value is allowed. ``groups`` holds one
-    (p, cap, members) per prime p that divides an allowed value, largest p
-    first: members are the values whose largest prime factor is p, each as
-    (exponent of p in it, value), in increasing order, p among them, and cap
-    is the largest value of this group and the groups after it. ``values``
-    holds every allowed value.
-    """
-
-    __slots__ = ("values", "groups")
-    values: frozenset[int]
-    groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+# The allowed values of one point and their prime groups (``_prime_groups``).
+_Allowed = tuple[frozenset[int], tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
 
 
 class ClassificationVerdict(Record):
@@ -142,6 +128,11 @@ def predicted_products(profile: MomentProfile) -> list[tuple[int, int]]:
     n/2, the negative product above n/2 + 1. The profile is strict away from
     the middle pair, so that sum is never zero. A fractional product raises
     InconsistentProfileError.
+
+    Wherever it returns, the products fix every integral of a power of u,
+    the class with restriction h_P = phi_0 - phi_P at point P: the sum over
+    P of h_P^a / (negative product * positive product) is 0 for 0 <= a < n
+    and 2 at a = n, as on the oriented 2-plane Grassmannian.
 
     At n = 2 the second cohomology has rank two, and the products of the
     4-dimensional case are the four-gap products ab, -a(c - a), -b(c - b)
@@ -223,9 +214,17 @@ def _tagged_divisors(g: int) -> dict[int, tuple[int, int]]:
     return tagged
 
 
-def _prime_groups(tagged: list[dict[int, tuple[int, int]]]) -> _PrimeGroups:
-    """1 and the tagged divisors of a point's gaps, grouped by their largest
-    prime factor."""
+def _prime_groups(tagged: list[dict[int, tuple[int, int]]]) -> _Allowed:
+    """1 and the tagged divisors of a point's gaps, as the pair
+    (values, groups) in the order the factorization search places them.
+
+    values holds 1 and every divisor, so every prime of an allowed value is
+    allowed. groups holds one (p, cap, members) per prime p that divides an
+    allowed value, largest p first: members are the values whose largest
+    prime factor is p, each as (exponent of p in it, value), in increasing
+    order, p among them, and cap is the largest value of this group and the
+    groups after it.
+    """
     merged = {v: tag for divisors in tagged for v, tag in divisors.items()}
     found: dict[int, list[tuple[int, int]]] = {}
     for v, (p, e) in merged.items():
@@ -236,11 +235,11 @@ def _prime_groups(tagged: list[dict[int, tuple[int, int]]]) -> _PrimeGroups:
         members = tuple(sorted(found[p]))
         cap = max([cap, *[v for _, v in members]])
         groups.append((p, cap, members))
-    return _PrimeGroups(frozenset([1, *merged]), tuple(reversed(groups)))
+    return frozenset([1, *merged]), tuple(reversed(groups))
 
 
 def _factorizations(
-    target: int, count: int, allowed: _PrimeGroups
+    target: int, count: int, allowed: _Allowed
 ) -> list[tuple[int, ...]]:
     """Nondecreasing count-tuples over the allowed values with the given
     product (target >= 1), in lexicographic order.
@@ -257,12 +256,11 @@ def _factorizations(
     factorization it stores counts as count nodes, checked before it is
     stored, so at most MAX_FACTORIZATION_NODES // count are ever held.
     """
-    values = allowed.values
+    values, groups = allowed
     if count == 0:
         return [()] if target == 1 else []
     if count == 1:
         return [(target,)] if target in values else []
-    groups = allowed.groups
     rest = target
     for p, _, _ in groups:
         while rest % p == 0:

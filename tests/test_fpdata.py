@@ -200,6 +200,29 @@ def test_point_invariants_examples(std2):
         point_invariants(std2, 4)
 
 
+@st.composite
+def random_datasets(draw):
+    """n from 2..8 and n + 2 points of nonzero weights up to 10^30 in size;
+    the moment values are not ordered, since construction checks only
+    structure."""
+    n = draw(st.sampled_from((2, 4, 6, 8)))
+    weight = st.integers(-(10**30), -1) | st.integers(1, 10**30)
+    weights = st.lists(weight, min_size=n, max_size=n).map(tuple)
+    points = st.builds(FixedPoint, st.integers(-50, 50), weights)
+    return FixedPointData(n, draw(st.lists(points, min_size=n + 2, max_size=n + 2)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(random_datasets())
+def test_point_invariants_are_the_weight_sum_and_products(data):
+    for i, p in enumerate(data.points):
+        inv = point_invariants(data, i)
+        assert inv.gamma == sum(p.weights)
+        assert inv.lambda_full == prod(p.weights)
+        assert inv.lambda_minus == prod([w for w in p.weights if w < 0])
+        assert inv.lambda_plus == prod([w for w in p.weights if w > 0])
+
+
 @SETTINGS
 @given(standard_data())
 def test_minimum_point_has_trivial_negative_product(data):

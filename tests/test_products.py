@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hamfp import (
     InconsistentProfileError,
     MomentProfile,
+    make_standard_g2,
     morse_pattern,
     predicted_products,
 )
@@ -96,10 +97,10 @@ def reference_predicted_products(profile: MomentProfile) -> list[tuple[int, int]
 
 
 @st.composite
-def profiles(draw):
-    """n from 2..10, distinct moment values, and one profile in four with a
+def profiles(draw, ns=(2, 4, 6, 8, 10)):
+    """n from ns, distinct moment values, and one profile in four with a
     tied middle pair."""
-    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    n = draw(st.sampled_from(ns))
     tied = draw(st.integers(0, 3)) == 0
     size = n + 1 if tied else n + 2
     phi = sorted(
@@ -154,3 +155,35 @@ def test_one_rule_matches_the_case_split(profile):
     for (neg, pos), lam in zip(got, morse_pattern(profile.n)):
         assert neg * (-1) ** lam > 0
         assert pos >= 1
+
+
+def standard_profile(b):
+    data = make_standard_g2(b)
+    return MomentProfile(data.n, data.phis)
+
+
+# Few untied profiles have integral products, so the examples pin standard
+# profiles at n = 4..12, one of them with a tied middle pair.
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(profiles(ns=(2, 4, 6, 8, 10, 12)))
+@example(standard_profile((1, 2, 3)))
+@example(standard_profile((1, 2, 4, 7)))
+@example(standard_profile((2, 3, 5, 7, 11)))
+@example(standard_profile((0, 1, 2, 5, 7)))
+@example(standard_profile((1, 3, 4, 6, 8, 9)))
+@example(standard_profile((1, 2, 3, 5, 8, 13, 21)))
+def test_the_products_fix_every_integral_of_a_power_of_u(profile):
+    # with h_P = phi_0 - phi_P, the sum of h_P^a / (neg_P * pos_P) is the
+    # integral of u^a over the oriented 2-plane Grassmannian: 0 below the
+    # top degree and 2 at a = n
+    try:
+        products = predicted_products(profile)
+    except InconsistentProfileError:
+        return
+    n = profile.n
+    h = [profile.phi[0] - v for v in profile.phi]
+    sums = [
+        sum(Fraction(h_p**a, neg * pos) for h_p, (neg, pos) in zip(h, products))
+        for a in range(n + 1)
+    ]
+    assert sums == [0] * n + [2]

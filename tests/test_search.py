@@ -62,6 +62,38 @@ def test_tagged_divisors_are_the_divisors_with_their_largest_prime(g):
         assert all(q < p for q in divisors_of([rest])[1:] if is_prime(q))
 
 
+def largest_prime_and_exponent(d):
+    """(p, e) for d > 1: p is the largest prime factor of d, p^e exactly
+    divides d; by dividing out every q from 2 up."""
+    q = 2
+    while d > 1:
+        e = 0
+        while d % q == 0:
+            d //= q
+            e += 1
+        if d == 1:
+            return q, e
+        q += 1
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 10**4), min_size=1, max_size=5))
+@example([1])
+@example([2 * 3 * 5 * 7 * 11 * 13])
+@example([9973, 2**13])
+def test_prime_groups_hold_every_divisor_by_its_largest_prime(gaps):
+    values, groups = _prime_groups([_tagged_divisors(g) for g in gaps])
+    divisors = divisors_of(gaps)
+    assert values == frozenset(divisors)
+    primes = [p for p, _, _ in groups]
+    assert all(p > q for p, q in zip(primes, primes[1:]))
+    tags = {d: largest_prime_and_exponent(d) for d in divisors[1:]}
+    assert set(primes) == {p for p, _ in tags.values()}
+    for k, (p, cap, members) in enumerate(groups):
+        assert members == tuple(sorted((e, d) for d, (q, e) in tags.items() if q == p))
+        assert cap == max(v for _, _, later in groups[k:] for _, v in later)
+
+
 @st.composite
 def factorization_cases(draw):
     gaps = draw(st.sets(st.integers(1, 48), min_size=1, max_size=4))
