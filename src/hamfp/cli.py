@@ -52,10 +52,10 @@ from .grassring import (  # noqa: F401
 )
 from .localize import (  # noqa: F401
     chern_number,
-    chern_numbers,
     chern_restriction,
     expansion_memo,
     integrate,
+    labelled_chern_numbers,
     pairing_matrix,
     partition_count,
     symplectic_class,
@@ -163,13 +163,14 @@ def _chern_section(basis: BasisRestrictions) -> Section:
         return {"expansions": expansions}, [fail]
     all_integral = all(e.integral for e in expanded)
     first_coeff = expanded[0].terms[1][0]
-    # one string per part size, not one per part
-    names = [str(k) for k in range(basis.n + 1)]
-    numbers = {
-        "{" + ",".join([names[k] for k in parts]) + "}": value
-        for parts, value in chern_numbers(basis.data, expand)
-    }
-    numbers_integral = all(v.denominator == 1 for v in numbers.values())
+    # one pass over the grid, which labels each partition as it closes it,
+    # gives the decimal strings and the integrality flag
+    numbers: dict[str, str] = {}
+    numbers_integral = True
+    for _, label, value in labelled_chern_numbers(basis.data, expand):
+        numbers[label] = str(value)
+        if value.denominator != 1:
+            numbers_integral = False
     checks = [
         CheckResult(
             "chern-expansion-integrality",
@@ -193,7 +194,7 @@ def _chern_section(basis: BasisRestrictions) -> Section:
     ]
     payload: dict[str, Any] = {
         "expansions": expansions,
-        "numbers": {k: str(v) for k, v in numbers.items()},
+        "numbers": numbers,
     }
     if all_integral:
         classes = ordinary_from_expansions(expanded)

@@ -235,9 +235,8 @@ def _check_phi_order(data: FixedPointData) -> CheckResult:
     )
 
 
-def _check_morse_pattern(data: FixedPointData) -> CheckResult:
-    expected = morse_pattern(data.n)
-    actual = tuple(p.negative_count for p in data.points)
+def _check_morse_pattern(n: int, actual: tuple[int, ...]) -> CheckResult:
+    expected = morse_pattern(n)
     if actual != expected:
         return CheckResult(
             "morse-index",
@@ -263,15 +262,17 @@ def _check_negation_closure(data: FixedPointData) -> CheckResult:
     )
 
 
-def _check_index_bound(data: FixedPointData) -> CheckResult:
-    phis = data.phis
-    bad = []
-    for i, p in enumerate(data.points):
-        below = sum(1 for q in phis if q < p.phi)
-        if p.negative_count > below:
-            bad.append(
-                f"point {i}: index {p.negative_count} exceeds {below} points below"
-            )
+def _check_index_bound(phis: Sequence[int], indices: Sequence[int]) -> CheckResult:
+    # the points strictly below a value are those sorted before its first
+    # occurrence, in any order of the moment values
+    below: dict[int, int] = {}
+    for k, phi in enumerate(sorted(phis)):
+        below.setdefault(phi, k)
+    bad = [
+        f"point {i}: index {index} exceeds {below[phi]} points below"
+        for i, (phi, index) in enumerate(zip(phis, indices))
+        if index > below[phi]
+    ]
     if bad:
         return CheckResult("index-bound", False, "; ".join(bad))
     return CheckResult(
@@ -300,12 +301,13 @@ def validate(data: FixedPointData) -> ValidationReport:
     Failures are report entries rather than exceptions so that a single pass
     surfaces all problems at once.
     """
+    indices = tuple(p.negative_count for p in data.points)
     return ValidationReport(
         (
             _check_phi_order(data),
-            _check_morse_pattern(data),
+            _check_morse_pattern(data.n, indices),
             _check_negation_closure(data),
-            _check_index_bound(data),
+            _check_index_bound(data.phis, indices),
             _check_unit_localization(data),
         )
     )

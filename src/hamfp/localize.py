@@ -17,24 +17,28 @@ and is divided by L once with ``exactnum.exact_fraction``, so a value is an
 Pure powers of the symplectic class u need no walk: ``u_power_integrals``
 sums the column of shares times h_P^a once per power a, with the height
 h_P = phi_0 - phi_P. Monomials with Chern classes are integrated without
-restriction tuples, over one walk, ``_walk``: it pops partitions off a
-stack, parts in nondecreasing order, and grows each node by one part while
-the parts chosen still leave room, under a size bound, for a last part no
-smaller. A caller closes each node with a last part r, against a closing
-column that already carries the shares: e_r(P) * (L / Lambda_P), times a
-power of h_P where u enters. ``chern_numbers`` walks with room n over
-distinct Chern rows, not over points: the rows e_0..e_n of two points that
-are equal, or equal once the odd entries of one are negated, as at the
-weights w and -w of an antipodal pair, give every degree-n monomial the
-same value, because e_k(-w) = (-1)^k e_k(w) and n is even, so the shares of
-such points are added and the row is walked once. It closes each node with
-its whole room, one Chern number per node, yielded as it pops, so their
-order is unspecified; the report writers impose any order a reader sees.
-``localization_consistent``, the classifier's final test, walks with room
-n - 1: each node is closed against every u-power it pairs with below the
-top degree, and the test stops at the first nonzero sum. When e_1 is
-affine in the height, the c_1 lemma in its docstring lets it skip every
-partition with a part 1.
+restriction tuples, over a stack of partial partitions, parts in
+nondecreasing order, each node grown by one part while the parts chosen
+still leave room, under a size bound, for a last part no smaller. A node is
+closed with a last part r, against a closing column that already carries
+the shares: e_r(P) * (L / Lambda_P), times a power of h_P where u enters.
+``labelled_chern_numbers`` walks with room n over distinct Chern rows, not
+over points: the rows e_0..e_n of two points that are equal, or equal once
+the odd entries of one are negated, as at the weights w and -w of an
+antipodal pair, give every degree-n monomial the same value, because
+e_k(-w) = (-1)^k e_k(w) and n is even, so the shares of such points are
+added and the row is walked once. It closes each node with its whole room
+as it pops, and closes each leaf, a child whose room cannot take another
+part, from its parent against a column that carries the leaf's last two
+parts, so a leaf is never pushed. It carries each partition's label text
+on the stack beside its parts and yields one Chern number per partition,
+in an unspecified order; the report writers impose any order a reader
+sees. ``chern_numbers`` is the same stream without the labels.
+``localization_consistent``, the classifier's final test, walks the tree of
+``_walk`` with room n - 1: each node is closed against every u-power it
+pairs with below the top degree, and the test stops at the first nonzero
+sum. When e_1 is affine in the height, the c_1 lemma in its docstring lets
+it skip every partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and a caller that reads one table twice shares its
@@ -202,14 +206,28 @@ def _walk(
             stack.append((extended, room - part, part, (part,) + parts))
 
 
-def chern_numbers(
+def _merge_flips(
+    table: Sequence[Sequence[int]], scales: Sequence[int]
+) -> dict[tuple[int, ...], int]:
+    """Each point's Chern row or its flip, whichever is larger, with the sum
+    of the shares of the points that have it; the flip of a row negates its
+    odd entries."""
+    merged: dict[tuple[int, ...], int] = {}
+    for row, scale in zip(table, scales):
+        flip = tuple(-e if k % 2 else e for k, e in enumerate(row))
+        key = max(tuple(row), flip)
+        merged[key] = merged.get(key, 0) + scale
+    return merged
+
+
+def labelled_chern_numbers(
     data: FixedPointData, expand: Expand | None = None
-) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
-    """Stream (parts, c_parts[M]) for every partition of n, its parts
-    written largest first, in an unspecified order; the report writers
-    impose any order a reader sees. Each number is an int when it is
-    integral, as on data from a manifold, and a Fraction otherwise.
-    ``expand`` is as in ``chern_table``.
+) -> Iterator[tuple[tuple[int, ...], str, int | Fraction]]:
+    """Stream (parts, label, c_parts[M]) for every partition of n, its parts
+    written largest first and its label their text in braces, as "{3,1}",
+    in an unspecified order; the report writers impose any order a reader
+    sees. Each number is an int when it is integral, as on data from a
+    manifold, and a Fraction otherwise. ``expand`` is as in ``chern_table``.
 
     The sum runs over distinct Chern rows, not over points. A point's row is
     e_0..e_n of its weights; its flip negates the odd entries, and is the
@@ -220,24 +238,61 @@ def chern_numbers(
     over those keys of the monomial at the key times the merged share. On
     the standard data each antipodal pair of points is one key.
 
-    One ``_walk`` with room n over the merged rows: each node closes its one
-    partition of size exactly n, the room as its last part, in the dot
-    product of its products with the column e_room * (merged shares), an
-    integer over L divided once with ``exact_fraction``.
+    One stack of partial partitions with room n over the merged rows, as in
+    ``_walk``, carrying each node's label text beside its parts. A popped
+    node closes its one partition of size exactly n, the room as its last
+    part, in the dot product of its products with the column
+    e_room * (merged shares). A child that adds the part q leaves the room
+    r = room - q; when r < 2q it can take no further part, so it is a leaf
+    and is closed at once from its parent, against the pair column
+    e_q * e_r * (merged shares), built once for each q <= r < 2q with
+    q + r <= n. Only the other children are pushed, each with its products
+    extended by e_q. Every sum is an integer over L, divided once.
     """
+    n = data.n
     table = chern_table(data, expand)
-    common, scales = shares([row[data.n] for row in table])
-    merged: dict[tuple[int, ...], int] = {}
-    for row, scale in zip(table, scales):
-        flip = tuple(-e if k % 2 else e for k, e in enumerate(row))
-        key = max(tuple(row), flip)
-        merged[key] = merged.get(key, 0) + scale
+    common, scales = shares([row[n] for row in table])
+    merged = _merge_flips(table, scales)
     columns = list(zip(*merged))
-    merged_scales = list(merged.values())
-    closing = [list(map(mul, column, merged_scales)) for column in columns]
-    for products, room, _, parts in _walk(columns, data.n, 1):
+    closing = [list(map(mul, column, merged.values())) for column in columns]
+    pairs = {
+        (q, r): list(map(mul, columns[q], closing[r]))
+        for q in range(1, n // 2 + 1)
+        for r in range(q, min(2 * q, n - q + 1))
+    }
+    names = [str(k) for k in range(n + 1)]
+    # a node is (products, room, smallest part, parts, label tail): the tail
+    # is the text of the parts, each after a comma
+    stack = [([1] * len(merged), n, 1, (), "")]
+    while stack:
+        products, room, smallest, parts, tail = stack.pop()
         total = sum(map(mul, products, closing[room]))
-        yield (room,) + parts, exact_fraction(total, common)
+        value, rest = divmod(total, common)
+        if rest:
+            value = exact_fraction(total, common)
+        yield (room,) + parts, "{" + names[room] + tail + "}", value
+        # the child that adds q is a leaf when room - q < 2q
+        leaves = max(smallest, room // 3 + 1)
+        for q in range(smallest, leaves):
+            extended = list(map(mul, products, columns[q]))
+            stack.append((extended, room - q, q, (q,) + parts, "," + names[q] + tail))
+        for q in range(leaves, room // 2 + 1):
+            r = room - q
+            total = sum(map(mul, products, pairs[q, r]))
+            value, rest = divmod(total, common)
+            if rest:
+                value = exact_fraction(total, common)
+            yield (r, q) + parts, "{" + names[r] + "," + names[q] + tail + "}", value
+
+
+def chern_numbers(
+    data: FixedPointData, expand: Expand | None = None
+) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+    """Stream (parts, c_parts[M]) for every partition of n, its parts
+    written largest first, in an unspecified order: the numbers of
+    ``labelled_chern_numbers`` without their labels."""
+    for parts, _, value in labelled_chern_numbers(data, expand):
+        yield parts, value
 
 
 def u_power_integrals(data: FixedPointData) -> list[int | Fraction]:

@@ -25,6 +25,7 @@ from hamfp.dataio import (
     load_document,
     profile_to_document,
 )
+from hamfp.exactnum import exact_fraction
 from hamfp.localize import partition_count
 from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISOR, MomentProfile
 from conftest import PACKAGE_ROOT, run_cli, up_to_negation
@@ -283,7 +284,7 @@ def test_verify_refuses_a_chern_grid_past_the_partition_cap(
         raise AssertionError("summed before the refusal")
 
     monkeypatch.setattr(hamfp.cli, "validate", no_sums)
-    monkeypatch.setattr(hamfp.cli, "chern_numbers", no_sums)
+    monkeypatch.setattr(hamfp.cli, "labelled_chern_numbers", no_sums)
     monkeypatch.setattr(hamfp.cli, "u_power_integrals", no_sums)
     assert main(["verify", str(path), "--basis", "--chern"]) == 2
     out, err = capsys.readouterr()
@@ -310,6 +311,31 @@ def test_main_restores_the_digit_limit(argv, capsys):
         sys.set_int_max_str_digits(before)
     capsys.readouterr()
     assert after == 5000
+
+
+def test_verify_reads_a_fractional_chern_number_in_its_one_pass(
+    tmp_path, monkeypatch, capsys
+):
+    # the pass over the grid that writes each number also sets the
+    # integrality check; one number made fractional must fail it
+    path = tmp_path / "std4.json"
+    dump_document(data_to_document(make_standard_g2([3, 2, 1])), str(path))
+    grid = hamfp.cli.labelled_chern_numbers
+
+    def quartered(data, expand):
+        for parts, label, value in grid(data, expand):
+            yield parts, label, exact_fraction(value, 4) if parts == (4,) else value
+
+    monkeypatch.setattr(hamfp.cli, "labelled_chern_numbers", quartered)
+    assert main(["verify", str(path), "--basis", "--chern", "--json"]) == 1
+    chern = json.loads(capsys.readouterr().out)["chern"]
+    assert chern["numbers"]["{4}"] == "3/2" and chern["numbers"]["{1,1,1,1}"] == "512"
+    check = next(c for c in chern["checks"] if c["name"] == "chern-numbers-integral")
+    assert check == {
+        "name": "chern-numbers-integral",
+        "passed": False,
+        "detail": "fractional Chern numbers found",
+    }
 
 
 def test_verify_json_report_is_deterministic(tmp_path):

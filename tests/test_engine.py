@@ -12,7 +12,9 @@ just below the top degree integrates to a nonzero value. Fixed datasets
 reach each case of the Chern-number grid's merge of rows: equal rows, a row
 that is its own flip, an antipodal pair, and a broken pair; the number of
 rows the grid walks is pinned on each, and on the std16, frac6 and frac4
-datasets of ``tests/golden``.
+datasets of ``tests/golden``. The grid closes each leaf from its parent:
+it must still close every partition once, under its label, and match
+``chern_number``, which does not use the grid, where rows stay unmerged.
 """
 
 import math
@@ -38,7 +40,15 @@ from hamfp import (
     validate,
 )
 from hamfp.dataio import data_from_document, load_document
-from hamfp.localize import _walk, chern_numbers, partition_count, u_power_integrals
+from hamfp.localize import (
+    _merge_flips,
+    _walk,
+    chern_numbers,
+    chern_table,
+    labelled_chern_numbers,
+    partition_count,
+    u_power_integrals,
+)
 
 from conftest import (
     exact_type,
@@ -185,13 +195,14 @@ def test_engine_matches_naive_sums_on_accepted_and_rejected_data(monkeypatch):
         (golden_data("frac4"), 4),
     ]
     rows = []
-    walk = hamfp.localize._walk
+    merge = hamfp.localize._merge_flips
 
-    def counted(columns, room, smallest):
-        rows.append(len(columns[0]))
-        return walk(columns, room, smallest)
+    def counted(table, scales):
+        merged = merge(table, scales)
+        rows.append(len(merged))
+        return merged
 
-    monkeypatch.setattr(hamfp.localize, "_walk", counted)
+    monkeypatch.setattr(hamfp.localize, "_merge_flips", counted)
     verdicts = set()
     for data, merged in datasets:
         rows.clear()
@@ -246,6 +257,35 @@ def test_walk_closes_every_partition_within_its_room_once(room, smallest):
         if min(p, default=smallest) >= smallest
     ]
     assert sorted(closed) == sorted(expected)
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_grid_closes_each_partition_once_with_its_label(n):
+    # leaves are closed from their parent, not pushed: a leaf closed at the
+    # wrong room would repeat or drop a partition
+    data = make_standard_g2(list(range(n // 2 + 1, 0, -1)))
+    labelled = list(labelled_chern_numbers(data))
+    assert len(labelled) == partition_count(n)
+    assert sorted(parts for parts, _, _ in labelled) == sorted(partitions(n))
+    for parts, label, _ in labelled:
+        assert label == "{" + ",".join(str(p) for p in parts) + "}"
+
+
+def broken_pair(n):
+    """Standard data whose first antipodal pair keeps its weights at one
+    point only, so the two points' Chern rows are walked apart."""
+    data = make_standard_g2(list(range(n // 2 + 1, 0, -1)))
+    broken = shifted(data, 0, (0, n - 1), 1, antipodal=False)
+    assert len(_merge_flips(chern_table(broken), [1] * (n + 2))) == n // 2 + 2
+    return broken
+
+
+@pytest.mark.parametrize("name", ["broken6", "broken8", "frac6"])
+def test_grid_values_match_one_integral_per_partition(name):
+    # chern_number integrates one class through integrate, without the grid
+    data = golden_data(name) if name == "frac6" else broken_pair(int(name[-1]))
+    for parts, _, value in labelled_chern_numbers(data):
+        assert value == chern_number(data, parts) and exact_type(value)
 
 
 def shifted(data, point, pair, delta, antipodal):

@@ -181,6 +181,37 @@ def test_profile_refuses_exactly_the_phi_order_failures(case):
         assert check.passed
 
 
+@settings(SETTINGS, max_examples=400)
+@given(moment_values_and_weights())
+@example((4, (0, 1, 1, 2, 3, 4), [[-1] * 4] * 6))  # tie away from the middle
+@example((2, (3, 1, 2, 0), [[-1, -1]] * 4))  # every point out of order
+def test_index_checks_match_a_count_over_every_pair(case):
+    # the index of each point against a scan of every moment value, in any
+    # order of the values and with ties, and the Morse pattern against the
+    # negative counts taken one point at a time
+    n, phis, weights = case
+    report = validate(FixedPointData(n, tuple(map(FixedPoint, phis, weights))))
+    indices = [sum(w < 0 for w in ws) for ws in weights]
+    bad = []
+    for i, (phi, index) in enumerate(zip(phis, indices)):
+        below = sum(q < phi for q in phis)
+        if index > below:
+            bad.append(f"point {i}: index {index} exceeds {below} points below")
+    bound = entry(report, "index-bound")
+    assert bound.passed == (not bad)
+    assert bound.detail == (
+        "; ".join(bad) or "each index is bounded by the count of points below"
+    )
+    pattern = morse_pattern(n)
+    morse = entry(report, "morse-index")
+    assert morse.passed == (tuple(indices) == pattern)
+    assert morse.detail == (
+        f"negative-weight counts follow the pattern {pattern}"
+        if morse.passed
+        else f"negative-weight counts {tuple(indices)} differ from required {pattern}"
+    )
+
+
 def test_point_invariants_examples(std2):
     inv0 = point_invariants(std2, 0)
     assert (inv0.gamma, inv0.lambda_full, inv0.lambda_minus, inv0.lambda_plus) == (
