@@ -17,28 +17,29 @@ and is divided by L once with ``exactnum.exact_fraction``, so a value is an
 Pure powers of the symplectic class u need no walk: ``u_power_integrals``
 sums the column of shares times h_P^a once per power a, with the height
 h_P = phi_0 - phi_P. Monomials with Chern classes are integrated without
-restriction tuples, over a stack of partial partitions, parts in
-nondecreasing order, each node grown by one part while the parts chosen
-still leave room, under a size bound, for a last part no smaller. A node is
-closed with a last part r, against a closing column that already carries
-the shares: e_r(P) * (L / Lambda_P), times a power of h_P where u enters.
+restriction tuples, on one walk, ``_walk``, over a stack of partial
+partitions, parts in nondecreasing order, each node grown by one part while
+the parts chosen still leave room, under a size bound, for a last part no
+smaller. A child whose room cannot take another part is a leaf: it is
+never pushed, and the walk yields its last part beside its parent. A node
+or a leaf is closed with a last part r, against a closing column that
+already carries the shares: e_r(P) * (L / Lambda_P), times a power of h_P
+where u enters. Two callers share the walk.
 ``labelled_chern_numbers`` walks with room n over distinct Chern rows, not
 over points: the rows e_0..e_n of two points that are equal, or equal once
 the odd entries of one are negated, as at the weights w and -w of an
 antipodal pair, give every degree-n monomial the same value, because
 e_k(-w) = (-1)^k e_k(w) and n is even, so the shares of such points are
-added and the row is walked once. It closes each node with its whole room
-as it pops, and closes each leaf, a child whose room cannot take another
-part, from its parent against a column that carries the leaf's last two
-parts, so a leaf is never pushed. It carries each partition's label text
-on the stack beside its parts and yields one Chern number per partition,
-in an unspecified order; the report writers impose any order a reader
-sees. ``chern_numbers`` is the same stream without the labels.
-``localization_consistent``, the classifier's final test, walks the tree of
-``_walk`` with room n - 1: each node is closed against every u-power it
-pairs with below the top degree, and the test stops at the first nonzero
-sum. When e_1 is affine in the height, the c_1 lemma in its docstring lets
-it skip every partition with a part 1.
+added and the row is walked once. It closes each node with its whole room,
+and each leaf against a column that carries the leaf's last two parts. It
+labels each partition with its text and yields one Chern number per
+partition, in an unspecified order; the report writers impose any order a
+reader sees.
+``localization_consistent``, the classifier's final test, walks with room
+n - 1: each node and each leaf is closed against every u-power it pairs
+with below the top degree, and the test stops at the first nonzero sum.
+When e_1 is affine in the height, the c_1 lemma in its docstring lets it
+skip every partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
 symmetric polynomials; the engine and ``basis.express_chern`` build it from
 their dataset, and a caller that reads one table twice shares its
@@ -51,8 +52,8 @@ integrates its one product of Chern classes through it. ``pairing_matrix``
 sums products of basis rows over the basis denominator squared times L, on
 the dataset that the basis holds.
 
-Everything is a pure function of immutable inputs; sums of exact rationals
-are order-independent, so callers may parallelize freely.
+Every function but ``expansion_memo`` is a pure function of immutable
+inputs; the memo's expand is a closure over a dict it fills.
 """
 
 from __future__ import annotations
@@ -180,28 +181,35 @@ def integrate(data: FixedPointData, cls: EquivClass) -> int | Fraction:
 
 def _walk(
     columns: Sequence[Sequence[int]], room: int, smallest: int
-) -> Iterator[tuple[list[int], int, int, tuple[int, ...]]]:
-    """Every node of one partition tree, popped off an explicit stack.
+) -> Iterator[tuple[list[int], int, int, tuple[int, ...], range]]:
+    """Every internal node of one partition tree, popped off an explicit
+    stack, with the last parts of its leaves.
 
-    A node is (products, room, smallest, parts): parts are the parts chosen
-    so far, in nondecreasing order and held largest first, products the
-    product of e_p(P) over its parts p at each point P, room the size still
-    free, and smallest the least part that may follow. The root has no parts
-    and products 1. Each node is yielded before its children are pushed,
-    each extending it by one part from smallest up to half the room, so that
-    the room left still fits a last part no smaller. A caller closes a node
+    A node is (products, room, smallest, parts, leaves): parts are the parts
+    chosen so far, in nondecreasing order and held largest first, products
+    the product of e_p(P) over its parts p at each point P, room the size
+    still free, and smallest the least part that may follow. The root has no
+    parts and products 1. A child extends a node by one part q from smallest
+    up to half the room, so that the room left still fits a last part no
+    smaller. The child is a leaf when its room, room - q, is below 2q, so
+    that it can take no further part: leaves lists those q, and a leaf is
+    never pushed. Each node is yielded before its other children are
+    pushed, and the walk is depth first: once a node is yielded, all of its
+    descendants are yielded before any other node, so the last node yielded
+    with one part fewer than a node is its parent. A caller closes a node
     with a last part r, smallest <= r <= room, read against the column
-    e_r(P) times the shares L / Lambda_P. Closed with every such r, and the
-    root also with the empty partition, the nodes give every partition with
-    parts at least the root's smallest and size at most its room exactly
-    once.
+    e_r(P) times the shares L / Lambda_P, and closes each leaf q the same
+    way from its products, those of the node times e_q, with room - q and
+    smallest q. Closed so, and the root also with the empty partition, the
+    nodes and their leaves give every partition with parts at least the
+    root's smallest and size at most its room exactly once.
     """
     stack = [([1] * len(columns[0]), room, smallest, ())]
     while stack:
-        node = stack.pop()
-        yield node
-        products, room, smallest, parts = node
-        for part in range(smallest, room // 2 + 1):
+        products, room, smallest, parts = stack.pop()
+        leaves = range(max(smallest, room // 3 + 1), room // 2 + 1)
+        yield products, room, smallest, parts, leaves
+        for part in range(smallest, leaves.start):
             extended = list(map(mul, products, columns[part]))
             stack.append((extended, room - part, part, (part,) + parts))
 
@@ -238,16 +246,15 @@ def labelled_chern_numbers(
     over those keys of the monomial at the key times the merged share. On
     the standard data each antipodal pair of points is one key.
 
-    One stack of partial partitions with room n over the merged rows, as in
-    ``_walk``, carrying each node's label text beside its parts. A popped
-    node closes its one partition of size exactly n, the room as its last
-    part, in the dot product of its products with the column
-    e_room * (merged shares). A child that adds the part q leaves the room
-    r = room - q; when r < 2q it can take no further part, so it is a leaf
-    and is closed at once from its parent, against the pair column
-    e_q * e_r * (merged shares), built once for each q <= r < 2q with
-    q + r <= n. Only the other children are pushed, each with its products
-    extended by e_q. Every sum is an integer over L, divided once.
+    One ``_walk`` with room n over the merged rows. Each node closes its one
+    partition of size exactly n, the room as its last part, in the dot
+    product of its products with the column e_room * (merged shares). Each
+    leaf q of a node closes the partition that ends in q and its room
+    r = room - q, against the pair column e_q * e_r * (merged shares),
+    built once for each q <= r < 2q with q + r <= n. A node's label tail,
+    the text of its parts each after a comma, is built once for the node
+    and its leaves, from its parent's tail and its largest part. Every sum
+    is an integer over L, divided once.
     """
     n = data.n
     table = chern_table(data, expand)
@@ -261,38 +268,27 @@ def labelled_chern_numbers(
         for r in range(q, min(2 * q, n - q + 1))
     }
     names = [str(k) for k in range(n + 1)]
-    # a node is (products, room, smallest part, parts, label tail): the tail
-    # is the text of the parts, each after a comma
-    stack = [([1] * len(merged), n, 1, (), "")]
-    while stack:
-        products, room, smallest, parts, tail = stack.pop()
+    commas = ["," + name for name in names]
+    # tails[d] is the label tail of the last node walked with d parts, and
+    # the parent of a node with d parts is the last node walked with d - 1
+    tails = [""] * (n + 1)
+    for products, room, _, parts, leaves in _walk(columns, n, 1):
+        depth = len(parts)
+        if depth:
+            tails[depth] = commas[parts[0]] + tails[depth - 1]
+        tail = tails[depth]
         total = sum(map(mul, products, closing[room]))
         value, rest = divmod(total, common)
         if rest:
             value = exact_fraction(total, common)
         yield (room,) + parts, "{" + names[room] + tail + "}", value
-        # the child that adds q is a leaf when room - q < 2q
-        leaves = max(smallest, room // 3 + 1)
-        for q in range(smallest, leaves):
-            extended = list(map(mul, products, columns[q]))
-            stack.append((extended, room - q, q, (q,) + parts, "," + names[q] + tail))
-        for q in range(leaves, room // 2 + 1):
+        for q in leaves:
             r = room - q
             total = sum(map(mul, products, pairs[q, r]))
             value, rest = divmod(total, common)
             if rest:
                 value = exact_fraction(total, common)
-            yield (r, q) + parts, "{" + names[r] + "," + names[q] + tail + "}", value
-
-
-def chern_numbers(
-    data: FixedPointData, expand: Expand | None = None
-) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
-    """Stream (parts, c_parts[M]) for every partition of n, its parts
-    written largest first, in an unspecified order: the numbers of
-    ``labelled_chern_numbers`` without their labels."""
-    for parts, _, value in labelled_chern_numbers(data, expand):
-        yield parts, value
+            yield (r, q) + parts, "{" + names[r] + commas[q] + tail + "}", value
 
 
 def u_power_integrals(data: FixedPointData) -> list[int | Fraction]:
@@ -323,11 +319,13 @@ def localization_consistent(data: FixedPointData) -> bool:
     manifold. Sums are compared with 0 in integers over L = lcm |Lambda_P|,
     and no Fraction is built.
 
-    One ``_walk`` with room n - 1 visits each partition lambda once. A node
-    with room b closes each partition mu + (r), smallest <= r <= b, against
-    every u-power it pairs with, through the precomputed closing columns
-    e_r(P) * h_P^a * (L / Lambda_P) with a <= b - r; the root also closes
-    the empty partition, with e_0 = 1.
+    The empty partition, e_0 = 1, is closed first, against every u-power
+    below the top degree. Then one ``_walk`` with room n - 1 visits each
+    other partition lambda once. A node mu with room b closes each partition
+    mu + (r), smallest <= r <= b, against every u-power it pairs with,
+    through the precomputed closing columns e_r(P) * h_P^a * (L / Lambda_P)
+    with a <= b - r. Each leaf q of the node is closed the same way, from
+    the node's products times e_q, with room b - q and smallest part q.
 
     The c_1 lemma: when e_1(P) = alpha + beta * h_P at every point, for
     rationals alpha and beta, no partition with a part 1 is walked. The
@@ -365,12 +363,16 @@ def localization_consistent(data: FixedPointData) -> bool:
         for _ in range(n - 1 - r):
             powers.append(list(map(mul, powers[-1], heights)))
         closing[r] = powers
-    for products, room, least, parts in _walk(columns, n - 1, smallest):
-        lasts = range(least, room + 1)
-        for r in lasts if parts else (0, *lasts):
-            for column in closing[r][: room - r + 1]:
-                if sum(map(mul, products, column)):
-                    return False
+    if any(map(sum, closing[0])):
+        return False
+    for products, room, least, _, leaves in _walk(columns, n - 1, smallest):
+        # q = 0 closes the node itself, as e_0 = 1; every other q a leaf
+        for q in (0, *leaves):
+            vector = list(map(mul, products, columns[q])) if q else products
+            for r in range(q or least, room - q + 1):
+                for column in closing[r][: room - q - r + 1]:
+                    if sum(map(mul, vector, column)):
+                        return False
     return True
 
 

@@ -6,15 +6,20 @@ oriented 2-plane Grassmannian, the quadric Q_n, with c(TQ_n) =
 sum over restriction tuples, monomial by monomial; on datasets whose weight
 sums are affine in the moment values it also checks the c_1 lemma that lets
 ``localization_consistent`` skip every partition with a part 1. Exponents,
-weight swaps and weight shifts are drawn with ``hypothesis``; one dataset is
-built on a Chern table patched in, so that only a two-part Chern monomial
-just below the top degree integrates to a nonzero value. Fixed datasets
-reach each case of the Chern-number grid's merge of rows: equal rows, a row
-that is its own flip, an antipodal pair, and a broken pair; the number of
-rows the grid walks is pinned on each, and on the std16, frac6 and frac4
-datasets of ``tests/golden``. The grid closes each leaf from its parent:
-it must still close every partition once, under its label, and match
-``chern_number``, which does not use the grid, where rows stay unmerged.
+weight swaps and weight shifts are drawn with ``hypothesis``; two datasets
+are built on a Chern table patched in, so that only one Chern monomial just
+below the top degree integrates to a nonzero value: a two-part one, and
+c_1^3, which ``localization_consistent`` closes only from a leaf. Fixed
+datasets reach each case of the Chern-number grid's merge of rows: equal
+rows, a row that is its own flip, an antipodal pair, and a broken pair; the
+number of rows the grid walks is pinned on each, and on the std16, frac6
+and frac4 datasets of ``tests/golden``. The one partition walk, ``_walk``,
+yields each internal node with the last parts of its leaves, which are
+never pushed: with its leaves closed from their node it must close every
+partition within its room once, and its counts of nodes and leaves are
+pinned. The grid must close every partition once, under its label, and
+match ``chern_number``, which does not use the grid, where rows stay
+unmerged.
 """
 
 import math
@@ -43,7 +48,6 @@ from hamfp.dataio import data_from_document, load_document
 from hamfp.localize import (
     _merge_flips,
     _walk,
-    chern_numbers,
     chern_table,
     labelled_chern_numbers,
     partition_count,
@@ -69,6 +73,11 @@ def quadric_numbers(n):
     return {p: 2 * math.prod(a[k] for k in p) for p in partitions(n)}
 
 
+def chern_grid(data):
+    """The Chern-number grid as {parts: value}, its labels dropped."""
+    return {parts: value for parts, _, value in labelled_chern_numbers(data)}
+
+
 @pytest.mark.parametrize("n", [*range(2, 13, 2), 20, 24])
 @SETTINGS
 @given(drawn=st.data())
@@ -80,7 +89,7 @@ def test_chern_numbers_match_the_quadric(n, drawn):
     expected = quadric_numbers(n)
     for exponents in (range(size, 0, -1), sample):
         data = make_standard_g2(list(exponents))
-        assert dict(chern_numbers(data)) == expected
+        assert chern_grid(data) == expected
         if n <= 8:
             assert {p: chern_number(data, p) for p in expected} == expected
 
@@ -117,13 +126,13 @@ def assert_engine_matches_naive_sums(data):
     naive sums below the top degree; return that verdict."""
     n = data.n
     reference = naive_sums(data, range(n + 1))
-    numbers = list(chern_numbers(data))
-    assert dict(numbers) == {
+    numbers = chern_grid(data)
+    assert numbers == {
         parts: total for a, parts, total in reference if a == 0 and sum(parts) == n
     }
     integrals = u_power_integrals(data)
     assert integrals == [total for _, parts, total in reference if parts == ()]
-    assert all(exact_type(v) for v in integrals + [v for _, v in numbers])
+    assert all(exact_type(v) for v in integrals + list(numbers.values()))
     below_top = [total for a, parts, total in reference if a + sum(parts) < n]
     consistent = not any(below_top)
     assert localization_consistent(data) == consistent
@@ -135,7 +144,7 @@ def test_engine_covers_every_partition_once_per_block(n):
     # the Chern numbers are the one block left: every partition of n, once,
     # its parts written largest first
     data = make_standard_g2(list(range(n // 2 + 1, 0, -1)))
-    walked = [parts for parts, _ in chern_numbers(data)]
+    walked = [parts for parts, _, _ in labelled_chern_numbers(data)]
     assert len(walked) == partition_count(n)
     assert sorted(walked) == sorted(partitions(n))
     assert_engine_matches_naive_sums(data)
@@ -158,9 +167,9 @@ def products_and_closure_variant():
 
 
 def merged_rows_variant():
-    # chern_numbers merges the Chern rows of P0 and P1, which are equal, and
-    # of P3, the antipode of P0, whose row is their flip; the weights of P2
-    # are closed under negation, so its row is its own flip
+    # the Chern-number grid merges the Chern rows of P0 and P1, which are
+    # equal, and of P3, the antipode of P0, whose row is their flip; the
+    # weights of P2 are closed under negation, so its row is its own flip
     return FixedPointData(
         2,
         (
@@ -177,7 +186,7 @@ def golden_data(name):
 
 
 def test_engine_matches_naive_sums_on_accepted_and_rejected_data(monkeypatch):
-    # each dataset with the number of Chern rows chern_numbers walks after
+    # each dataset with the number of Chern rows the grid walks after
     # merging every row with its flip: one per antipodal pair of the
     # standard data, one more for each pair a variant breaks
     std = make_standard_g2([5, 2, 1])
@@ -206,7 +215,7 @@ def test_engine_matches_naive_sums_on_accepted_and_rejected_data(monkeypatch):
     verdicts = set()
     for data, merged in datasets:
         rows.clear()
-        list(chern_numbers(data))
+        list(labelled_chern_numbers(data))
         assert rows == [merged]
         verdicts.add(assert_engine_matches_naive_sums(data))
     assert verdicts == {True, False}
@@ -230,26 +239,43 @@ def test_engine_yields_fractions_equal_to_naive_sums(data):
 @pytest.mark.parametrize("name", ["frac4", "frac6"])
 def test_engine_returns_a_fraction_only_off_the_integers(name):
     # the golden fractional data reach both branches of the rule in each
-    # of chern_numbers, u_power_integrals and chern_number
+    # of labelled_chern_numbers, u_power_integrals and chern_number
     data = golden_data(name)
-    numbers = dict(chern_numbers(data))
+    numbers = chern_grid(data)
     values = [*numbers.values(), *u_power_integrals(data)]
     values += [chern_number(data, parts) for parts in numbers]
     assert all(exact_type(v) for v in values)
     assert {type(v) for v in values} == {int, Fraction}
 
 
+def walk_tree(room, smallest):
+    """Every closing of ``_walk`` with room and smallest part as given, on
+    columns e_k = k, so each products entry is the product of the parts:
+    (internal nodes, leaves, partitions closed). A node closes with each
+    last part from its smallest part to its room, a leaf q in the same way
+    from the node's products times e_q, and the root also closes the empty
+    partition."""
+    columns = [[k] for k in range(room + 1)]
+    nodes, leaf_count, closed = 0, 0, [()]
+    for products, free, least, parts, leaves in _walk(columns, room, smallest):
+        assert products == [math.prod(parts)]
+        assert free == room - sum(parts) and least == (parts[0] if parts else smallest)
+        nodes += 1
+        leaf_count += len(leaves)
+        ends = [(parts, free, least)]
+        for q in leaves:
+            # a leaf can take no further part, and is never pushed
+            assert least <= q <= free - q < 2 * q
+            ends.append(((q,) + parts, free - q, q))
+        for ended, left, low in ends:
+            closed += [(r,) + ended for r in range(low, left + 1)]
+    return nodes, leaf_count, closed
+
+
 @pytest.mark.parametrize("room", range(9))
 @pytest.mark.parametrize("smallest", [1, 2, 3])
 def test_walk_closes_every_partition_within_its_room_once(room, smallest):
-    # a node closes with each last part from its smallest part to its room,
-    # and the root also closes the empty partition
-    columns = [[k] for k in range(room + 1)]
-    closed = [()]
-    for products, free, least, parts in _walk(columns, room, smallest):
-        assert products == [math.prod(parts)]
-        assert free == room - sum(parts) and least == (parts[0] if parts else smallest)
-        closed += [(r,) + parts for r in range(least, free + 1)]
+    _, _, closed = walk_tree(room, smallest)
     expected = [
         p
         for k in range(room + 1)
@@ -257,6 +283,16 @@ def test_walk_closes_every_partition_within_its_room_once(room, smallest):
         if min(p, default=smallest) >= smallest
     ]
     assert sorted(closed) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "room, smallest, nodes, leaves",
+    [(16, 1, 96, 135), (40, 1, 11_323, 26_015), (7, 2, 2, 2)],
+)
+def test_walk_yields_internal_nodes_and_their_leaves(room, smallest, nodes, leaves):
+    # with room n and smallest part 1, every node and every leaf closes one
+    # partition of n: 96 + 135 = p(16) and 11,323 + 26,015 = p(40)
+    assert walk_tree(room, smallest)[:2] == (nodes, leaves)
 
 
 @pytest.mark.parametrize("n", range(2, 25, 2))
@@ -439,3 +475,24 @@ def test_consistency_reaches_a_two_part_chern_monomial_just_below_the_top_degree
     nonzero = [(a, parts) for a, parts, total in naive_sums(data, range(6)) if total]
     assert nonzero == [(0, (3, 2))]
     assert localization_consistent(data) is False
+
+
+def test_consistency_reaches_a_chern_monomial_closed_only_from_a_leaf(monkeypatch):
+    # n = 4, every moment value 0, so e_1 is affine in the height only when
+    # it is constant, and it is not: no partition is skipped. The shares
+    # L / Lambda = (-5, 15, -15, 5, 3, -3) are 5 * (-1, 3, -3, 1), a third
+    # difference, on the four points where e_1 = (0, 1, 2, 3), and a
+    # cancelling pair on the two where e_1 = 0. With e_2 = e_3 = 0 every sum
+    # below the top degree but that of c_1^3 vanishes, and (1, 1, 1) is
+    # closed from the leaf of the node (1,), never as a node of its own.
+    products, sums = (-3, 1, -1, 3, 5, -5), (0, 1, 2, 3, 0, 0)
+    table, points = {}, []
+    for lam, e1 in zip(products, sums):
+        weights = (lam, 1, 1, 1)
+        table[weights] = [1, e1, 0, 0, lam]
+        points.append(FixedPoint(0, weights))
+    monkeypatch.setattr(hamfp.localize, "elementary_symmetric", lambda w: table[w])
+    data = FixedPointData(4, tuple(points))
+    nonzero = [(a, parts) for a, parts, total in naive_sums(data, range(4)) if total]
+    assert nonzero == [(0, (1, 1, 1))]
+    assert assert_engine_matches_naive_sums(data) is False

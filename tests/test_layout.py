@@ -2,10 +2,10 @@
 module of the package keeps an import it does not use.
 
 ``MomentProfile`` lives in ``fpdata`` beside ``FixedPointData``, and
-``localization_consistent`` in ``localize`` beside the engine whose walk it
-shares. Both names stay bound in ``solver``, which uses them, so
-``hamfp.solver.X`` and a pickle made when they were defined there still
-resolve.
+``localization_consistent`` in ``localize`` beside the engine, whose
+partition walk, ``_walk``, it shares with the Chern-number grid. Both names
+stay bound in ``solver``, which uses them, so ``hamfp.solver.X`` and a
+pickle made when they were defined there still resolve.
 
 Only ``localize``, which builds Chern tables, and ``basis``, which expands
 the Chern classes from one, name ``chern_table``: every other module hands
