@@ -92,19 +92,13 @@ def _point_invariants(data: FixedPointData) -> list[PointInvariants]:
 def _point_json(
     data: FixedPointData, invariants: list[PointInvariants]
 ) -> list[dict[str, Any]]:
-    out = []
-    for p, inv in zip(data.points, invariants):
-        out.append(
-            {
-                "phi": str(p.phi),
-                "weights": [str(w) for w in p.weights],
-                "gamma": str(inv.gamma),
-                "lambda": str(inv.lambda_full),
-                "lambda_minus": str(inv.lambda_minus),
-                "lambda_plus": str(inv.lambda_plus),
-            }
-        )
-    return out
+    points = dataio.data_to_document(data)["points"]
+    for point, inv in zip(points, invariants):
+        point["gamma"] = str(inv.gamma)
+        point["lambda"] = str(inv.lambda_full)
+        point["lambda_minus"] = str(inv.lambda_minus)
+        point["lambda_plus"] = str(inv.lambda_plus)
+    return points
 
 
 def _point_lines(points: list[dict[str, Any]]) -> list[str]:
@@ -130,12 +124,7 @@ def _localization_checks(data: FixedPointData) -> list[CheckResult]:
 def _basis_section(basis: BasisRestrictions) -> Section:
     den = basis.denominator
     integral = den == 1
-    if integral:
-        matrix = [list(map(str, row)) for row in basis.numerators]
-    else:
-        matrix = [
-            [str(exact_fraction(a, den)) for a in row] for row in basis.numerators
-        ]
+    matrix = [[str(exact_fraction(a, den)) for a in row] for row in basis.numerators]
     check = CheckResult(
         "basis-integrality",
         integral,

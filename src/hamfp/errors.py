@@ -58,7 +58,8 @@ class ExpansionError(RuntimeError):
 
 
 class SearchTooLargeError(DataError):
-    """The classifier's search would build more partial assignments for one
-    half of its join, try a larger trial divisor on one moment gap, or visit
-    more nodes of one factorization search than it allows, so the profile is
-    refused before memory or time runs out."""
+    """The classifier's search would run at an n above its limit
+    (``solver.MAX_CLASSIFY_N``), build more partial assignments for one half
+    of its join, try a larger trial divisor on one moment gap, or visit more
+    nodes of one factorization search than it allows, so the profile is
+    refused before memory, time or the interpreter's stack runs out."""

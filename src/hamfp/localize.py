@@ -35,9 +35,11 @@ and each leaf against a column that carries the leaf's last two parts. It
 labels each partition with its text and yields one Chern number per
 partition, in an unspecified order; the report writers impose any order a
 reader sees.
-``localization_consistent``, the classifier's final test, walks with room
-n - 1: each node and each leaf is closed against every u-power it pairs
-with below the top degree, and the test stops at the first nonzero sum.
+``localization_consistent``, the classifier's final test, reads the pure
+powers of u below the top degree from ``u_power_integrals``, then walks
+with room n - 1: each node and each leaf is closed against every u-power it
+pairs with below the top degree, and the test stops at the first nonzero
+sum.
 When e_1 is affine in the height, the c_1 lemma in its docstring lets it
 skip every partition with a part 1.
 ``chern_table`` expands each point's weights into their elementary
@@ -254,7 +256,7 @@ def labelled_chern_numbers(
     built once for each q <= r < 2q with q + r <= n. A node's label tail,
     the text of its parts each after a comma, is built once for the node
     and its leaves, from its parent's tail and its largest part. Every sum
-    is an integer over L, divided once.
+    is an integer over L, divided once with ``exact_fraction``.
     """
     n = data.n
     table = chern_table(data, expand)
@@ -278,16 +280,12 @@ def labelled_chern_numbers(
             tails[depth] = commas[parts[0]] + tails[depth - 1]
         tail = tails[depth]
         total = sum(map(mul, products, closing[room]))
-        value, rest = divmod(total, common)
-        if rest:
-            value = exact_fraction(total, common)
+        value = exact_fraction(total, common)
         yield (room,) + parts, "{" + names[room] + tail + "}", value
         for q in leaves:
             r = room - q
             total = sum(map(mul, products, pairs[q, r]))
-            value, rest = divmod(total, common)
-            if rest:
-                value = exact_fraction(total, common)
+            value = exact_fraction(total, common)
             yield (r, q) + parts, "{" + names[r] + commas[q] + tail + "}", value
 
 
@@ -316,12 +314,14 @@ def localization_consistent(data: FixedPointData) -> bool:
     where u is the equivariant symplectic class, restricting to
     h_P = phi_0 - phi_P at P, and c_k the equivariant Chern classes,
     restricting to e_k(P). A nonzero sum proves the data comes from no
-    manifold. Sums are compared with 0 in integers over L = lcm |Lambda_P|,
-    and no Fraction is built.
+    manifold.
 
-    The empty partition, e_0 = 1, is closed first, against every u-power
-    below the top degree. Then one ``_walk`` with room n - 1 visits each
-    other partition lambda once. A node mu with room b closes each partition
+    The pure powers u^a, a < n, the monomials of the empty partition, are
+    read first from ``u_power_integrals``; a Fraction is built only when one
+    of them already has a nonzero fractional integral, and the test then
+    fails. Every other sum is compared with 0 in integers over
+    L = lcm |Lambda_P|. One ``_walk`` with room n - 1 visits each nonempty
+    partition lambda once. A node mu with room b closes each partition
     mu + (r), smallest <= r <= b, against every u-power it pairs with,
     through the precomputed closing columns e_r(P) * h_P^a * (L / Lambda_P)
     with a <= b - r. Each leaf q of the node is closed the same way, from
@@ -346,6 +346,8 @@ def localization_consistent(data: FixedPointData) -> bool:
     must be constant.
     """
     n = data.n
+    if any(u_power_integrals(data)[:n]):
+        return False
     columns = list(zip(*chern_table(data)))
     _, scales = shares(columns[n])
     phi0 = data.points[0].phi
@@ -358,13 +360,11 @@ def localization_consistent(data: FixedPointData) -> bool:
     # closing[r][a][P] = e_r(P) * h_P^a * (L / Lambda_P), for every u-power
     # a below n - r
     closing = {}
-    for r in (0, *range(smallest, n)):
+    for r in range(smallest, n):
         powers = [list(map(mul, columns[r], scales))]
         for _ in range(n - 1 - r):
             powers.append(list(map(mul, powers[-1], heights)))
         closing[r] = powers
-    if any(map(sum, closing[0])):
-        return False
     for products, room, least, _, leaves in _walk(columns, n - 1, smallest):
         # q = 0 closes the node itself, as e_0 = 1; every other q a leaf
         for q in (0, *leaves):

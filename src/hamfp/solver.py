@@ -11,6 +11,9 @@ ring of the oriented Grassmannian of 2-planes in R^4, yet its circle action
 with moment values (0, 3, 3, 4) and weights (1, 3), (-1, 1), (-3, 1),
 (-1, -1) gets no candidate, since 0 + 4 differs from 3 + 3.
 The search then enumerates every weight assignment compatible with
+the following filters, for n up to MAX_CLASSIFY_N; a larger n is refused
+before any product is predicted, since the factorization search recurses
+once or twice per weight:
 
 * divisibility: each weight at a point divides some nonzero moment gap from
   that point (the arithmetic consequence of isotropy spheres), so the
@@ -82,6 +85,13 @@ from .localize import (  # noqa: F401
 )
 from .record import Record
 
+# Largest n the classifier searches. ``_factorizations`` recurses through
+# up to two frames for each weight it places, so at most n weights keep its
+# depth near 2n frames. Without the limit, the minimal profile at n = 1600
+# passes Python's recursion limit, and the ones at n = 1000 and n = 1200
+# reach the node limit only after 7.5 s and 11.6 s (CPython 3.11.7, 2-core
+# x86-64). Every profile the tests and CI search has n <= 24.
+MAX_CLASSIFY_N = 64
 # Most assignments one half of the meet-in-the-middle join may build.
 MAX_HALF_ASSIGNMENTS = 10**6
 # Most nodes one factorization search may visit, each factorization it stores
@@ -420,9 +430,11 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     point's gaps factored, its negative and then its positive product
     searched, and its options bucketed by key as they are built; the lines
     through two anchor points, each joined on its Chern keys; the final
-    filter. The output is empty for a profile whose predicted products
-    raise InconsistentProfileError (fractional, or an n = 2 profile that is
-    not symmetric), before any gap is factored, and for one with a point
+    filter. A profile with n above MAX_CLASSIFY_N raises
+    SearchTooLargeError before its products are predicted. The output is
+    empty for a profile whose predicted products raise
+    InconsistentProfileError (fractional, or an n = 2 profile that is not
+    symmetric), before any gap is factored, and for one with a point
     without options: the search ends at the first such point, before any
     later point's gaps are factored or searched, and skips the positive
     search at a point whose negative product has no factorization. So a
@@ -438,6 +450,11 @@ def enumerate_candidates(profile: MomentProfile) -> list[FixedPointData]:
     candidates are sorted once, before the final filter.
     """
     n = profile.n
+    if n > MAX_CLASSIFY_N:
+        raise SearchTooLargeError(
+            f"the search for n = {n} is refused: n is above the limit of "
+            f"{MAX_CLASSIFY_N}"
+        )
     m = n + 2
     phi = profile.phi
     try:

@@ -27,7 +27,12 @@ from hamfp.dataio import (
 )
 from hamfp.exactnum import exact_fraction
 from hamfp.localize import partition_count
-from hamfp.solver import MAX_FACTORIZATION_NODES, MAX_TRIAL_DIVISOR, MomentProfile
+from hamfp.solver import (
+    MAX_CLASSIFY_N,
+    MAX_FACTORIZATION_NODES,
+    MAX_TRIAL_DIVISOR,
+    MomentProfile,
+)
 from conftest import PACKAGE_ROOT, run_cli, up_to_negation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -418,6 +423,27 @@ def test_classify_refuses_a_factorization_search_past_the_cap(tmp_path, n):
     assert result.stdout == ""
     assert result.stderr.startswith("error: the factorization of ")
     assert f"limit of {MAX_FACTORIZATION_NODES} nodes" in result.stderr
+    assert elapsed < 5
+
+
+def test_classify_refuses_a_dimension_past_the_cap(tmp_path):
+    # the minimal profile at n = 66, moment values -34..-1, 1..34; without
+    # the cap on n, the one at n = 1600 overflowed the factorization search's
+    # recursion and exited 1 with a traceback
+    n = MAX_CLASSIFY_N + 2
+    k = n // 2 + 1
+    phi = tuple(v for v in range(-k, k + 1) if v)
+    path = tmp_path / "p.json"
+    dump_document(profile_to_document(MomentProfile(n, phi)), str(path))
+    start = perf_counter()
+    result = run_cli("classify", str(path))
+    elapsed = perf_counter() - start
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: the search for n = {n} ")
+    assert lines[0].endswith(f"limit of {MAX_CLASSIFY_N}")
     assert elapsed < 5
 
 

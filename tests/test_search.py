@@ -19,11 +19,14 @@ from hamfp import (
     DataError,
     MomentProfile,
     SearchTooLargeError,
+    classify,
     elementary_symmetric,
     enumerate_candidates,
     make_standard_g2,
 )
 from hamfp.solver import (
+    MAX_CLASSIFY_N,
+    MAX_FACTORIZATION_NODES,
     MAX_HALF_ASSIGNMENTS,
     _factorizations,
     _keyed_join,
@@ -157,6 +160,48 @@ def test_factorization_search_charges_each_factorization_its_length(monkeypatch)
     monkeypatch.setattr(hamfp.solver, "MAX_FACTORIZATION_NODES", 8 * 58 - 1)
     with pytest.raises(SearchTooLargeError):
         factorizations(*case)
+
+
+def minimal_profile(n):
+    """The moment values -k..-1, 1..k, k = n/2 + 1."""
+    k = n // 2 + 1
+    return MomentProfile(n, tuple(v for v in range(-k, k + 1) if v))
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        # at the cap the search runs, and a factorization search reaches
+        # the node limit
+        (MAX_CLASSIFY_N, f"limit of {MAX_FACTORIZATION_NODES} nodes$"),
+        (MAX_CLASSIFY_N + 2, f"n = {MAX_CLASSIFY_N + 2} .* limit of {MAX_CLASSIFY_N}$"),
+        (1600, f"n = 1600 .* limit of {MAX_CLASSIFY_N}$"),
+    ],
+)
+def test_classify_refuses_a_dimension_past_the_cap(n, message):
+    with pytest.raises(SearchTooLargeError, match=message):
+        classify(minimal_profile(n))
+
+
+def test_factorization_search_at_the_dimension_cap_stays_within_the_recursion_limit():
+    # each part of the product of the first MAX_CLASSIFY_N primes closes its
+    # own prime group, so the search recurses through two frames for every
+    # part, its deepest; it must still fit the default recursion limit when
+    # called about 100 frames deep, as from the CLI
+    primes = []
+    candidate = 2
+    while len(primes) < MAX_CLASSIFY_N:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    target = prod(primes)
+
+    def nested(depth):
+        if depth:
+            return nested(depth - 1)
+        return factorizations(target, MAX_CLASSIFY_N, primes)
+
+    assert nested(100) == [tuple(primes)]
 
 
 @pytest.mark.parametrize("g", [143, 121])
